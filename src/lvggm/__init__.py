@@ -24,6 +24,7 @@ from .linalg import (
 )
 from .matio import MatrixParseError, read_matrix, write_matrix
 from .objective import (
+    GradientOperator,
     ModelContext,
     RscRssBounds,
     gradient,

@@ -144,7 +144,11 @@ def _effective_rank(L, rel_tol=1e-8):
 
 
 def run_single(spec, p, ratio, algo, trial):
-    """One benchmark cell; returns a result-row dict (never raises)."""
+    """One benchmark cell; returns a result-row dict (never raises).
+
+    A failed cell keeps its exception message in ``error`` (empty on
+    success); ``results.csv`` carries only the status.
+    """
     row = {
         "p": p,
         "oversampling": ratio,
@@ -159,6 +163,7 @@ def run_single(spec, p, ratio, algo, trial):
         "mean_iter_seconds": float("nan"),
         "iterations": 0,
         "rank": 0,
+        "error": "",
     }
     try:
         r = _resolve_rank(spec, p)
@@ -201,10 +206,12 @@ def run_single(spec, p, ratio, algo, trial):
             row["mean_iter_seconds"] = float(np.mean(per_iter))
             row["rank"] = est.effective_rank()
         row["nll_gap"] = row["final_nll"] - true_nll
-    except DivergedError:
+    except DivergedError as exc:
         row["status"] = "diverged"
+        row["error"] = str(exc)
     except Exception as exc:  # per-run failures become rows, harness continues
         row["status"] = f"failed:{type(exc).__name__}"
+        row["error"] = str(exc)
     return row
 
 

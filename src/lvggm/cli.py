@@ -168,6 +168,9 @@ def cmd_fit(args):
         "output_rank": est.effective_rank(),
         "status": trace.status,
         "rho_hat": trace.rho_hat,
+        "degraded_projections": trace.degraded_projections,
+        "halvings": trace.total_halvings,
+        "final_step_size": trace.eta[-1],
     }
     if truth is not None:
         summary["rel_error"] = trace.rel_error[-1]

@@ -102,40 +102,74 @@ def best_rank_r(A, r):
 
 
 class CholeskyFactor:
-    """Opaque handle around a Cholesky factorization of an SPD matrix.
+    """Opaque handle around a Cholesky factorization of an SPD matrix ``S``.
 
     Computed once per solver run for the fixed sparse part and reused across
-    gradient evaluations.  The dense inverse is materialized lazily the first
-    time :attr:`inverse` is accessed and cached thereafter.
+    objective and gradient evaluations, all of which reach ``S^-1`` through
+    :meth:`solve`.
+
+    Diagonal fast path: a diagonal ``S`` is recognized from its structure
+    when it is factored.  Its solves are then elementwise divisions
+    (``O(p k)`` for a ``p x k`` right-hand side) and no dense inverse exists
+    unless :attr:`inverse` is read.  For any other ``S`` the dense inverse is
+    materialized the first time it is needed and cached, and solves are one
+    GEMM against it.
     """
 
-    def __init__(self, factor, lower):
+    def __init__(self, factor, lower, diagonal=None):
         self._factor = factor
         self._lower = lower
+        self._diagonal = diagonal
         self._inverse = None
 
     @property
     def dim(self):
         return self._factor.shape[0]
 
+    @property
+    def is_diagonal(self):
+        return self._diagonal is not None
+
     def solve(self, b):
-        """Solve ``A x = b`` using the cached factorization."""
-        return cho_solve((self._factor, self._lower), b, check_finite=False)
+        """Solve ``S x = b`` (``b`` a vector or a ``p x k`` block)."""
+        b = np.asarray(b, dtype=np.float64)
+        if self._diagonal is not None:
+            return b / (self._diagonal if b.ndim == 1 else self._diagonal[:, np.newaxis])
+        return self.inverse @ b
+
+    def subtract_inverse(self, A):
+        """``A - S^-1`` for a symmetric ``A``, symmetric on return."""
+        if self._diagonal is None:
+            return symmetrize(A - self.inverse)
+        out = np.array(A, dtype=np.float64)
+        out[np.diag_indices_from(out)] -= 1.0 / self._diagonal
+        return out
 
     @property
     def inverse(self):
         """Dense inverse of the factored matrix (computed once, cached)."""
         if self._inverse is None:
-            self._inverse = symmetrize(self.solve(np.eye(self.dim)))
+            if self._diagonal is not None:
+                self._inverse = np.diag(1.0 / self._diagonal)
+            else:
+                eye = np.eye(self.dim)
+                self._inverse = symmetrize(
+                    cho_solve((self._factor, self._lower), eye, check_finite=False)
+                )
         return self._inverse
 
     @property
     def logdet(self):
+        if self._diagonal is not None:
+            return float(np.sum(np.log(self._diagonal)))
         return 2.0 * float(np.sum(np.log(np.diag(self._factor))))
 
 
 def cholesky_logdet(A):
     """Cholesky-factor a symmetric matrix and return ``(factor, log det A)``.
+
+    A diagonal ``A`` (no nonzero off-diagonal entry) takes the diagonal fast
+    path of :class:`CholeskyFactor`.
 
     Raises
     ------
@@ -144,6 +178,14 @@ def cholesky_logdet(A):
         backtracking signal for steps that leave the PD cone.
     """
     A = check_finite_symmetric(A)
+    diag = np.diag(A).copy()
+    if np.count_nonzero(A) == np.count_nonzero(diag):
+        if not np.all(diag > 0.0):
+            raise NotPositiveDefiniteError(
+                f"diagonal matrix has a non-positive entry ({diag.min():.3e})"
+            )
+        fac = CholeskyFactor(np.sqrt(diag), True, diagonal=diag)
+        return fac, fac.logdet
     try:
         c, lower = cho_factor(A, lower=True)
     except LinAlgError as exc:
@@ -155,9 +197,9 @@ def cholesky_logdet(A):
 def woodbury_inverse(S_chol, U):
     """Inverse of ``S + U @ U.T`` via the Woodbury identity.
 
-    Uses the cached dense ``S``-inverse of the factor, so the per-call cost
-    is ``O(p^2 r + r^3)``; the dense inverse of the *sum* is never formed
-    directly.
+    ``S^-1 U`` comes from the factor's :meth:`CholeskyFactor.solve`, so the
+    per-call cost is ``O(p^2 r + r^3)``; the dense inverse of the *sum* is
+    never formed directly.
 
     Raises
     ------
@@ -168,15 +210,14 @@ def woodbury_inverse(S_chol, U):
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != S_chol.dim:
         raise ValueError(f"factor shape {U.shape} incompatible with dim {S_chol.dim}")
-    S_inv = S_chol.inverse
-    X = S_inv @ U  # S^-1 U, (p, r)
+    X = S_chol.solve(U)  # S^-1 U, (p, r)
     K = np.eye(U.shape[1]) + U.T @ X
     try:
         kc, klower = cho_factor(symmetrize(K), lower=True)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError("inner Woodbury system not PD") from exc
     correction = X @ cho_solve((kc, klower), X.T, check_finite=False)
-    return symmetrize(S_inv - correction)
+    return symmetrize(S_chol.inverse - correction)
 
 
 def woodbury_inverse_eig(S_chol, V, d):
@@ -209,7 +250,7 @@ def woodbury_core_eig(S_chol, V, d):
     ``K = diag(d) (I + V.T M diag(d))^-1`` (symmetric), so that
     ``(S + V diag(d) V.T)^-1 = S^-1 - M K M.T``.
     """
-    M = S_chol.inverse @ V
+    M = S_chol.solve(V)
     G = V.T @ M  # V.T S^-1 V, SPD
     inner = np.eye(len(d)) + G * d[np.newaxis, :]
     try:

@@ -6,8 +6,18 @@ the objective over the low-rank component ``L`` is::
     F(L) = -log det(S + L) + <S + L, C>
 
 whose gradient is ``-(S + L)^{-1} + C``.  The inverse is evaluated through
-the Woodbury identity against the cached factorization of ``S``, so gradient
-evaluations cost ``O(p^2 r)`` beyond the one-time ``S``-inverse work.
+the Woodbury identity against the cached factorization of ``S``: with
+``M = S^-1 V`` for an eigenform ``L = V diag(d) V^T``,
+
+    grad F(L) = (C - S^-1) + M K M^T,    K = diag(d) (I + V^T M diag(d))^-1.
+
+Every ``S^-1`` product goes through :meth:`CholeskyFactor.solve`, which is
+an elementwise division when ``S`` is diagonal and a GEMM against the cached
+dense inverse otherwise.  For eigenform input the gradient is returned as a
+:class:`GradientOperator` that applies this expression to a block of
+vectors in ``O(p^2 k)`` without forming the ``p x p`` matrix; callers that
+need the matrix (the exact projection's eigendecomposition) call
+:meth:`GradientOperator.dense`.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ class ModelContext:
     def residual0(self):
         """Gradient at ``L = 0``: ``C - S^-1`` (cached; constant per fit)."""
         if self._residual0 is None:
-            self._residual0 = symmetrize(self.C - self.S_chol.inverse)
+            self._residual0 = self.S_chol.subtract_inverse(self.C)
         return self._residual0
 
     @property
@@ -100,7 +110,7 @@ def _nll_eig(ctx, V, d):
     """
     if V.shape[1] == 0:
         return -ctx.logdet_S + ctx.trace_SC
-    M = ctx.S_chol.inverse @ V
+    M = ctx.S_chol.solve(V)
     G = symmetrize(V.T @ M)
     try:
         Lc = np.linalg.cholesky(G)
@@ -136,7 +146,7 @@ def nll(ctx, L):
     if L.ndim == 2 and L.shape[0] == ctx.p and L.shape[1] != ctx.p:
         # PSD factor: S + U U^T is PD whenever S is; determinant lemma with
         # the SPD inner matrix I + U^T S^-1 U.
-        X = ctx.S_chol.inverse @ L
+        X = ctx.S_chol.solve(L)
         K = symmetrize(np.eye(L.shape[1]) + L.T @ X)
         try:
             kc, _ = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
@@ -154,21 +164,58 @@ def nll(ctx, L):
     return -logdet + float(np.sum(theta * ctx.C))
 
 
+class GradientOperator:
+    """Symmetric gradient ``residual0 + M K M^T`` of an eigenform estimate.
+
+    Applies the gradient to a ``p x k`` block as
+    ``G X = residual0 X + M (K (M^T X))`` at ``O(p^2 k)`` cost, so Krylov
+    head projections never form the ``p x p`` matrix.  :meth:`dense` (also
+    reached by ``np.asarray``) materializes it for callers that need every
+    entry.
+    """
+
+    def __init__(self, residual0, M, K):
+        self._residual0 = residual0
+        self._M = M
+        self._K = K
+
+    @property
+    def shape(self):
+        return self._residual0.shape
+
+    def __matmul__(self, X):
+        out = self._residual0 @ X
+        if self._M.shape[1]:
+            out += self._M @ (self._K @ (self._M.T @ X))
+        return out
+
+    def dense(self):
+        """The gradient as a ``p x p`` symmetric array."""
+        if not self._M.shape[1]:
+            return self._residual0.copy()
+        return symmetrize(self._residual0 + (self._M @ self._K) @ self._M.T)
+
+    def __array__(self, dtype=None, copy=None):
+        G = self.dense()
+        return G if dtype is None else G.astype(dtype, copy=False)
+
+
 def _gradient_eig(ctx, V, d):
     d = np.asarray(d, dtype=np.float64)
     if V.shape[1] == 0:
-        return ctx.residual0.copy()
+        return GradientOperator(ctx.residual0, V, np.zeros((0, 0)))
     K, M = woodbury_core_eig(ctx.S_chol, V, d)
-    return symmetrize(ctx.residual0 + (M @ K) @ M.T)
+    return GradientOperator(ctx.residual0, M, K)
 
 
 def gradient(ctx, L):
-    """Gradient ``C - (S + L)^{-1}`` as a dense symmetric matrix.
+    """Gradient ``C - (S + L)^{-1}``.
 
-    Fast paths: a PSD factor ``U`` or an eigenform ``(V, d)`` keep the cost
-    at ``O(p^2 r)`` through the Woodbury identity against the cached
-    ``C - S^-1`` residual.  A dense ``L`` is eigendecomposed first
-    (``O(p^3)``); solvers always pass factored forms.
+    An eigenform ``(V, d)`` (what the solvers pass) gives a symmetric
+    :class:`GradientOperator` at ``O(p^2 r)`` set-up cost.  A PSD factor
+    ``U`` or a dense ``L`` gives a dense symmetric matrix, through the
+    Woodbury identity against the cached ``C - S^-1`` residual; a dense
+    ``L`` is eigendecomposed first (``O(p^3)``).
     """
     if isinstance(L, tuple):
         V, d = L
@@ -179,10 +226,10 @@ def gradient(ctx, L):
     if L.shape == (ctx.p, ctx.p):
         w, V = np.linalg.eigh(symmetrize(L))
         keep = np.abs(w) > 1e-12 * max(1.0, float(np.abs(w).max()))
-        return _gradient_eig(ctx, np.ascontiguousarray(V[:, keep]), w[keep])
+        return _gradient_eig(ctx, np.ascontiguousarray(V[:, keep]), w[keep]).dense()
     if L.shape[0] == ctx.p:
         # PSD factor: L = U U^T has eigenform (Q, eigs of R R^T)
-        X = ctx.S_chol.inverse @ L
+        X = ctx.S_chol.solve(L)
         K = np.eye(L.shape[1]) + L.T @ X
         try:
             kc = scipy.linalg.cho_factor(symmetrize(K), lower=True)

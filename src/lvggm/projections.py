@@ -66,10 +66,16 @@ class ProjectionConfig:
 
 @dataclass
 class Subspace:
-    """Column-orthonormal basis returned by head/tail subspace routines."""
+    """Column-orthonormal basis returned by head/tail subspace routines.
+
+    ``ritz`` holds the Rayleigh-Ritz values of the input on the basis, so
+    that ``basis.T @ A @ basis`` equals ``diag(ritz)``, when the routine
+    computed them from a basis it did not pad; otherwise it is None.
+    """
 
     basis: np.ndarray
     degraded: bool = False
+    ritz: np.ndarray | None = None
 
     @property
     def dim(self):
@@ -172,16 +178,26 @@ def _krylov_basis(A, block, depth, rng, symmetric):
     Blocks are orthogonalized progressively against the accumulated basis
     (two Gram-Schmidt passes, then CholeskyQR within the block), so the
     returned matrix is orthonormal without a final wide factorization.
+
+    Returns ``(Q, AQ)``.  For symmetric ``A``, ``AQ`` is ``A @ Q``: the loop
+    already forms ``A @ Q_j`` for every block but the last, so only that one
+    is multiplied here (``(depth + 2) * block`` columns of products in all,
+    against ``(2 depth + 2) * block`` when Rayleigh-Ritz recomputes them).
+    ``AQ`` is None for a non-symmetric ``A``.
     """
     first = A @ rng.standard_normal((A.shape[1], block))
     scale = float(np.linalg.norm(first, axis=0).max()) if first.size else 0.0
     floor = 1e-10 * scale
     Q = _orthonormalize(first, floor=floor)
+    blocks = [Q]
+    products = []
     X = Q
     for _ in range(depth):
         if X.shape[1] == 0:
             break
         X = A @ X if symmetric else A @ (A.T @ X)
+        if symmetric:
+            products.append(X)
         block_scale = float(np.linalg.norm(X, axis=0).max()) if X.size else 0.0
         for _ in range(2):
             X = X - Q @ (Q.T @ X)
@@ -190,25 +206,35 @@ def _krylov_basis(A, block, depth, rng, symmetric):
         X = _orthonormalize(X, floor=1e-10 * block_scale)
         if X.shape[1] == 0:
             break
+        blocks.append(X)
         Q = np.hstack([Q, X])
-    return Q
+    if not symmetric:
+        return Q, None
+    if len(products) < len(blocks):
+        products.append(A @ blocks[-1])
+    return Q, np.hstack(products)
 
 
 def _bk_subspace(A, r, cfg):
-    """Block-Krylov rank-``r`` left singular subspace of a square matrix."""
+    """Block-Krylov rank-``r`` left singular subspace of a square matrix.
+
+    ``A`` is a square ndarray, or a symmetric linear operator with ``shape``
+    and ``@`` (such as the solvers' gradient operator).  Symmetric inputs get
+    Ritz values on the returned subspace unless its basis had to be padded.
+    """
     p = A.shape[0]
     if not 1 <= r <= p:
         raise ValueError(f"rank r={r} out of range [1, {p}]")
     block = cfg.block_size if cfg.block_size is not None else r
     depth = cfg.krylov_depth if cfg.krylov_depth is not None else default_krylov_depth(p)
     depth = _effective_depth(p, block, depth)
-    symmetric = bool(np.array_equal(A, A.T))
+    symmetric = not isinstance(A, np.ndarray) or bool(np.array_equal(A, A.T))
 
     Q = np.zeros((p, 0))
     degraded = False
     for attempt in range(4):
         rng = rng_for(cfg.seed, 101, attempt)
-        Q = _krylov_basis(A, block, depth, rng, symmetric)
+        Q, AQ = _krylov_basis(A, block, depth, rng, symmetric)
         if Q.shape[1] >= r:
             break
     else:
@@ -217,13 +243,16 @@ def _bk_subspace(A, r, cfg):
         # Input rank below r: best effort, pad deterministically.
         degraded = True
         Q = _complete_basis(Q, p, r, rng_for(cfg.seed, 103))
+        AQ = A @ Q if symmetric else None
 
     # Rayleigh-Ritz on the Krylov basis
+    ritz = None
     if symmetric:
-        M = symmetrize(Q.T @ (A @ Q))
+        M = symmetrize(Q.T @ AQ)
         w, E = np.linalg.eigh(M)
         order = np.argsort(-np.abs(w), kind="stable")[:r]
         Z = Q @ E[:, order]
+        ritz = w[order]
     else:
         M = Q.T @ A
         U, _, _ = np.linalg.svd(M, full_matrices=False)
@@ -231,7 +260,9 @@ def _bk_subspace(A, r, cfg):
     if Z.shape[1] < r:
         Z = _complete_basis(Z, p, r, rng_for(cfg.seed, 107))
         degraded = True
-    return Subspace(np.ascontiguousarray(Z), degraded=degraded)
+    return Subspace(
+        np.ascontiguousarray(Z), degraded=degraded, ritz=None if degraded else ritz
+    )
 
 
 def bk_svd(A, r, cfg):
@@ -318,8 +349,14 @@ def head_project(A, k, cfg):
     """Subspace ``V`` with ``||P_V A||_F >= c_H ||A_k||_F``.
 
     Exact backend returns the true top-``k`` singular subspace; randomized
-    backends satisfy the bound with high probability.
+    backends satisfy the bound with high probability.  ``A`` is a square
+    ndarray or a symmetric linear operator (``shape``, ``@`` and
+    ``__array__``); the block-Krylov backend applies an operator without
+    materializing it, the other backends materialize it.
     """
+    operator = not isinstance(A, np.ndarray) and hasattr(A, "__matmul__")
+    if cfg.backend == "block-krylov" and operator:
+        return _bk_subspace(A, k, cfg)
     A = np.asarray(A, dtype=np.float64)
     if cfg.backend == "exact":
         if np.array_equal(A, A.T):

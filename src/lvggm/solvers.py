@@ -12,7 +12,10 @@ Both solvers start from ``L = 0`` (no spectral initialization) and iterate
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
-identity and makes error tracking against a known truth cheap.
+identity and makes error tracking against a known truth cheap.  AP never
+forms the ``p x p`` gradient with the block-Krylov backend: the head
+projection applies the gradient operator to blocks, and its Ritz values give
+the compressed head step ``Z^T G Z``.
 """
 
 from __future__ import annotations
@@ -112,7 +115,9 @@ class Trace:
 
     ``rel_error`` entries are NaN when no ground truth was supplied.
     ``rho_hat`` is the fitted per-iteration contraction factor, when the
-    trace is long enough to estimate one.
+    trace is long enough to estimate one.  ``total_halvings`` and
+    ``degraded_projections`` count over every iteration, including those
+    that ``trace_every`` leaves out of the rows.
     """
 
     iters: list = field(default_factory=list)
@@ -125,6 +130,7 @@ class Trace:
     rho_hat: float | None = None
     status: str = ""
     degraded_projections: int = 0
+    total_halvings: int = 0
 
     CSV_HEADER = "iter,nll,seconds,eta,halvings,rank,rel_error"
 
@@ -298,6 +304,7 @@ class _RunState:
         self.nll_history.append(nll_value)
 
     def record(self, t, nll_value, seconds, halvings, V, d, force=False):
+        self.trace.total_halvings += halvings
         if force or t % self.cfg.trace_every == 0:
             est = LowRankEstimate(V, d)
             self.trace.append(
@@ -387,7 +394,7 @@ def ep_lvm(ctx, cfg, truth=None):
     status = "max-iters"
     for t in range(cfg.max_iters):
         tic = time.perf_counter()
-        G = gradient(ctx, (V, d))
+        G = gradient(ctx, (V, d)).dense()
         base = (V * d) @ V.T
 
         def candidate(eta):
@@ -456,7 +463,10 @@ def ap_lvm(ctx, cfg, truth=None):
         if head.degraded:
             state.trace.degraded_projections += 1
         Z = head.basis
-        T_h = symmetrize(Z.T @ (G @ Z))
+        if head.ritz is not None:
+            T_h = np.diag(head.ritz)
+        else:
+            T_h = symmetrize(Z.T @ (G @ Z))
         W = np.hstack([V, Z])
 
         def candidate(eta):

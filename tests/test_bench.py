@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from lvggm import bench
 from lvggm.bench import BenchSpec, run_bench, run_single
+from lvggm.solvers import DivergedError
 
 
 class TestBenchSpec:
@@ -27,13 +29,24 @@ class TestBenchSpec:
 
 class TestRunSingle:
     def test_failure_becomes_status_row(self):
-        # rank exceeding the dimension raises inside the solver; the harness
+        # rank exceeding the dimension raises inside the generator; the harness
         # reports a failed row instead of propagating
         spec = BenchSpec(dims=[16], oversampling=[10], trials=1,
                          algorithms=["ep"], rank=99)
         row = run_single(spec, 16, 10.0, "ep", 0)
         assert row["status"].startswith("failed:")
+        assert row["error"] == "rank r=99 out of range [1, 16)"
         assert np.isnan(row["rel_error"])
+
+    def test_divergence_keeps_its_message(self, monkeypatch):
+        def diverge(ctx, cfg, truth=None):
+            raise DivergedError("no acceptable step after 30 halvings")
+
+        monkeypatch.setattr(bench, "ep_lvm", diverge)
+        spec = BenchSpec(dims=[16], oversampling=[10], trials=1, algorithms=["ep"])
+        row = run_single(spec, 16, 10.0, "ep", 0)
+        assert row["status"] == "diverged"
+        assert row["error"] == "no acceptable step after 30 halvings"
 
     def test_matched_model_seed_across_sample_sizes(self):
         spec = BenchSpec(dims=[16], oversampling=[10, 20], trials=1,
@@ -43,6 +56,7 @@ class TestRunSingle:
         # same ground truth, hence identical true NLL dimensionless parts is
         # not guaranteed; instead check the harness derived distinct n
         assert a["status"] == b["status"] == "ok"
+        assert a["error"] == b["error"] == ""
         assert a["rel_error"] != b["rel_error"]
 
 

@@ -125,6 +125,43 @@ class TestFit:
         report = json.loads(stdout)
         assert abs(report["rel_error"] - summary["rel_error"]) < 1e-12
 
+    def test_summary_reports_halvings_step_size_and_degraded_count(
+        self, tmp_path, capsys
+    ):
+        # an oversized fixed step forces halvings; --trace-every 7 leaves
+        # most iterations out of trace.csv but not out of the totals
+        self._population_instance(tmp_path)
+        summaries = {}
+        for every in ("1", "7"):
+            out = tmp_path / f"fit{every}"
+            code, _, _ = run_cli(
+                capsys, "fit", "--s", str(tmp_path / "S.mat"),
+                "--cov", str(tmp_path / "C.mat"), "--algo", "ap-bk",
+                "--rank", "2", "--eta", "50", "--max-iters", "40",
+                "--trace-every", every, "--out", str(out),
+            )
+            assert code == 0
+            summaries[every] = json.loads((out / "summary.json").read_text())
+        rows = (tmp_path / "fit1" / "trace.csv").read_text().strip().split("\n")[1:]
+        halvings = sum(int(row.split(",")[4]) for row in rows)
+        assert halvings > 0
+        for summary in summaries.values():
+            assert summary["halvings"] == halvings
+            assert summary["final_step_size"] == float(rows[-1].split(",")[3])
+            assert summary["degraded_projections"] == 0
+
+        # identity instance: the gradient at L=0 is zero, so the head
+        # projection is padded and counted as degraded
+        write_matrix_binary(tmp_path / "I.mat", np.eye(6))
+        out = tmp_path / "fit-identity"
+        run_cli(
+            capsys, "fit", "--s", str(tmp_path / "I.mat"),
+            "--cov", str(tmp_path / "I.mat"), "--algo", "ap-bk", "--rank", "1",
+            "--out", str(out),
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["degraded_projections"] == 1
+
     def test_non_pd_sparse_part_fails_before_iterating(self, tmp_path, capsys):
         write_matrix_binary(tmp_path / "S.mat", -np.eye(5))
         write_matrix_binary(tmp_path / "C.mat", np.eye(5))

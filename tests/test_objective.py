@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lvggm.datagen import gen_model, sample_covariance
-from lvggm.linalg import NotPositiveDefiniteError, symmetrize
+from lvggm.linalg import (
+    CholeskyFactor,
+    NotPositiveDefiniteError,
+    cholesky_logdet,
+    symmetrize,
+    woodbury_inverse,
+)
 from lvggm.objective import (
+    GradientOperator,
     ModelContext,
     gradient,
     nll,
@@ -106,6 +116,83 @@ class TestGradient:
         G1 = gradient(ctx, U)
         G2 = gradient(ctx, U @ U.T)
         assert np.abs(G1 - G2).max() < 1e-10
+
+
+class TestGradientOperator:
+    def test_eigenform_gives_operator_matching_dense_gradient(self, rng):
+        model, ctx = make_ctx(rng, 12, 2, n=300)
+        V, _ = np.linalg.qr(rng.standard_normal((12, 3)))
+        d = np.array([0.8, 0.3, -0.1])
+        G = gradient(ctx, (V, d))
+        assert isinstance(G, GradientOperator)
+        assert G.shape == (12, 12)
+        dense = gradient(ctx, (V * d) @ V.T)
+        assert np.array_equal(G.dense(), G.dense().T)
+        assert np.abs(G.dense() - dense).max() < 1e-10
+        assert np.array_equal(np.asarray(G), G.dense())
+        X = rng.standard_normal((12, 4))
+        assert np.abs(G @ X - dense @ X).max() < 1e-10
+
+
+class TestDiagonalFastPath:
+    """A diagonal ``S`` divides elementwise; the dense-inverse route is the
+    reference."""
+
+    def _contexts(self, rng, p=15, r=2):
+        model = gen_model(p, r, seed=int(rng.integers(2**31)))
+        C = sample_covariance(model, 40 * p, seed=int(rng.integers(2**31)))
+        fast = ModelContext.create(model.S_star, C)
+        assert fast.S_chol.is_diagonal
+        c, lower = scipy.linalg.cho_factor(model.S_star, lower=True)
+        slow = dataclasses.replace(fast, S_chol=CholeskyFactor(c, lower))
+        assert not slow.S_chol.is_diagonal
+        return model, fast, slow
+
+    def test_nll_gradient_and_woodbury_match_dense_inverse_route(self, rng):
+        model, fast, slow = self._contexts(rng)
+        p = fast.p
+        V, _ = np.linalg.qr(rng.standard_normal((p, 3)))
+        d = np.array([0.6, 0.2, -0.05])
+        U = model.L_factor
+        for L in ((V, d), U, U @ U.T):
+            assert abs(nll(fast, L) - nll(slow, L)) <= 1e-12 * max(1.0, abs(nll(slow, L)))
+        assert np.abs(fast.residual0 - slow.residual0).max() <= 1e-12
+        for L in ((V, d), (V[:, :0], d[:0])):
+            assert np.abs(
+                gradient(fast, L).dense() - gradient(slow, L).dense()
+            ).max() <= 1e-12
+        for L in (U, U @ U.T):
+            assert np.abs(gradient(fast, L) - gradient(slow, L)).max() <= 1e-12
+        assert np.abs(
+            woodbury_inverse(fast.S_chol, U) - woodbury_inverse(slow.S_chol, U)
+        ).max() <= 1e-12
+
+    def test_fast_path_builds_no_dense_inverse(self, rng, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("dense S inverse built")
+
+        _, fast, _ = self._contexts(rng)
+        monkeypatch.setattr(CholeskyFactor, "inverse", property(no_inverse))
+        V, _ = np.linalg.qr(rng.standard_normal((fast.p, 2)))
+        d = np.array([0.5, 0.1])
+        nll(fast, (V, d))
+        gradient(fast, (V, d)) @ V
+
+    def test_tridiagonal_takes_dense_route(self, rng):
+        s = rng.uniform(1.0, 2.0, 10)
+        S = np.diag(s) + np.diag(0.2 * s[:-1], 1) + np.diag(0.2 * s[:-1], -1)
+        fac, logdet = cholesky_logdet(S)
+        assert not fac.is_diagonal
+        assert abs(logdet - np.linalg.slogdet(S)[1]) < 1e-12
+        fac, logdet = cholesky_logdet(np.diag(s))
+        assert fac.is_diagonal
+        assert abs(logdet - float(np.sum(np.log(s)))) < 1e-12
+        b = rng.standard_normal((10, 3))
+        assert np.abs(fac.solve(b) - b / s[:, None]).max() < 1e-15
+
+    def test_non_positive_diagonal_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_logdet(np.diag([1.0, 0.0, 2.0]))
 
 
 class TestRscRssBounds:

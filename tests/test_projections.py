@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lvggm.datagen import gen_model, sample_covariance
 from lvggm.linalg import best_rank_r
+from lvggm.objective import ModelContext, gradient
 from lvggm.projections import (
     ProjectionConfig,
+    _krylov_basis,
     bk_svd,
     compress_symmetric,
     default_krylov_depth,
@@ -170,6 +174,59 @@ class TestHeadProject:
             s = np.linalg.svd(A, compute_uv=False)
             captured = np.linalg.norm(sub.basis.T @ A, "fro")
             assert captured >= 0.9 * np.sqrt(np.sum(s[:8] ** 2))
+
+
+def _gradient_operator(p=80, r=4, seed=5):
+    """Gradient operator of a sampled instance at an indefinite iterate."""
+    model = gen_model(p, r, seed=seed)
+    ctx = ModelContext.create(
+        model.S_star, sample_covariance(model, 30 * p, seed=seed + 1)
+    )
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, r)))
+    return gradient(ctx, (V, np.linspace(0.5, -0.1, r)))
+
+
+class TestOperatorInput:
+    def test_operator_and_its_array_span_the_same_subspace(self):
+        G = _gradient_operator()
+        for seed in range(3):
+            cfg = ProjectionConfig(seed=seed)
+            on_operator = head_project(G, 8, cfg)
+            on_array = head_project(np.asarray(G), 8, cfg)
+            angles = scipy.linalg.subspace_angles(on_operator.basis, on_array.basis)
+            assert angles.max() <= 1e-8
+
+    def test_ritz_values_are_the_compressed_operator(self):
+        G = _gradient_operator()
+        sub = head_project(G, 8, ProjectionConfig(seed=4))
+        Z = sub.basis
+        compressed = Z.T @ (G @ Z)
+        assert sub.ritz.shape == (8,)
+        assert np.abs(sub.ritz - np.diag(compressed)).max() <= 1e-10
+        assert np.abs(np.diag(sub.ritz) - compressed).max() <= 1e-10
+
+    def test_padded_basis_has_no_ritz_values(self, rng):
+        U = rng.standard_normal((30, 3))
+        sub = head_project(U @ U.T, 5, ProjectionConfig(seed=1))
+        assert sub.degraded
+        assert sub.ritz is None
+
+    def test_reused_products_equal_recomputed(self, rng):
+        U = rng.standard_normal((40, 3))
+        cases = (
+            (random_symmetric(rng, 40), 4, 3),
+            (_gradient_operator(), 6, 2),
+            (U @ U.T, 5, 3),  # rank 3 < block 5: blocks deflate
+        )
+        for A, block, depth in cases:
+            Q, AQ = _krylov_basis(
+                A, block, depth, np.random.default_rng(2), symmetric=True
+            )
+            assert AQ.shape == Q.shape
+            recomputed = A @ Q
+            scale = np.abs(recomputed).max()
+            assert np.abs(AQ - recomputed).max() <= 1e-12 * scale
+        assert Q.shape[1] == 3
 
 
 class TestLanczosSubspace:

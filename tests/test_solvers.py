@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lvggm.datagen import gen_model, sample_covariance
-from lvggm.objective import ModelContext, nll
+from lvggm.objective import GradientOperator, ModelContext, nll
 from lvggm.projections import ProjectionConfig, psd_rank_r_project
 from lvggm.solvers import (
     BacktrackingConfig,
@@ -193,6 +193,18 @@ class TestApLvm:
         margin = trace.rel_error[-1] * np.linalg.norm(model.L_star, "fro")
         bound = spectral * (1.0 + np.sqrt(3)) + margin
         assert est.values.min() >= -bound
+
+    def test_block_krylov_never_materializes_the_gradient(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("p x p gradient materialized")
+
+        monkeypatch.setattr(GradientOperator, "dense", no_dense)
+        model, ctx = sampled_ctx(40, 3, 4000, seed=17)
+        cfg = SolverConfig(rank=3, max_iters=25, projection=ProjectionConfig(seed=3))
+        est, trace = ap_lvm(ctx, cfg, truth=model.L_factor)
+        assert len(trace) > 5
+        assert trace.degraded_projections == 0
+        assert trace.rel_error[-1] < trace.rel_error[0]
 
     def test_deterministic_replay(self):
         model, ctx = sampled_ctx(15, 2, 700, seed=31)
