@@ -25,10 +25,10 @@ import numpy as np
 
 from lvggm.baseline import AdmmConfig, admm_lvglasso
 from lvggm.datagen import load_dataset
+from lvggm.linalg import effective_rank, symmetrize
 from lvggm.matio import write_matrix
 from lvggm.objective import ModelContext
-from lvggm.projections import ProjectionConfig
-from lvggm.solvers import SolverConfig, ap_lvm, ep_lvm
+from lvggm.solvers import PGD_ALGORITHMS, fit_pgd
 
 
 def main():
@@ -56,8 +56,7 @@ def main():
     S_hat, L_admm, admm_trace = admm_lvglasso(
         C, AdmmConfig(l1_weight=l1, nuclear_weight=nuc, max_iters=300)
     )
-    w = np.abs(np.linalg.eigvalsh((L_admm + L_admm.T) / 2))
-    rank = max(1, int(np.sum(w > 1e-8 * max(w.max(), 1e-300))))
+    rank = max(1, effective_rank(np.linalg.eigvalsh(symmetrize(L_admm))))
     print(f"ADMM: converged={admm_trace.converged}, target rank={rank}")
 
     # keep the sparse estimate PD for the log-det solvers
@@ -71,18 +70,10 @@ def main():
     ctx = ModelContext.create(S_hat, C, validate_psd=False)
 
     summary = {"n": n, "p": p, "rank": rank, "l1": l1, "nuclear": nuc}
-    for algo, solver, backend in (
-        ("ep", ep_lvm, None),
-        ("ap-bk", ap_lvm, "block-krylov"),
-        ("ap-lanczos", ap_lvm, "lanczos"),
-    ):
-        cfg = SolverConfig(
-            rank=rank, max_iters=args.max_iters, nll_tolerance=0,
-            projection=ProjectionConfig(
-                seed=args.seed, backend=backend or "block-krylov"
-            ),
+    for algo in PGD_ALGORITHMS:
+        est, trace = fit_pgd(
+            algo, ctx, rank, args.seed, max_iters=args.max_iters, nll_tolerance=0
         )
-        est, trace = solver(ctx, cfg)
         trace.to_csv(os.path.join(args.out, f"trace_{algo}.csv"))
         write_matrix(os.path.join(args.out, f"Lhat_{algo}.mat"), est.dense())
         summary[algo] = {

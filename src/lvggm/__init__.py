@@ -16,11 +16,10 @@ from .linalg import (
     Spectrum,
     best_rank_r,
     cholesky_logdet,
-    frobenius_inner,
+    effective_rank,
     sym_evd,
     symmetrize,
     woodbury_inverse,
-    woodbury_inverse_eig,
 )
 from .matio import MatrixParseError, read_matrix, write_matrix
 from .objective import (
@@ -40,9 +39,9 @@ from .projections import (
     head_project,
     lanczos_subspace,
     psd_rank_r_project,
-    tail_project,
 )
 from .solvers import (
+    PGD_ALGORITHMS,
     BacktrackingConfig,
     DivergedError,
     InsufficientDataError,
@@ -53,6 +52,7 @@ from .solvers import (
     auto_step_size,
     contraction_estimate,
     ep_lvm,
+    fit_pgd,
     psd_finalize,
 )
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from .baseline import AdmmConfig, admm_lvglasso, admm_objective
 from .datagen import GenParams, gen_model, sample_covariance
+from .linalg import effective_rank, symmetrize
 from .objective import ModelContext, nll
-from .projections import ProjectionConfig
-from .solvers import DivergedError, SolverConfig, ap_lvm, ep_lvm
+from .solvers import PGD_ALGORITHMS, DivergedError, derived_seed, fit_pgd
 
-ALGORITHMS = ("ep", "ap-bk", "ap-lanczos", "admm")
+ALGORITHMS = (*PGD_ALGORITHMS, "admm")
 
 RESULTS_HEADER = (
     "p,oversampling,algo,trial,status,rel_error,final_nll,true_nll,nll_gap,"
@@ -85,22 +85,8 @@ class BenchSpec:
         return cls(**payload)
 
 
-def derived_seed(master, *salts):
-    ss = np.random.SeedSequence([int(master) & (2**64 - 1), *map(int, salts)])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _resolve_rank(spec, p):
     return int(math.ceil(0.05 * p)) if spec.rank == "auto" else int(spec.rank)
-
-
-def _solver_config(spec, r, algo, seed):
-    backend = "lanczos" if algo == "ap-lanczos" else "block-krylov"
-    return SolverConfig(
-        rank=r,
-        max_iters=spec.max_iters,
-        projection=ProjectionConfig(seed=seed, backend=backend),
-    )
 
 
 def tune_admm(C, n, truth=None, max_iters=300):
@@ -133,14 +119,6 @@ def tune_admm(C, n, truth=None, max_iters=300):
             if best is None or score < best[0]:
                 best = (score, S_hat, L_hat, trace, cfg)
     return best[1], best[2], best[3], best[4]
-
-
-def _effective_rank(L, rel_tol=1e-8):
-    w = np.abs(np.linalg.eigvalsh((L + L.T) / 2.0))
-    lam1 = float(w.max()) if w.size else 0.0
-    if lam1 == 0.0:
-        return 0
-    return int(np.sum(w > rel_tol * lam1))
 
 
 def run_single(spec, p, ratio, algo, trial):
@@ -187,17 +165,15 @@ def run_single(spec, p, ratio, algo, trial):
             row["seconds"] = time.perf_counter() - tic
             row["iterations"] = trace.iterations
             row["mean_iter_seconds"] = row["seconds"] / max(trace.iterations, 1)
-            row["rank"] = _effective_rank(L_hat)
+            row["rank"] = effective_rank(np.linalg.eigvalsh(symmetrize(L_hat)))
             row["final_nll"] = nll(ctx, L_hat)
             row["rel_error"] = float(np.linalg.norm(L_hat - L_true, "fro")) / true_norm
         else:
-            cfg = _solver_config(
-                spec, r, algo, derived_seed(spec.master_seed, 3, p, n, trial)
+            est, trace = fit_pgd(
+                algo, ctx, r, derived_seed(spec.master_seed, 3, p, n, trial),
+                truth=model.L_factor, max_iters=spec.max_iters,
+                true_nll_floor=true_nll if spec.use_true_nll_floor else None,
             )
-            if spec.use_true_nll_floor:
-                cfg.true_nll_floor = true_nll
-            solver = ep_lvm if algo == "ep" else ap_lvm
-            est, trace = solver(ctx, cfg, truth=model.L_factor)
             row["final_nll"] = trace.nll[-1]
             row["rel_error"] = trace.rel_error[-1]
             row["iterations"] = len(trace)

@@ -15,15 +15,12 @@ import time
 import numpy as np
 
 from .baseline import AdmmConfig, admm_lvglasso, admm_objective
-from .bench import BenchSpec, run_bench, tune_admm
+from .bench import ALGORITHMS, BenchSpec, run_bench, tune_admm
 from .datagen import GenParams, gen_model, sample_covariance
-from .linalg import NotPositiveDefiniteError, symmetrize
+from .linalg import NotPositiveDefiniteError, effective_rank, symmetrize
 from .matio import read_matrix, write_matrix
 from .objective import ModelContext, nll
-from .projections import ProjectionConfig
-from .solvers import SolverConfig, ap_lvm, ep_lvm
-
-ALGO_CHOICES = ("ep", "ap-bk", "ap-lanczos", "admm")
+from .solvers import fit_pgd
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
@@ -74,12 +71,6 @@ def cmd_gen(args):
     return 0
 
 
-def _effective_rank_dense(L, rel_tol=1e-8):
-    w = np.abs(np.linalg.eigvalsh(symmetrize(L)))
-    lam1 = float(w.max()) if w.size else 0.0
-    return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
-
-
 def _rel_error_dense(est, ref):
     denom = float(np.linalg.norm(ref, "fro"))
     if denom == 0.0:
@@ -116,7 +107,7 @@ def cmd_fit(args):
             "iterations": trace.iterations,
             "total_seconds": total,
             "mean_iter_seconds": total / max(trace.iterations, 1),
-            "output_rank": _effective_rank_dense(L_hat),
+            "output_rank": effective_rank(np.linalg.eigvalsh(symmetrize(L_hat))),
             "converged": trace.converged,
             "l1_weight": cfg.l1_weight,
             "nuclear_weight": cfg.nuclear_weight,
@@ -142,20 +133,14 @@ def cmd_fit(args):
         ctx = ModelContext.create(S, C, validate_psd=False)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
-    cfg = SolverConfig(
-        rank=args.rank,
+    est, trace = fit_pgd(
+        args.algo, ctx, args.rank, args.seed, truth=truth,
         step_size="auto" if args.eta == "auto" else float(args.eta),
         max_iters=args.max_iters,
         nll_tolerance=args.nll_tol,
         true_nll_floor=args.true_nll_floor,
         trace_every=args.trace_every,
-        projection=ProjectionConfig(
-            seed=args.seed,
-            backend="lanczos" if args.algo == "ap-lanczos" else "block-krylov",
-        ),
     )
-    solver = ep_lvm if args.algo == "ep" else ap_lvm
-    est, trace = solver(ctx, cfg, truth=truth)
     write_matrix(os.path.join(args.out, "Lhat.mat"), est.dense())
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     per_iter = trace.seconds[1:] if len(trace) > 1 else trace.seconds
@@ -189,7 +174,7 @@ def cmd_bench(args):
 
 def cmd_eval(args):
     est = read_matrix(args.estimate)
-    report = {"effective_rank": _effective_rank_dense(est)}
+    report = {"effective_rank": effective_rank(np.linalg.eigvalsh(symmetrize(est)))}
     if args.reference:
         ref = read_matrix(args.reference)
         if ref.shape != est.shape:
@@ -234,7 +219,7 @@ def build_parser():
     f = sub.add_parser("fit", help="fit the low-rank component")
     f.add_argument("--s", help="sparse part matrix (required for ep/ap)")
     f.add_argument("--cov", required=True, help="sample covariance matrix")
-    f.add_argument("--algo", choices=ALGO_CHOICES, required=True)
+    f.add_argument("--algo", choices=ALGORITHMS, required=True)
     f.add_argument("--rank", type=int, default=None)
     f.add_argument("--truth", default=None)
     f.add_argument("--eta", default="auto")

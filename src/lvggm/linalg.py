@@ -2,8 +2,9 @@
 
 Symmetric matrices are carried as plain ``(p, p)`` float64 ndarrays; every
 routine that constructs one symmetrizes as ``(A + A.T) / 2`` so that iterates
-stay exactly in the symmetric cone. Low-rank positive semidefinite matrices
-are carried as ``(p, r)`` factors ``U`` with ``L = U @ U.T``.
+stay exactly in the symmetric cone.  The Woodbury routines take a low-rank
+update as a PSD factor ``U`` (:func:`woodbury_inverse`) or in eigenform
+``V diag(d) V.T`` (:func:`woodbury_core_eig`).
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class Spectrum:
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
 
-    def reconstruct(self):
-        return symmetrize((self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T)
-
 
 def sym_evd(A):
     """Eigendecomposition of a symmetric matrix with eigenvalues descending.
@@ -73,13 +71,11 @@ def sym_evd(A):
     return Spectrum(w[::-1].copy(), V[:, ::-1].copy())
 
 
-def frobenius_inner(A, B):
-    """Frobenius inner product ``sum_ij A_ij * B_ij``."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.sum(A * B))
+def effective_rank(eigenvalues, rel_tol=1e-8):
+    """Count of eigenvalues with magnitude above ``rel_tol`` times the largest."""
+    w = np.abs(np.asarray(eigenvalues, dtype=np.float64))
+    lam1 = float(w.max()) if w.size else 0.0
+    return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
 
 
 def best_rank_r(A, r):
@@ -218,29 +214,6 @@ def woodbury_inverse(S_chol, U):
         raise NotPositiveDefiniteError("inner Woodbury system not PD") from exc
     correction = X @ cho_solve((kc, klower), X.T, check_finite=False)
     return symmetrize(S_chol.inverse - correction)
-
-
-def woodbury_inverse_eig(S_chol, V, d):
-    """Inverse of ``S + V diag(d) V.T`` for a possibly indefinite eigenform.
-
-    ``V`` is ``(p, r)`` with orthonormal columns and ``d`` may carry negative
-    entries (approximate-projection iterates).  The inner ``r x r`` solve uses
-    the symmetric form ``(diag(d)^-1 + V.T S^-1 V)^-1`` rewritten to avoid
-    inverting ``d``:  ``K = diag(d) (I + V.T S^-1 V diag(d))^-1``, which is
-    symmetric whenever it exists.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If ``S + V diag(d) V.T`` is singular at the inner solve.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    S_inv = S_chol.inverse
-    if V.shape[1] == 0:
-        return S_inv.copy()
-    K, M = woodbury_core_eig(S_chol, V, d)
-    return symmetrize(S_inv - (M @ K) @ M.T)
 
 
 def woodbury_core_eig(S_chol, V, d):

@@ -5,9 +5,14 @@ the objective over the low-rank component ``L`` is::
 
     F(L) = -log det(S + L) + <S + L, C>
 
-whose gradient is ``-(S + L)^{-1} + C``.  The inverse is evaluated through
+whose gradient is ``-(S + L)^{-1} + C``.
+
+Every estimate is normalized once, by :func:`as_eigenform`, to an eigenform
+``L = V diag(d) V^T``: an eigenform tuple passes through, a dense ``(p, p)``
+matrix is eigendecomposed and a ``(p, k)`` PSD factor is compressed.  The
+NLL of an eigenform comes from the determinant lemma and its gradient from
 the Woodbury identity against the cached factorization of ``S``: with
-``M = S^-1 V`` for an eigenform ``L = V diag(d) V^T``,
+``M = S^-1 V``,
 
     grad F(L) = (C - S^-1) + M K M^T,    K = diag(d) (I + V^T M diag(d))^-1.
 
@@ -17,7 +22,9 @@ dense inverse otherwise.  For eigenform input the gradient is returned as a
 :class:`GradientOperator` that applies this expression to a block of
 vectors in ``O(p^2 k)`` without forming the ``p x p`` matrix; callers that
 need the matrix (the exact projection's eigendecomposition) call
-:meth:`GradientOperator.dense`.
+:meth:`GradientOperator.dense`.  Only a dense ``L`` keeps a second NLL route,
+a Cholesky factorization of ``S + L``: it is the reference the eigenform
+route is checked against.
 """
 
 from __future__ import annotations
@@ -83,20 +90,29 @@ class ModelContext:
         return cls(S_star=S_star, C=C, S_chol=S_chol, logdet_S=logdet_S)
 
 
-def materialize(L, p):
-    """Dense symmetric matrix from a dense ``(p, p)`` input, a ``(p, r)``
-    PSD factor ``U`` (giving ``U @ U.T``), or an eigenform tuple ``(V, d)``."""
+def as_eigenform(L, p=None):
+    """Normalize an estimate to eigenform ``(V, d)`` with V orthonormal.
+
+    ``L`` is an eigenform tuple ``(V, d)`` (a ``LowRankEstimate`` is one), a
+    dense symmetric ``(p, p)`` matrix or a ``(p, k)`` PSD factor ``U`` giving
+    ``U @ U.T``.  ``p``, when given, must match the estimate's row count.
+    Eigenvalues that are zero up to roundoff are dropped.
+    """
     if isinstance(L, tuple):
         V, d = L
-        V = np.asarray(V, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
-        return symmetrize((V * d) @ V.T)
+        return np.asarray(V, dtype=np.float64), np.asarray(d, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != p:
+    if L.ndim != 2 or (p is not None and L.shape[0] != p):
         raise ValueError(f"estimate shape {L.shape} incompatible with p={p}")
-    if L.shape[1] == p:
-        return symmetrize(L)
-    return L @ L.T
+    if L.shape[0] == L.shape[1]:
+        w, V = np.linalg.eigh(symmetrize(L))
+        keep = np.abs(w) > 1e-12 * max(1.0, float(np.abs(w).max()))
+        return np.ascontiguousarray(V[:, keep]), w[keep]
+    # PSD factor U: L = U U^T = Q (R R^T) Q^T
+    Q, R = np.linalg.qr(L)
+    w, E = np.linalg.eigh(symmetrize(R @ R.T))
+    keep = w > 1e-14 * max(1.0, float(np.abs(w).max()))
+    return Q @ E[:, keep], w[keep]
 
 
 def _nll_eig(ctx, V, d):
@@ -130,38 +146,23 @@ def _nll_eig(ctx, V, d):
 def nll(ctx, L):
     """Negative log-likelihood ``-log det(S + L) + <S + L, C>``.
 
-    ``L`` may be dense ``(p, p)``, a PSD factor ``(p, r)``, or an eigenform
-    tuple ``(V, d)``.  Dense input goes through a Cholesky factorization of
-    the materialized ``p x p`` matrix; factored inputs use an equivalent
-    determinant-lemma evaluation at ``O(p^2 r)``.  Raises
-    :class:`NotPositiveDefiniteError` when ``S + L`` leaves the PD cone;
-    solvers use that as the backtracking signal.
+    ``L`` is any form :func:`as_eigenform` takes.  A dense ``(p, p)`` matrix
+    goes through a Cholesky factorization of ``S + L``; every other input is
+    normalized to eigenform and evaluated by the determinant lemma at
+    ``O(p^2 r)``.  Raises :class:`NotPositiveDefiniteError` when ``S + L``
+    leaves the PD cone; solvers use that as the backtracking signal.
     """
-    if isinstance(L, tuple):
-        V, d = L
-        return _nll_eig(
-            ctx, np.asarray(V, dtype=np.float64), np.asarray(d, dtype=np.float64)
-        )
-    L = np.asarray(L, dtype=np.float64)
-    if L.ndim == 2 and L.shape[0] == ctx.p and L.shape[1] != ctx.p:
-        # PSD factor: S + U U^T is PD whenever S is; determinant lemma with
-        # the SPD inner matrix I + U^T S^-1 U.
-        X = ctx.S_chol.solve(L)
-        K = symmetrize(np.eye(L.shape[1]) + L.T @ X)
-        try:
-            kc, _ = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("inner system not PD") from exc
-        logdet = ctx.logdet_S + 2.0 * float(np.sum(np.log(np.diag(kc))))
-        CU = ctx.C @ L
-        return -logdet + ctx.trace_SC + float(np.sum(L * CU))
-    theta = symmetrize(ctx.S_star + materialize(L, ctx.p))
-    try:
-        c, _ = scipy.linalg.cho_factor(theta, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return -logdet + float(np.sum(theta * ctx.C))
+    if not isinstance(L, tuple):
+        L = np.asarray(L, dtype=np.float64)
+        if L.shape == (ctx.p, ctx.p):
+            theta = symmetrize(ctx.S_star + L)
+            try:
+                c, _ = scipy.linalg.cho_factor(theta, lower=True, check_finite=False)
+            except scipy.linalg.LinAlgError as exc:
+                raise NotPositiveDefiniteError(str(exc)) from exc
+            logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+            return -logdet + float(np.sum(theta * ctx.C))
+    return _nll_eig(ctx, *as_eigenform(L, ctx.p))
 
 
 class GradientOperator:
@@ -200,44 +201,21 @@ class GradientOperator:
         return G if dtype is None else G.astype(dtype, copy=False)
 
 
-def _gradient_eig(ctx, V, d):
-    d = np.asarray(d, dtype=np.float64)
-    if V.shape[1] == 0:
-        return GradientOperator(ctx.residual0, V, np.zeros((0, 0)))
-    K, M = woodbury_core_eig(ctx.S_chol, V, d)
-    return GradientOperator(ctx.residual0, M, K)
-
-
 def gradient(ctx, L):
     """Gradient ``C - (S + L)^{-1}``.
 
-    An eigenform ``(V, d)`` (what the solvers pass) gives a symmetric
-    :class:`GradientOperator` at ``O(p^2 r)`` set-up cost.  A PSD factor
-    ``U`` or a dense ``L`` gives a dense symmetric matrix, through the
-    Woodbury identity against the cached ``C - S^-1`` residual; a dense
-    ``L`` is eigendecomposed first (``O(p^3)``).
+    ``L`` is any form :func:`as_eigenform` takes.  An eigenform tuple (what
+    the solvers pass) gives a symmetric :class:`GradientOperator` at
+    ``O(p^2 r)`` set-up cost; any other input gives its dense symmetric
+    matrix (a dense ``L`` is eigendecomposed first, at ``O(p^3)``).
     """
-    if isinstance(L, tuple):
-        V, d = L
-        return _gradient_eig(ctx, np.asarray(V, dtype=np.float64), d)
-    L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2:
-        raise ValueError("L must be 2-d")
-    if L.shape == (ctx.p, ctx.p):
-        w, V = np.linalg.eigh(symmetrize(L))
-        keep = np.abs(w) > 1e-12 * max(1.0, float(np.abs(w).max()))
-        return _gradient_eig(ctx, np.ascontiguousarray(V[:, keep]), w[keep]).dense()
-    if L.shape[0] == ctx.p:
-        # PSD factor: L = U U^T has eigenform (Q, eigs of R R^T)
-        X = ctx.S_chol.solve(L)
-        K = np.eye(L.shape[1]) + L.T @ X
-        try:
-            kc = scipy.linalg.cho_factor(symmetrize(K), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("inner Woodbury system not PD") from exc
-        corr = X @ scipy.linalg.cho_solve(kc, X.T, check_finite=False)
-        return symmetrize(ctx.residual0 + corr)
-    raise ValueError(f"estimate shape {L.shape} incompatible with p={ctx.p}")
+    V, d = as_eigenform(L, ctx.p)
+    if V.shape[1] == 0:
+        G = GradientOperator(ctx.residual0, V, np.zeros((0, 0)))
+    else:
+        K, M = woodbury_core_eig(ctx.S_chol, V, d)
+        G = GradientOperator(ctx.residual0, M, K)
+    return G if isinstance(L, tuple) else G.dense()
 
 
 @dataclass

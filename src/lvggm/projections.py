@@ -27,7 +27,7 @@ from .linalg import check_finite_symmetric, sym_evd, symmetrize
 _WIDTH_FRACTION = 5
 _WIDTH_FLOOR = 96
 
-_BACKENDS = ("exact", "block-krylov", "lanczos")
+_BACKENDS = ("block-krylov", "lanczos")
 
 
 def default_krylov_depth(p):
@@ -40,12 +40,11 @@ def default_krylov_depth(p):
 class ProjectionConfig:
     """Knobs for the approximate projections.
 
-    ``krylov_depth=None`` resolves to :func:`default_krylov_depth`;
-    ``block_size=None`` resolves to the target rank of each call.
+    ``krylov_depth=None`` resolves to :func:`default_krylov_depth`.  The
+    block-Krylov block size is the target rank of each call.
     """
 
     krylov_depth: int | None = None
-    block_size: int | None = None
     seed: int = 0
     target_tail_constant: float = 1.1
     target_head_constant: float = 0.9
@@ -60,8 +59,6 @@ class ProjectionConfig:
             raise ValueError(f"backend must be one of {_BACKENDS}")
         if self.krylov_depth is not None and self.krylov_depth < 1:
             raise ValueError("krylov_depth must be >= 1")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
 
 @dataclass
@@ -225,16 +222,15 @@ def _bk_subspace(A, r, cfg):
     p = A.shape[0]
     if not 1 <= r <= p:
         raise ValueError(f"rank r={r} out of range [1, {p}]")
-    block = cfg.block_size if cfg.block_size is not None else r
     depth = cfg.krylov_depth if cfg.krylov_depth is not None else default_krylov_depth(p)
-    depth = _effective_depth(p, block, depth)
+    depth = _effective_depth(p, r, depth)
     symmetric = not isinstance(A, np.ndarray) or bool(np.array_equal(A, A.T))
 
     Q = np.zeros((p, 0))
     degraded = False
     for attempt in range(4):
         rng = rng_for(cfg.seed, 101, attempt)
-        Q, AQ = _krylov_basis(A, block, depth, rng, symmetric)
+        Q, AQ = _krylov_basis(A, r, depth, rng, symmetric)
         if Q.shape[1] >= r:
             break
     else:
@@ -348,45 +344,20 @@ def lanczos_subspace(A, k, cfg, steps=None):
 def head_project(A, k, cfg):
     """Subspace ``V`` with ``||P_V A||_F >= c_H ||A_k||_F``.
 
-    Exact backend returns the true top-``k`` singular subspace; randomized
-    backends satisfy the bound with high probability.  ``A`` is a square
-    ndarray or a symmetric linear operator (``shape``, ``@`` and
+    Both backends satisfy the bound with high probability.  ``A`` is a
+    square ndarray or a symmetric linear operator (``shape``, ``@`` and
     ``__array__``); the block-Krylov backend applies an operator without
-    materializing it, the other backends materialize it.
+    materializing it, the Lanczos backend materializes it.
     """
     operator = not isinstance(A, np.ndarray) and hasattr(A, "__matmul__")
     if cfg.backend == "block-krylov" and operator:
         return _bk_subspace(A, k, cfg)
     A = np.asarray(A, dtype=np.float64)
-    if cfg.backend == "exact":
-        if np.array_equal(A, A.T):
-            spec = sym_evd(A)
-            order = np.argsort(-np.abs(spec.eigenvalues), kind="stable")[:k]
-            return Subspace(np.ascontiguousarray(spec.eigenvectors[:, order]))
-        U, _, _ = np.linalg.svd(A, full_matrices=False)
-        return Subspace(np.ascontiguousarray(U[:, :k]))
     if cfg.backend == "lanczos":
         return lanczos_subspace(A, k, cfg)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return _bk_subspace(A, k, cfg)
-
-
-def tail_project(A, r, cfg):
-    """Rank-``r`` matrix ``P_W A`` with ``||A - P_W A||_F <= c_T ||A - A_r||_F``."""
-    A = np.asarray(A, dtype=np.float64)
-    if cfg.backend == "exact":
-        if np.array_equal(A, A.T):
-            from .linalg import best_rank_r
-
-            return best_rank_r(A, r)
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        return (U[:, :r] * s[:r]) @ Vt[:r]
-    if cfg.backend == "lanczos":
-        Z = lanczos_subspace(A, r, cfg).basis
-        return Z @ (Z.T @ A)
-    _, B = bk_svd(A, r, cfg)
-    return B
 
 
 def compress_symmetric(W, core, r):

@@ -1,7 +1,8 @@
 """Projected-gradient solvers for the low-rank latent component.
 
-Both solvers start from ``L = 0`` (no spectral initialization) and iterate
-``L <- project(L - eta * grad F(L))``:
+Both solvers run one loop, :func:`_descend`: from ``L = 0`` (no spectral
+initialization) it iterates ``L <- P(L - eta * grad F(L))`` with
+backtracking on the NLL, and differs between solvers only in ``P``:
 
 * ``ep_lvm`` projects exactly onto the rank-r PSD cone through a full
   eigendecomposition per iteration (cubic per-iteration cost).
@@ -16,6 +17,10 @@ identity and makes error tracking against a known truth cheap.  AP never
 forms the ``p x p`` gradient with the block-Krylov backend: the head
 projection applies the gradient operator to blocks, and its Ritz values give
 the compressed head step ``Z^T G Z``.
+
+:data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
+:func:`fit_pgd` runs one by name for the CLI, the bench harness and the
+scripts.
 """
 
 from __future__ import annotations
@@ -23,14 +28,23 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, sym_evd, symmetrize
-from .objective import gradient, nll
+from .linalg import NotPositiveDefiniteError, effective_rank, sym_evd, symmetrize
+from .objective import as_eigenform, gradient, nll
 from .projections import ProjectionConfig, compress_symmetric, head_project
 
 _SEED_MASK = 2**64 - 1
+
+# Projected-gradient algorithm names and the head-projection backend each
+# uses; EP projects exactly and never reads its backend.
+PGD_ALGORITHMS = {
+    "ep": "block-krylov",
+    "ap-bk": "block-krylov",
+    "ap-lanczos": "lanczos",
+}
 
 
 class DivergedError(Exception):
@@ -48,8 +62,8 @@ class InsufficientDataError(Exception):
 
 @dataclass
 class BacktrackingConfig:
-    enabled: bool = True
-    shrink: float = 0.5
+    """Each rejected trial halves the step, at most ``max_halvings`` times."""
+
     max_halvings: int = 30
 
 
@@ -77,9 +91,12 @@ class SolverConfig:
             raise ValueError("trace_every must be >= 1")
 
 
-@dataclass
-class LowRankEstimate:
-    """Rank-``k`` symmetric matrix in eigenform ``V @ diag(d) @ V.T``."""
+class LowRankEstimate(NamedTuple):
+    """Rank-``k`` symmetric matrix in eigenform ``V @ diag(d) @ V.T``.
+
+    It is an eigenform tuple ``(vectors, values)``, so every function that
+    takes an estimate accepts it as is.
+    """
 
     vectors: np.ndarray
     values: np.ndarray
@@ -87,26 +104,9 @@ class LowRankEstimate:
     def dense(self):
         return symmetrize((self.vectors * self.values) @ self.vectors.T)
 
-    def factor(self):
-        """PSD factor ``U`` with ``U @ U.T`` equal to the estimate.
-
-        Only valid when all eigenvalues are nonnegative.
-        """
-        if self.values.size and self.values.min() < 0:
-            raise ValueError("estimate has negative eigenvalues; psd_finalize first")
-        return self.vectors * np.sqrt(np.maximum(self.values, 0.0))
-
     def effective_rank(self, rel_tol=1e-8):
         """Count of eigenvalues with magnitude above ``rel_tol`` times the largest."""
-        if self.values.size == 0:
-            return 0
-        lam1 = float(np.abs(self.values).max())
-        if lam1 == 0.0:
-            return 0
-        return int(np.sum(np.abs(self.values) > rel_tol * lam1))
-
-    def frobenius_norm(self):
-        return float(np.sqrt(np.sum(self.values**2)))
+        return effective_rank(self.values, rel_tol)
 
 
 @dataclass
@@ -158,27 +158,6 @@ class Trace:
                 )
 
 
-def _as_eigenform(L, p):
-    """Normalize any estimate representation to ``(V, d)`` with V orthonormal."""
-    if isinstance(L, LowRankEstimate):
-        return L.vectors, L.values
-    if isinstance(L, tuple):
-        V, d = L
-        return np.asarray(V, dtype=np.float64), np.asarray(d, dtype=np.float64)
-    L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != p:
-        raise ValueError(f"estimate shape {L.shape} incompatible with p={p}")
-    if L.shape[1] == p:
-        w, V = np.linalg.eigh(symmetrize(L))
-        keep = np.abs(w) > 1e-12 * max(1.0, float(np.abs(w).max()))
-        return np.ascontiguousarray(V[:, keep]), w[keep]
-    # PSD factor U: L = U U^T = Q (R R^T) Q^T
-    Q, R = np.linalg.qr(L)
-    w, E = np.linalg.eigh(symmetrize(R @ R.T))
-    keep = w > 1e-14 * max(1.0, float(np.abs(w).max()))
-    return Q @ E[:, keep], w[keep]
-
-
 def _eig_distance(V1, d1, V2, d2):
     """Frobenius distance between two eigenform matrices in ``O(p k^2)``."""
     cross = 0.0
@@ -206,7 +185,8 @@ def auto_step_size(ctx):
     return 0.5 * lam_min**2
 
 
-def _derived_seed(seed, *salts):
+def derived_seed(seed, *salts):
+    """Integer seed derived from ``seed`` and integer ``salts``."""
     ss = np.random.SeedSequence([int(seed) & _SEED_MASK, *map(int, salts)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -252,29 +232,22 @@ def contraction_estimate(trace, truth=None):
     return _fit_contraction(trace)
 
 
-def psd_finalize(L, r, p=None):
+def psd_finalize(L, r):
     """Project an estimate onto the rank-``r`` PSD cone.
 
-    For eigenform input this is an ``O(p r^2)`` post-processing step (drop
-    negative eigenvalues, keep the ``r`` largest), equal to the exact PSD
-    rank-``r`` projection of the materialized matrix.
+    ``L`` is any form :func:`~lvggm.objective.as_eigenform` takes.  For an
+    eigenform this is an ``O(p r^2)`` post-processing step (drop negative
+    eigenvalues, keep the ``r`` largest), equal to the exact PSD rank-``r``
+    projection of the materialized matrix.
     """
-    if isinstance(L, LowRankEstimate):
-        V, d = L.vectors, L.values
-    elif isinstance(L, tuple):
-        V, d = L
-        V = np.asarray(V, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
-    else:
-        L = np.asarray(L, dtype=np.float64)
-        V, d = _as_eigenform(L, L.shape[0] if p is None else p)
+    V, d = as_eigenform(L)
     order = np.argsort(-d, kind="stable")[: min(r, d.size)]
     keep = order[d[order] > 0.0]
     return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep].copy())
 
 
 class _RunState:
-    """Shared iteration bookkeeping for both solvers."""
+    """Iteration bookkeeping of :func:`_descend`."""
 
     def __init__(self, ctx, cfg, truth):
         self.ctx = ctx
@@ -286,7 +259,7 @@ class _RunState:
         self.truth = None
         self.truth_norm = None
         if truth is not None:
-            Vt, dt = _as_eigenform(truth, ctx.p)
+            Vt, dt = as_eigenform(truth, ctx.p)
             self.truth = (Vt, dt)
             self.truth_norm = float(np.sqrt(np.sum(dt**2)))
         self.trace = Trace()
@@ -306,10 +279,9 @@ class _RunState:
     def record(self, t, nll_value, seconds, halvings, V, d, force=False):
         self.trace.total_halvings += halvings
         if force or t % self.cfg.trace_every == 0:
-            est = LowRankEstimate(V, d)
             self.trace.append(
                 t, nll_value, seconds, self.eta, halvings,
-                est.effective_rank(), self.rel_error(V, d),
+                effective_rank(d), self.rel_error(V, d),
             )
 
     def adapt_step(self, halvings, improved):
@@ -350,31 +322,66 @@ def _accept(state, candidate, current_nll):
 
     ``candidate(eta)`` produces a trial eigenform for the given step size.
     A trial is rejected when ``S + L`` leaves the PD cone (Cholesky failure)
-    or the NLL increases beyond a roundoff slack.
+    or the NLL increases beyond a roundoff slack; the step then halves.
     """
-    cfg = state.cfg
-    bt = cfg.backtracking
+    max_halvings = state.cfg.backtracking.max_halvings
     slack = 1e-12 * max(1.0, abs(current_nll))
     halvings = 0
     while True:
         V, d = candidate(state.eta)
         try:
             value = nll(state.ctx, (V, d))
-            if not bt.enabled or value <= current_nll + slack:
+            if value <= current_nll + slack:
                 return V, d, value, halvings, value < current_nll - slack
         except NotPositiveDefiniteError:
-            if not bt.enabled:
-                raise DivergedError(
-                    "step left the PD cone with backtracking disabled",
-                    state.finish("diverged"),
-                )
+            pass
         halvings += 1
-        if halvings > bt.max_halvings:
+        if halvings > max_halvings:
             raise DivergedError(
-                f"no acceptable step after {bt.max_halvings} halvings",
+                f"no acceptable step after {max_halvings} halvings",
                 state.finish("diverged"),
             )
-        state.eta *= bt.shrink
+        state.eta *= 0.5
+
+
+def _descend(ctx, cfg, truth, make_candidate):
+    """The descent loop ``L <- P(L - eta * grad F(L))`` from ``L = 0``.
+
+    ``make_candidate(t, V, d)`` sees iteration ``t``'s iterate and returns
+    ``(candidate, degraded)``: ``candidate(eta)`` gives the projected step
+    as an eigenform, and ``degraded`` flags an approximate projection that
+    fell short.  Returns ``(LowRankEstimate, Trace)``.
+    """
+    p = ctx.p
+    if cfg.rank > p:
+        raise ValueError(f"rank {cfg.rank} exceeds dimension {p}")
+    state = _RunState(ctx, cfg, truth)
+    V = np.zeros((p, 0))
+    d = np.zeros(0)
+    current_nll = nll(ctx, (V, d))
+    status = "max-iters"
+    for t in range(cfg.max_iters):
+        tic = time.perf_counter()
+        candidate, degraded = make_candidate(t, V, d)
+        state.trace.degraded_projections += int(degraded)
+        V_new, d_new, new_nll, halvings, improved = _accept(
+            state, candidate, current_nll
+        )
+        seconds = time.perf_counter() - tic
+        moved = _eig_distance(V_new, d_new, V, d)
+        scale = float(np.sqrt(np.sum(d**2)))
+        state.note(new_nll)
+        stop = state.should_stop(new_nll, moved, scale)
+        state.record(
+            t, new_nll, seconds, halvings, V_new, d_new,
+            force=stop is not None or t == cfg.max_iters - 1,
+        )
+        V, d, current_nll = V_new, d_new, new_nll
+        if stop:
+            status = stop
+            break
+        state.adapt_step(halvings, improved)
+    return LowRankEstimate(V, d), state.finish(status)
 
 
 def ep_lvm(ctx, cfg, truth=None):
@@ -383,17 +390,9 @@ def ep_lvm(ctx, cfg, truth=None):
     Starts from ``L = 0``; every iterate is PSD with rank at most ``r``.
     Returns ``(LowRankEstimate, Trace)``.
     """
-    p = ctx.p
     r = cfg.rank
-    if r > p:
-        raise ValueError(f"rank {r} exceeds dimension {p}")
-    state = _RunState(ctx, cfg, truth)
-    V = np.zeros((p, 0))
-    d = np.zeros(0)
-    current_nll = nll(ctx, (V, d))
-    status = "max-iters"
-    for t in range(cfg.max_iters):
-        tic = time.perf_counter()
+
+    def make_candidate(t, V, d):
         G = gradient(ctx, (V, d)).dense()
         base = (V * d) @ V.T
 
@@ -407,24 +406,9 @@ def ep_lvm(ctx, cfg, truth=None):
                 w[keep],
             )
 
-        V_new, d_new, new_nll, halvings, improved = _accept(
-            state, candidate, current_nll
-        )
-        seconds = time.perf_counter() - tic
-        moved = _eig_distance(V_new, d_new, V, d)
-        scale = float(np.sqrt(np.sum(d**2)))
-        state.note(new_nll)
-        stop = state.should_stop(new_nll, moved, scale)
-        state.record(
-            t, new_nll, seconds, halvings, V_new, d_new,
-            force=stop is not None or t == cfg.max_iters - 1,
-        )
-        V, d, current_nll = V_new, d_new, new_nll
-        if stop:
-            status = stop
-            break
-        state.adapt_step(halvings, improved)
-    return LowRankEstimate(V, d), state.finish(status)
+        return candidate, False
+
+    return _descend(ctx, cfg, truth, make_candidate)
 
 
 def ap_lvm(ctx, cfg, truth=None):
@@ -438,30 +422,15 @@ def ap_lvm(ctx, cfg, truth=None):
     randomized tail resolves to this compression).  Iterates may carry small
     negative eigenvalues; the returned estimate is not PSD-finalized.
     """
-    p = ctx.p
     r = cfg.rank
-    if r > p:
-        raise ValueError(f"rank {r} exceeds dimension {p}")
-    if cfg.projection.backend not in ("block-krylov", "lanczos"):
-        raise ValueError(
-            "ap_lvm requires a randomized projection backend "
-            "('block-krylov' or 'lanczos')"
-        )
-    state = _RunState(ctx, cfg, truth)
-    V = np.zeros((p, 0))
-    d = np.zeros(0)
-    current_nll = nll(ctx, (V, d))
-    status = "max-iters"
-    head_rank = min(2 * r, p)
-    for t in range(cfg.max_iters):
-        tic = time.perf_counter()
+    head_rank = min(2 * r, ctx.p)
+
+    def make_candidate(t, V, d):
         G = gradient(ctx, (V, d))
         pcfg = dataclasses.replace(
-            cfg.projection, seed=_derived_seed(cfg.projection.seed, 3, t)
+            cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
         )
         head = head_project(G, head_rank, pcfg)
-        if head.degraded:
-            state.trace.degraded_projections += 1
         Z = head.basis
         if head.ritz is not None:
             T_h = np.diag(head.ritz)
@@ -475,21 +444,24 @@ def ap_lvm(ctx, cfg, truth=None):
             core[d.size :, d.size :] = -eta * T_h
             return compress_symmetric(W, core, r)
 
-        V_new, d_new, new_nll, halvings, improved = _accept(
-            state, candidate, current_nll
-        )
-        seconds = time.perf_counter() - tic
-        moved = _eig_distance(V_new, d_new, V, d)
-        scale = float(np.sqrt(np.sum(d**2)))
-        state.note(new_nll)
-        stop = state.should_stop(new_nll, moved, scale)
-        state.record(
-            t, new_nll, seconds, halvings, V_new, d_new,
-            force=stop is not None or t == cfg.max_iters - 1,
-        )
-        V, d, current_nll = V_new, d_new, new_nll
-        if stop:
-            status = stop
-            break
-        state.adapt_step(halvings, improved)
-    return LowRankEstimate(V, d), state.finish(status)
+        return candidate, head.degraded
+
+    return _descend(ctx, cfg, truth, make_candidate)
+
+
+def fit_pgd(algo, ctx, rank, seed=0, truth=None, **knobs):
+    """Fit with the projected-gradient algorithm named ``algo``.
+
+    ``algo`` is a key of :data:`PGD_ALGORITHMS`; ``seed`` seeds the
+    randomized projections and ``knobs`` are further
+    :class:`SolverConfig` fields.  Returns ``(LowRankEstimate, Trace)``.
+    """
+    if algo not in PGD_ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; one of {sorted(PGD_ALGORITHMS)}")
+    cfg = SolverConfig(
+        rank=rank,
+        projection=ProjectionConfig(seed=seed, backend=PGD_ALGORITHMS[algo]),
+        **knobs,
+    )
+    solver = ep_lvm if algo == "ep" else ap_lvm
+    return solver(ctx, cfg, truth)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lvggm import bench
+from lvggm import solvers
 from lvggm.bench import BenchSpec, run_bench, run_single
 from lvggm.solvers import DivergedError
 
@@ -42,7 +42,7 @@ class TestRunSingle:
         def diverge(ctx, cfg, truth=None):
             raise DivergedError("no acceptable step after 30 halvings")
 
-        monkeypatch.setattr(bench, "ep_lvm", diverge)
+        monkeypatch.setattr(solvers, "ep_lvm", diverge)
         spec = BenchSpec(dims=[16], oversampling=[10], trials=1, algorithms=["ep"])
         row = run_single(spec, 16, 10.0, "ep", 0)
         assert row["status"] == "diverged"

@@ -113,9 +113,9 @@ class TestGradient:
     def test_dense_and_factor_paths_agree(self, rng):
         model, ctx = make_ctx(rng, 7, 2, n=150)
         U = model.L_factor
-        G1 = gradient(ctx, U)
-        G2 = gradient(ctx, U @ U.T)
-        assert np.abs(G1 - G2).max() < 1e-10
+        oracle = ctx.C - np.linalg.inv(model.S_star + U @ U.T)
+        for L in (U, U @ U.T):
+            assert np.abs(gradient(ctx, L) - oracle).max() < 1e-10
 
 
 class TestGradientOperator:
@@ -126,12 +126,29 @@ class TestGradientOperator:
         G = gradient(ctx, (V, d))
         assert isinstance(G, GradientOperator)
         assert G.shape == (12, 12)
-        dense = gradient(ctx, (V * d) @ V.T)
+        dense = ctx.C - np.linalg.inv(model.S_star + (V * d) @ V.T)
         assert np.array_equal(G.dense(), G.dense().T)
         assert np.abs(G.dense() - dense).max() < 1e-10
         assert np.array_equal(np.asarray(G), G.dense())
         X = rng.standard_normal((12, 4))
         assert np.abs(G @ X - dense @ X).max() < 1e-10
+
+    def test_mixed_sign_eigenform_matches_inverse_oracle(self, rng):
+        p = 30
+        S = random_spd(rng, p, shift=2.0)
+        ctx = ModelContext.create(S, np.eye(p))
+        Q = np.linalg.qr(rng.standard_normal((p, 4)))[0]
+        d = np.array([0.8, -0.1, 0.5, -0.05])
+        for V, w in ((Q, d), (Q[:, :0], d[:0])):
+            oracle = ctx.C - np.linalg.inv(S + (V * w) @ V.T)
+            assert np.abs(gradient(ctx, (V, w)).dense() - oracle).max() < 1e-10
+
+    def test_singular_update_raises(self):
+        ctx = ModelContext.create(np.eye(5), np.eye(5))
+        v = np.zeros((5, 1))
+        v[0, 0] = 1.0
+        with pytest.raises(NotPositiveDefiniteError):
+            gradient(ctx, (v, np.array([-1.0])))
 
 
 class TestDiagonalFastPath:
