@@ -5,10 +5,12 @@ Builds desk-p100 trials 1-3, noiseless-banded-p500 trial 1 and
 northstar-p1000 trial 1 of ``perfbench`` at one seed, fits each with EP,
 AP-BK and AP-Lanczos, and prints one line per fit: iteration count, stop
 status, a hash of the full NLL series, a hash of the returned ``(V, d)``,
-and the target F(L*) (plus the noiseless gap on that workload).
+the final NLL (``repr``) and the target F(L*) (plus the noiseless gap on
+that workload).
 
 Run it in two checkouts and diff the outputs to check that a refactor keeps
-every iterate bit-identical:
+every iterate bit-identical; a change that moves the bits at roundoff can be
+checked by iterations, status and final NLL instead:
 
     OPENBLAS_NUM_THREADS=1 python scripts/replay_hashes.py [--seed 9]
 """
@@ -48,7 +50,8 @@ def main():
             print(
                 f"{name} t{trial} {solver:10s} iters={len(trace):3d} "
                 f"status={trace.status:13s} nll={digest(trace.nll)} "
-                f"Vd={digest(est.vectors, est.values)} target={inst.target!r}",
+                f"Vd={digest(est.vectors, est.values)} final={trace.nll[-1]!r} "
+                f"target={inst.target!r}",
                 flush=True,
             )
 

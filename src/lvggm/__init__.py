@@ -14,7 +14,6 @@ from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,
     Spectrum,
-    best_rank_r,
     cholesky_logdet,
     effective_rank,
     sym_evd,

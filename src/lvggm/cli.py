@@ -19,7 +19,7 @@ from .bench import ALGORITHMS, BenchSpec, run_bench, tune_admm
 from .datagen import GenParams, gen_model, sample_covariance
 from .linalg import NotPositiveDefiniteError, effective_rank, symmetrize
 from .matio import read_matrix, write_matrix
-from .objective import ModelContext, nll
+from .objective import ModelContext, nll, pd_margin
 from .solvers import fit_pgd
 
 
@@ -156,6 +156,7 @@ def cmd_fit(args):
         "degraded_projections": trace.degraded_projections,
         "halvings": trace.total_halvings,
         "final_step_size": trace.eta[-1],
+        "pd_margin": pd_margin(ctx, est),
     }
     if truth is not None:
         summary["rel_error"] = trace.rel_error[-1]

@@ -10,6 +10,7 @@ update as a PSD factor ``U`` (:func:`woodbury_inverse`) or in eigenform
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
@@ -45,12 +46,12 @@ def check_finite_symmetric(A, name="matrix"):
 
 
 class Spectrum:
-    """Full eigendecomposition of a symmetric matrix, sorted descending.
+    """Leading eigenpairs of a symmetric matrix, sorted descending.
 
     Attributes
     ----------
-    eigenvalues : (p,) ndarray, descending order
-    eigenvectors : (p, p) ndarray, orthonormal columns, ``A = V diag(w) V.T``
+    eigenvalues : (k,) ndarray, the ``k`` algebraically largest, descending
+    eigenvectors : (p, k) ndarray, orthonormal columns, ``A V = V diag(w)``
     """
 
     __slots__ = ("eigenvalues", "eigenvectors")
@@ -60,14 +61,23 @@ class Spectrum:
         self.eigenvectors = eigenvectors
 
 
-def sym_evd(A):
-    """Eigendecomposition of a symmetric matrix with eigenvalues descending.
+def sym_evd(A, k=None):
+    """The ``k`` algebraically largest eigenpairs of a symmetric matrix,
+    eigenvalues descending (``k=None``: all ``p``).
 
-    Ties between equal eigenvalues keep the earlier index of the descending
-    sort, so results are deterministic for a fixed LAPACK backend.
+    LAPACK's ``syevr`` driver computes and back-transforms only the
+    requested eigenvectors of the tridiagonal form, so ``k << p`` skips the
+    other ``p - k``; the ``O(p^3)`` tridiagonal reduction is paid either
+    way.  Results are deterministic for a fixed LAPACK backend.
     """
     A = check_finite_symmetric(A)
-    w, V = np.linalg.eigh(A)
+    p = A.shape[0]
+    k = p if k is None else k
+    if not 1 <= k <= p:
+        raise ValueError(f"eigenpair count k={k} out of range [1, {p}]")
+    w, V = scipy.linalg.eigh(
+        A, subset_by_index=[p - k, p - 1], driver="evr", check_finite=False
+    )
     return Spectrum(w[::-1].copy(), V[:, ::-1].copy())
 
 
@@ -76,25 +86,6 @@ def effective_rank(eigenvalues, rel_tol=1e-8):
     w = np.abs(np.asarray(eigenvalues, dtype=np.float64))
     lam1 = float(w.max()) if w.size else 0.0
     return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
-
-
-def best_rank_r(A, r):
-    """Best rank-``r`` approximation of a symmetric matrix in Frobenius norm.
-
-    Keeps the ``r`` eigencomponents of largest magnitude (for symmetric
-    matrices the singular values are the absolute eigenvalues).
-    """
-    A = check_finite_symmetric(A)
-    p = A.shape[0]
-    if not 1 <= r <= p:
-        raise ValueError(f"rank r={r} out of range [1, {p}]")
-    spec = sym_evd(A)
-    # rank by |eigenvalue|; stable sort keeps the earlier (larger-eigenvalue)
-    # index on ties
-    order = np.argsort(-np.abs(spec.eigenvalues), kind="stable")[:r]
-    w = spec.eigenvalues[order]
-    V = spec.eigenvectors[:, order]
-    return symmetrize((V * w) @ V.T)
 
 
 class CholeskyFactor:

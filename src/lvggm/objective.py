@@ -115,24 +115,43 @@ def as_eigenform(L, p=None):
     return Q @ E[:, keep], w[keep]
 
 
-def _nll_eig(ctx, V, d):
-    """Determinant-lemma evaluation of the NLL for an eigenform estimate.
+def _lemma_eigenvalues(ctx, V, d):
+    """Eigenvalues ``mu`` (ascending) of ``R diag(d) R^T``, ``R^T R = V^T S^-1 V``.
 
-    ``log det(S + V diag(d) V^T) = log det S + sum_i log(1 + mu_i)`` where
-    the ``mu_i`` are the eigenvalues of ``R diag(d) R^T`` with
-    ``R^T R = V^T S^-1 V``; positive definiteness of ``S + L`` is exactly
-    ``min_i mu_i > -1``.  Identical value to the dense Cholesky route at
-    ``O(p^2 r)`` cost.
+    They are the nonzero eigenvalues of ``S^-1/2 L S^-1/2`` for
+    ``L = V diag(d) V^T``, at ``O(p^2 r)`` cost.
     """
-    if V.shape[1] == 0:
-        return -ctx.logdet_S + ctx.trace_SC
     M = ctx.S_chol.solve(V)
     G = symmetrize(V.T @ M)
     try:
         Lc = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("degenerate eigenform basis") from exc
-    mu = np.linalg.eigvalsh(symmetrize((Lc.T * d[np.newaxis, :]) @ Lc))
+    return np.linalg.eigvalsh(symmetrize((Lc.T * d[np.newaxis, :]) @ Lc))
+
+
+def pd_margin(ctx, L):
+    """Smallest eigenvalue of ``S^-1/2 (S + L) S^-1/2``: ``S + L`` is PD
+    exactly when it is positive.  ``L`` is any form :func:`as_eigenform`
+    takes."""
+    V, d = as_eigenform(L, ctx.p)
+    mu = _lemma_eigenvalues(ctx, V, d)
+    if V.shape[1] < ctx.p:
+        mu = np.append(mu, 0.0)  # S^-1/2 L S^-1/2 is singular
+    return 1.0 + float(mu.min())
+
+
+def _nll_eig(ctx, V, d):
+    """Determinant-lemma evaluation of the NLL for an eigenform estimate.
+
+    ``log det(S + V diag(d) V^T) = log det S + sum_i log(1 + mu_i)`` with
+    the ``mu_i`` of :func:`_lemma_eigenvalues`; positive definiteness of
+    ``S + L`` is exactly ``min_i mu_i > -1``.  Identical value to the dense
+    Cholesky route at ``O(p^2 r)`` cost.
+    """
+    if V.shape[1] == 0:
+        return -ctx.logdet_S + ctx.trace_SC
+    mu = _lemma_eigenvalues(ctx, V, d)
     if mu[0] <= -1.0 + 1e-14:
         raise NotPositiveDefiniteError(
             f"S + L leaves the PD cone (shifted eigenvalue {mu[0]:.6e})"

@@ -1,13 +1,15 @@
 """Exact and approximate low-rank projections.
 
-The exact route projects onto the rank-r PSD cone through a full
-eigendecomposition.  The approximate routes produce head/tail projections in
-the sense of constant-factor guarantees: a tail projection returns a rank-r
-matrix whose residual is within a factor ``c_T > 1`` of the best rank-r
-residual, a head projection returns a subspace capturing at least a fraction
-``c_H < 1`` of the best rank-k Frobenius energy.  Both are served by a
-randomized block-Krylov solver (gap-independent) or by Lanczos iteration
-(cheaper per step, but convergence depends on spectral gaps).
+The exact route projects onto the rank-r PSD cone from the ``r`` leading
+eigenpairs, which the eigensolver computes alone after its ``O(p^3)``
+tridiagonal reduction.  The approximate routes produce head/tail
+projections in the sense of constant-factor guarantees: a tail projection
+returns a rank-r matrix whose residual is within a factor ``c_T > 1`` of the
+best rank-r residual, a head projection returns a subspace capturing at
+least a fraction ``c_H < 1`` of the best rank-k Frobenius energy.  Both
+are served by a randomized block-Krylov solver (gap-independent) or by
+Lanczos iteration (cheaper per step, but convergence depends on spectral
+gaps).
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -74,14 +76,6 @@ class Subspace:
     degraded: bool = False
     ritz: np.ndarray | None = None
 
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    @property
-    def k(self):
-        return self.basis.shape[1]
-
 
 def rng_for(seed, *salts):
     """Independent deterministic stream for (seed, salts).
@@ -95,19 +89,14 @@ def rng_for(seed, *salts):
 def psd_rank_r_project(A, r):
     """Euclidean projection of a symmetric matrix onto ``{rank <= r, PSD}``.
 
-    Performs an exact eigendecomposition, keeps the ``r`` algebraically
-    largest eigenvalues, clamps negatives to zero, and returns the factor
-    ``U`` (``p x r``) with ``U @ U.T`` equal to the projection.  Components
-    clamped to zero leave zero columns, so the factor always has ``r``
-    columns.
+    Computes only the ``r`` algebraically largest eigenpairs (exactly, by
+    :func:`~lvggm.linalg.sym_evd`), clamps negatives to zero, and returns the
+    factor ``U`` (``p x r``) with ``U @ U.T`` equal to the projection.
+    Components clamped to zero leave zero columns, so the factor always has
+    ``r`` columns.
     """
-    A = check_finite_symmetric(A)
-    p = A.shape[0]
-    if not 1 <= r <= p:
-        raise ValueError(f"rank r={r} out of range [1, {p}]")
-    spec = sym_evd(A)
-    w = np.maximum(spec.eigenvalues[:r], 0.0)
-    return spec.eigenvectors[:, :r] * np.sqrt(w)
+    spec = sym_evd(A, r)
+    return spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
 
 
 def _effective_depth(p, block, depth):

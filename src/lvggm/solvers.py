@@ -4,8 +4,9 @@ Both solvers run one loop, :func:`_descend`: from ``L = 0`` (no spectral
 initialization) it iterates ``L <- P(L - eta * grad F(L))`` with
 backtracking on the NLL, and differs between solvers only in ``P``:
 
-* ``ep_lvm`` projects exactly onto the rank-r PSD cone through a full
-  eigendecomposition per iteration (cubic per-iteration cost).
+* ``ep_lvm`` projects exactly onto the rank-r PSD cone from the ``r``
+  leading eigenpairs of the step matrix; the eigensolver computes only
+  those, but its tridiagonal reduction keeps the per-iteration cost cubic.
 * ``ap_lvm`` replaces the exact projection with an approximate head
   projection of the gradient at rank ``2r`` followed by an approximate tail
   projection of the step at rank ``r``; iterates may carry small negative
@@ -217,7 +218,7 @@ def _fit_contraction(errors):
     return float(np.exp(slope))
 
 
-def contraction_estimate(trace, truth=None):
+def contraction_estimate(trace):
     """Empirical per-iteration contraction factor ``rho_hat``.
 
     Accepts a :class:`Trace` (uses relative errors when a truth was supplied
@@ -398,12 +399,11 @@ def ep_lvm(ctx, cfg, truth=None):
 
         def candidate(eta):
             step = symmetrize(base - eta * G)
-            spec = sym_evd(step)
-            w = np.maximum(spec.eigenvalues[:r], 0.0)
-            keep = w > 0.0
+            spec = sym_evd(step, r)
+            keep = spec.eigenvalues > 0.0
             return (
-                np.ascontiguousarray(spec.eigenvectors[:, :r][:, keep]),
-                w[keep],
+                np.ascontiguousarray(spec.eigenvectors[:, keep]),
+                spec.eigenvalues[keep],
             )
 
         return candidate, False

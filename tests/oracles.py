@@ -46,13 +46,6 @@ def jacobi_evd(A, sweeps=100, tol=1e-14):
     return w[order], V[:, order]
 
 
-def jacobi_best_rank_r(A, r):
-    """Rank-r truncation (largest |eigenvalue| components) via the Jacobi oracle."""
-    w, V = jacobi_evd(A)
-    order = np.argsort(-np.abs(w), kind="stable")[:r]
-    return (V[:, order] * w[order]) @ V[:, order].T
-
-
 def psd_clamp_truncate(A, r):
     """Brute-force EVD-clamp-truncate projection onto rank-r PSD matrices."""
     w, V = np.linalg.eigh((A + A.T) / 2.0)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lvggm.cli import main
 from lvggm.datagen import gen_model
@@ -161,6 +162,22 @@ class TestFit:
         )
         summary = json.loads((out / "summary.json").read_text())
         assert summary["degraded_projections"] == 1
+
+    def test_summary_reports_pd_margin(self, tmp_path, capsys):
+        model = self._population_instance(tmp_path)
+        out = tmp_path / "fit"
+        code, _, _ = run_cli(
+            capsys, "fit", "--s", str(tmp_path / "S.mat"),
+            "--cov", str(tmp_path / "C.mat"), "--algo", "ap-bk", "--rank", "2",
+            "--max-iters", "30", "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        S, L_hat = model.S_star, read_matrix(out / "Lhat.mat")
+        oracle = scipy.linalg.eigh(S + L_hat, S, eigvals_only=True)[0]
+        assert abs(summary["pd_margin"] - oracle) <= 1e-10
+        trace_lines = (out / "trace.csv").read_text().split("\n")
+        assert trace_lines[0] == "iter,nll,seconds,eta,halvings,rank,rel_error"
 
     def test_non_pd_sparse_part_fails_before_iterating(self, tmp_path, capsys):
         write_matrix_binary(tmp_path / "S.mat", -np.eye(5))

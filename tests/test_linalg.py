@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lvggm.linalg import (
     NotPositiveDefiniteError,
-    best_rank_r,
     cholesky_logdet,
     sym_evd,
     symmetrize,
@@ -14,7 +13,7 @@ from lvggm.linalg import (
 )
 
 from .conftest import random_spd, random_symmetric
-from .oracles import jacobi_best_rank_r, jacobi_evd
+from .oracles import jacobi_evd
 
 
 class TestSymmetrize:
@@ -69,33 +68,41 @@ class TestSymEvd:
         with pytest.raises(ValueError):
             sym_evd(A)
 
+    @pytest.mark.parametrize("p, r", [(100, 5), (500, 10), (1000, 50)])
+    def test_leading_pairs_match_full_decomposition(self, p, r):
+        A = random_symmetric(np.random.default_rng(p), p)
+        full = sym_evd(A)
+        norm2 = float(np.abs(full.eigenvalues).max())
+        w_ref = np.linalg.eigvalsh(A)[::-1]  # a different LAPACK driver
+        assert np.abs(full.eigenvalues - w_ref).max() <= 1e-10 * norm2
+        for k in (1, r, p):
+            spec = sym_evd(A, k)
+            V = spec.eigenvectors
+            assert V.shape == (p, k) and spec.eigenvalues.shape == (k,)
+            assert np.abs(spec.eigenvalues - full.eigenvalues[:k]).max() <= 1e-10 * norm2
+            assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-10
+            gap = full.eigenvalues[k - 1] - (full.eigenvalues[k] if k < p else -np.inf)
+            if gap > 1e-6 * norm2:
+                Vf = full.eigenvectors[:, :k]
+                assert np.abs(V @ V.T - Vf @ Vf.T).max() <= 1e-8
 
-class TestBestRankR:
-    def test_diagonal_ordering(self):
-        out = best_rank_r(np.diag([4.0, 2.0, 1.0]), 2)
-        assert np.allclose(out, np.diag([4.0, 2.0, 0.0]), atol=1e-12)
+    def test_leading_pairs_of_tied_spectrum(self):
+        for k in range(1, 6):
+            spec = sym_evd(np.eye(5), k)
+            assert np.array_equal(spec.eigenvalues, np.ones(k))
+            V = spec.eigenvectors
+            assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-12
 
-    def test_low_rank_fixed_point(self, rng):
-        U = rng.standard_normal((6, 2))
-        A = U @ U.T
-        assert np.abs(best_rank_r(A, 2) - A).max() < 1e-10
+    def test_leading_pairs_of_negative_spectrum(self, rng):
+        w = -np.arange(1.0, 9.0)
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        spec = sym_evd(symmetrize((Q * w) @ Q.T), 3)
+        assert np.allclose(spec.eigenvalues, [-1.0, -2.0, -3.0], atol=1e-12)
 
-    def test_matches_truncated_evd_oracle(self, rng):
-        A = random_symmetric(rng, 6)
-        assert np.abs(best_rank_r(A, 3) - jacobi_best_rank_r(A, 3)).max() < 1e-10
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_idempotent(self, seed):
-        A = random_symmetric(np.random.default_rng(seed), 7)
-        once = best_rank_r(A, 3)
-        twice = best_rank_r(once, 3)
-        assert np.abs(once - twice).max() <= 1e-12
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            best_rank_r(np.eye(3), 0)
-        with pytest.raises(ValueError):
-            best_rank_r(np.eye(3), 4)
+    def test_eigenpair_count_out_of_range(self):
+        for k in (0, -1, 4):
+            with pytest.raises(ValueError):
+                sym_evd(np.eye(3), k)
 
 
 class TestCholeskyLogdet:

@@ -17,6 +17,7 @@ from lvggm.objective import (
     ModelContext,
     gradient,
     nll,
+    pd_margin,
     projected_gradient_norm,
     rsc_rss_bounds,
 )
@@ -210,6 +211,34 @@ class TestDiagonalFastPath:
     def test_non_positive_diagonal_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_logdet(np.diag([1.0, 0.0, 2.0]))
+
+
+class TestPdMargin:
+    """``pd_margin`` is the smallest generalized eigenvalue of ``(S + L, S)``."""
+
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_matches_generalized_eigenvalue_oracle(self, rng, banded):
+        p = 12
+        s = rng.uniform(1.0, 2.0, p)
+        S = np.diag(s)
+        if banded:
+            S += np.diag(0.2 * s[:-1], 1) + np.diag(0.2 * s[:-1], -1)
+        ctx = ModelContext.create(S, np.eye(p))
+        assert ctx.S_chol.is_diagonal != banded
+        lam_min = float(np.linalg.eigvalsh(S)[0])
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        for d in (
+            np.array([1.5, -0.6 * lam_min, 0.3]),  # mixed sign, S + L PD
+            np.array([0.8, 0.2]),  # PSD: the margin is 1
+            rng.uniform(0.1, 1.0, p),  # full rank, positive: above 1
+        ):
+            V = Q[:, : d.size]
+            oracle = scipy.linalg.eigh(S + (V * d) @ V.T, S, eigvals_only=True)[0]
+            assert abs(pd_margin(ctx, (V, d)) - oracle) <= 1e-10
+
+    def test_zero_estimate(self):
+        ctx = ModelContext.create(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        assert pd_margin(ctx, (np.zeros((3, 0)), np.zeros(0))) == 1.0
 
 
 class TestRscRssBounds:

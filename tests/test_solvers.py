@@ -66,6 +66,25 @@ class TestEpLvm:
         assert trace.status == "stationary"
         assert np.linalg.norm(est.values) < 1e-12
 
+    def test_negative_definite_step_gives_empty_candidate(self, monkeypatch):
+        # C = 2 S^-1 makes the gradient at L = 0 equal to S^-1 > 0, so every
+        # step -eta * S^-1 has an all-negative spectrum
+        model, _ = population_ctx(12, 2, seed=3)
+        S_inv = np.linalg.inv(model.S_star)
+        ctx = ModelContext.create(model.S_star, S_inv + S_inv.T)
+        spectra = []
+
+        def recording(A, k):
+            spectra.append(sym_evd(A, k))
+            return spectra[-1]
+
+        sym_evd = solvers.sym_evd
+        monkeypatch.setattr(solvers, "sym_evd", recording)
+        est, trace = ep_lvm(ctx, SolverConfig(rank=2))
+        assert spectra and all(s.eigenvalues.max() < 0 for s in spectra)
+        assert est.values.size == 0 and est.vectors.shape == (12, 0)
+        assert trace.status == "stationary"
+
     def test_noiseless_recovery(self):
         model, ctx = population_ctx(30, 2, seed=7)
         est, trace = ep_lvm(
@@ -252,6 +271,20 @@ class TestHooks:
             _, trace = fit_pgd(algo, ctx, 2, seed=1, max_iters=5)
             assert len(trace) == 5
             assert {name for name, n in calls.items() if n} >= shared | own, algo
+
+    def test_ep_eigensolve_returns_only_the_leading_pairs(self, monkeypatch):
+        shapes = []
+
+        def recording(A, *args):
+            spec = sym_evd(A, *args)
+            shapes.append((spec.eigenvalues.shape, spec.eigenvectors.shape))
+            return spec
+
+        sym_evd = solvers.sym_evd
+        monkeypatch.setattr(solvers, "sym_evd", recording)
+        _, ctx = sampled_ctx(12, 2, 2000, seed=43)
+        fit_pgd("ep", ctx, 2, seed=1, max_iters=5)
+        assert shapes and set(shapes) == {((2,), (12, 2))}
 
 
 class TestPsdFinalize:
