@@ -15,7 +15,9 @@ import numpy as np
 from .linalg import cholesky_logdet, symmetrize
 from .matio import MatrixParseError, read_matrix
 
-_SAMPLE_CHUNK = 8192  # fixed accumulation chunk keeps summation order stable
+# Rows of standard-normal draws per chunk: bounds the draw buffer, and a fixed
+# chunk keeps the Gram's summation order (hence the exact result) stable.
+_SAMPLE_CHUNK = 8192
 
 
 class GenerationError(Exception):
@@ -91,33 +93,41 @@ def gen_model(p, r="auto", seed=0, params=None):
     top_sv = np.linalg.svd(G, compute_uv=False)[0]
     factor = G * (math.sqrt(params.spectral_norm) / top_sv)
     model = SyntheticModel(s_diag=s_diag, L_factor=factor, seed=seed, params=params)
-    lam_min = float(np.linalg.eigvalsh(model.theta_star)[0])
-    if lam_min < 0.5:
-        raise GenerationError(
-            f"theta* PD margin {lam_min:.3e} below 0.5; adjust diag_range"
-        )
+    # L* is PSD, so lambda_min(theta*) >= min(s_diag): only a small diagonal
+    # entry can violate the margin and needs the eigenvalue.
+    if s_diag.min() < 0.5:
+        lam_min = float(np.linalg.eigvalsh(model.theta_star)[0])
+        if lam_min < 0.5:
+            raise GenerationError(
+                f"theta* PD margin {lam_min:.3e} below 0.5; adjust diag_range"
+            )
     return model
 
 
 def sample_covariance(model, n, seed=0):
     """Empirical second-moment matrix of ``n`` draws from ``N(0, sigma*)``.
 
-    Samples in fixed-size chunks so the accumulation order (hence the exact
-    floating-point result) depends only on ``(model, n, seed)``.
+    A draw is ``x = Lc z`` with ``sigma* = Lc Lc^T`` and ``z`` standard
+    normal, so ``sum x x^T = Lc (Z^T Z) Lc^T``: the standard-normal rows are
+    drawn in fixed-size chunks, only their Gram is accumulated (a SYRK per
+    chunk), and one ``p^3`` congruence by ``Lc`` replaces colouring every
+    draw (``n p^2``).  The draws are those of colouring each chunk before
+    accumulating, and the result differs from that formula at roundoff only.
+    The exact floating-point result depends only on ``(model, n, seed)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = model.p
     Lc = np.linalg.cholesky(symmetrize(model.sigma_star))
     rng = np.random.default_rng([seed, 0xC0F])
-    C = np.zeros((p, p))
+    W = np.zeros((p, p))
     done = 0
     while done < n:
         m = min(_SAMPLE_CHUNK, n - done)
-        X = rng.standard_normal((m, p)) @ Lc.T
-        C += X.T @ X
+        Z = rng.standard_normal((m, p))
+        W += Z.T @ Z
         done += m
-    return symmetrize(C / n)
+    return symmetrize(Lc @ (W / n) @ Lc.T)
 
 
 def load_dataset(path, center=True, columns=None, skip_header=0):

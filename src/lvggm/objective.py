@@ -84,9 +84,14 @@ class ModelContext:
             )
         S_chol, logdet_S = cholesky_logdet(S_star)  # raises if not PD
         if validate_psd:
-            lo = float(np.linalg.eigvalsh(C)[0])
-            if lo < -1e-8 * max(1.0, float(np.abs(C).max())):
-                raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})")
+            # PSD up to tau: C + tau I has a Cholesky factor; the eigenvalue
+            # is computed only to report a rejection.
+            tau = 1e-8 * max(1.0, float(np.abs(C).max()))
+            try:
+                np.linalg.cholesky(C + tau * np.eye(C.shape[0]))
+            except np.linalg.LinAlgError:
+                lo = float(np.linalg.eigvalsh(C)[0])
+                raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})") from None
         return cls(S_star=S_star, C=C, S_chol=S_chol, logdet_S=logdet_S)
 
 

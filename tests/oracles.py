@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
-finite differences, and the Hessian oracle forms the Kronecker product
-explicitly.
+finite differences, the Hessian oracle forms the Kronecker product
+explicitly, and the sampling oracle colours every draw before accumulating.
 """
 
 import numpy as np
@@ -83,3 +83,20 @@ def loglog_slope(xs, ys):
     """Least-squares slope of log(ys) against log(xs)."""
     return float(np.polyfit(np.log(np.asarray(xs, float)),
                             np.log(np.asarray(ys, float)), 1)[0])
+
+
+def reference_sample_covariance(model, n, seed=0):
+    """Sample covariance by colouring each chunk of 8192 draws,
+    ``X = Z Lc^T``, then accumulating ``X^T X``: the same draws as
+    ``datagen.sample_covariance`` (same generator, chunks and order)."""
+    Lc = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0)
+    rng = np.random.default_rng([seed, 0xC0F])
+    C = np.zeros((model.p, model.p))
+    done = 0
+    while done < n:
+        m = min(8192, n - done)
+        X = rng.standard_normal((m, model.p)) @ Lc.T
+        C += X.T @ X
+        done += m
+    C /= n
+    return (C + C.T) / 2.0

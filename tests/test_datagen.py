@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lvggm import datagen
 from lvggm.datagen import (
     GenerationError,
     GenParams,
@@ -10,7 +11,7 @@ from lvggm.datagen import (
 )
 from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 
-from .oracles import loglog_slope
+from .oracles import loglog_slope, reference_sample_covariance
 
 
 class TestGenModel:
@@ -51,6 +52,33 @@ class TestGenModel:
             gen_model(10, 2, seed=0, params=GenParams(diag_range=(-1.0, 2.0)))
         with pytest.raises(GenerationError):
             gen_model(10, 2, seed=0, params=GenParams(spectral_norm=-1.0))
+
+    def test_pd_margin_decision_matches_smallest_eigenvalue(self, monkeypatch):
+        # diag_range=(0.4, 2.0) passes the range check, so the margin test
+        # decides; record each model so a rejected one can be inspected too.
+        built = []
+        model_cls = datagen.SyntheticModel
+
+        def recording(**fields):
+            built.append(model_cls(**fields))
+            return built[-1]
+
+        monkeypatch.setattr(datagen, "SyntheticModel", recording)
+        outcomes = set()
+        for spectral_norm in (1.0, 4.0):
+            params = GenParams(diag_range=(0.4, 2.0), spectral_norm=spectral_norm)
+            for seed in range(20):
+                try:
+                    gen_model(10, 2, seed=seed, params=params)
+                    raised = False
+                except GenerationError:
+                    raised = True
+                model = built[-1]
+                lam_min = np.linalg.eigvalsh(model.theta_star)[0]
+                assert raised == (lam_min < 0.5), (spectral_norm, seed)
+                outcomes.add((raised, bool(model.s_diag.min() < 0.5)))
+        # rejected, accepted without the eigenvalue, accepted after it
+        assert outcomes == {(True, True), (False, False), (False, True)}
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
@@ -95,6 +123,20 @@ class TestSampleCovariance:
             sample_covariance(model, 1000, seed=9),
             sample_covariance(model, 1000, seed=9),
         )
+
+    @pytest.mark.parametrize(
+        "p, n", [(12, 50), (100, 8192), (100, 8193), (300, 20000)]
+    )
+    def test_matches_colouring_each_draw(self, p, n):
+        # n = 8192 and 8193 sit on the chunk boundary (a last chunk of one
+        # row); agreement to roundoff shows the Gram route colours the same
+        # draws, each counted once.
+        model = gen_model(p, "auto", seed=p + 1)
+        C = sample_covariance(model, n, seed=n)
+        ref = reference_sample_covariance(model, n, seed=n)
+        assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(C, C.T)
+        assert np.array_equal(C, sample_covariance(model, n, seed=n))
 
 
 class TestLoadDataset:

@@ -47,6 +47,25 @@ class TestModelContext:
         with pytest.raises(ValueError):
             ModelContext.create(np.eye(2), C)
 
+    @pytest.mark.parametrize("scale", [0.5, 100.0])
+    def test_psd_tolerance_boundary(self, scale):
+        # C = Q diag(lam) Q^T with lam_min = -2 tau (rejected, eigenvalue in
+        # the message) or -tau / 2 (accepted), tau = 1e-8 max(1, max|C|).
+        p = 30
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((p, p)))
+        lam = scale * np.linspace(0.0, 1.0, p)
+        tau = 1e-8 * max(1.0, float(np.abs((Q * lam) @ Q.T).max()))
+        for factor, rejected in ((-2.0, True), (-0.5, False)):
+            lam[0] = factor * tau
+            C = symmetrize((Q * lam) @ Q.T)
+            if rejected:
+                with pytest.raises(ValueError, match="min eigenvalue") as err:
+                    ModelContext.create(np.eye(p), C)
+                reported = float(str(err.value).split()[-1].rstrip(")"))
+                assert reported == pytest.approx(factor * tau, rel=1e-3)
+            else:
+                ModelContext.create(np.eye(p), C)
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             ModelContext.create(np.eye(3), np.eye(4))
