@@ -109,11 +109,12 @@ def sample_covariance(model, n, seed=0):
 
     A draw is ``x = Lc z`` with ``sigma* = Lc Lc^T`` and ``z`` standard
     normal, so ``sum x x^T = Lc (Z^T Z) Lc^T``: the standard-normal rows are
-    drawn in fixed-size chunks, only their Gram is accumulated (a SYRK per
-    chunk), and one ``p^3`` congruence by ``Lc`` replaces colouring every
-    draw (``n p^2``).  The draws are those of colouring each chunk before
-    accumulating, and the result differs from that formula at roundoff only.
-    The exact floating-point result depends only on ``(model, n, seed)``.
+    drawn in fixed-size chunks into one reused buffer, only their Gram is
+    accumulated (a SYRK per chunk), and one ``p^3`` congruence by ``Lc``
+    replaces colouring every draw (``n p^2``).  The draws are those of
+    colouring each chunk before accumulating, and the result differs from
+    that formula at roundoff only.  The exact floating-point result depends
+    only on ``(model, n, seed)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -121,12 +122,14 @@ def sample_covariance(model, n, seed=0):
     Lc = np.linalg.cholesky(symmetrize(model.sigma_star))
     rng = np.random.default_rng([seed, 0xC0F])
     W = np.zeros((p, p))
+    buf = np.empty((min(_SAMPLE_CHUNK, n), p))
     done = 0
     while done < n:
-        m = min(_SAMPLE_CHUNK, n - done)
-        Z = rng.standard_normal((m, p))
+        Z = buf[: min(_SAMPLE_CHUNK, n - done)]
+        rng.standard_normal(out=Z)
         W += Z.T @ Z
-        done += m
+        done += Z.shape[0]
+    del buf, Z  # free the draws before the congruence's temporaries
     return symmetrize(Lc @ (W / n) @ Lc.T)
 
 

@@ -207,14 +207,16 @@ def woodbury_inverse(S_chol, U):
     return symmetrize(S_chol.inverse - correction)
 
 
-def woodbury_core_eig(S_chol, V, d):
+def woodbury_core_eig(S_chol, V, d, M=None):
     """Inner pieces of the eigenform Woodbury update.
 
     Returns ``(K, M)`` with ``M = S^-1 V`` and
     ``K = diag(d) (I + V.T M diag(d))^-1`` (symmetric), so that
-    ``(S + V diag(d) V.T)^-1 = S^-1 - M K M.T``.
+    ``(S + V diag(d) V.T)^-1 = S^-1 - M K M.T``.  A caller that already
+    holds ``S^-1 V`` passes it as ``M`` and skips the solve.
     """
-    M = S_chol.solve(V)
+    if M is None:
+        M = S_chol.solve(V)
     G = V.T @ M  # V.T S^-1 V, SPD
     inner = np.eye(len(d)) + G * d[np.newaxis, :]
     try:

@@ -22,9 +22,12 @@ dense inverse otherwise.  For eigenform input the gradient is returned as a
 :class:`GradientOperator` that applies this expression to a block of
 vectors in ``O(p^2 k)`` without forming the ``p x p`` matrix; callers that
 need the matrix (the exact projection's eigendecomposition) call
-:meth:`GradientOperator.dense`.  Only a dense ``L`` keeps a second NLL route,
-a Cholesky factorization of ``S + L``: it is the reference the eigenform
-route is checked against.
+:meth:`GradientOperator.dense`.  A caller that already holds ``S^-1 V``
+and ``C V`` (AP carries them from one iterate to the next) passes them to
+:func:`gradient` and :func:`nll`, which then skip their ``O(p^2 r)``
+products.  Only a dense ``L`` keeps a second NLL route, a Cholesky
+factorization of ``S + L``: it is the reference the eigenform route is
+checked against.
 """
 
 from __future__ import annotations
@@ -120,13 +123,15 @@ def as_eigenform(L, p=None):
     return Q @ E[:, keep], w[keep]
 
 
-def _lemma_eigenvalues(ctx, V, d):
+def _lemma_eigenvalues(ctx, V, d, M=None):
     """Eigenvalues ``mu`` (ascending) of ``R diag(d) R^T``, ``R^T R = V^T S^-1 V``.
 
     They are the nonzero eigenvalues of ``S^-1/2 L S^-1/2`` for
-    ``L = V diag(d) V^T``, at ``O(p^2 r)`` cost.
+    ``L = V diag(d) V^T``, at ``O(p^2 r)`` cost (``O(p r^2)`` when
+    ``M = S^-1 V`` is given).
     """
-    M = ctx.S_chol.solve(V)
+    if M is None:
+        M = ctx.S_chol.solve(V)
     G = symmetrize(V.T @ M)
     try:
         Lc = np.linalg.cholesky(G)
@@ -146,35 +151,40 @@ def pd_margin(ctx, L):
     return 1.0 + float(mu.min())
 
 
-def _nll_eig(ctx, V, d):
+def _nll_eig(ctx, V, d, products=None):
     """Determinant-lemma evaluation of the NLL for an eigenform estimate.
 
     ``log det(S + V diag(d) V^T) = log det S + sum_i log(1 + mu_i)`` with
     the ``mu_i`` of :func:`_lemma_eigenvalues`; positive definiteness of
     ``S + L`` is exactly ``min_i mu_i > -1``.  Identical value to the dense
-    Cholesky route at ``O(p^2 r)`` cost.
+    Cholesky route at ``O(p^2 r)`` cost, or ``O(p r^2)`` when ``products``
+    gives ``(C V, S^-1 V)``.
     """
     if V.shape[1] == 0:
         return -ctx.logdet_S + ctx.trace_SC
-    mu = _lemma_eigenvalues(ctx, V, d)
+    CV, M = (None, None) if products is None else products
+    mu = _lemma_eigenvalues(ctx, V, d, M)
     if mu[0] <= -1.0 + 1e-14:
         raise NotPositiveDefiniteError(
             f"S + L leaves the PD cone (shifted eigenvalue {mu[0]:.6e})"
         )
     logdet = ctx.logdet_S + float(np.sum(np.log1p(mu)))
-    CV = ctx.C @ V
+    if CV is None:
+        CV = ctx.C @ V
     trace_term = ctx.trace_SC + float(np.dot(d, np.sum(V * CV, axis=0)))
     return -logdet + trace_term
 
 
-def nll(ctx, L):
+def nll(ctx, L, products=None):
     """Negative log-likelihood ``-log det(S + L) + <S + L, C>``.
 
     ``L`` is any form :func:`as_eigenform` takes.  A dense ``(p, p)`` matrix
     goes through a Cholesky factorization of ``S + L``; every other input is
     normalized to eigenform and evaluated by the determinant lemma at
-    ``O(p^2 r)``.  Raises :class:`NotPositiveDefiniteError` when ``S + L``
-    leaves the PD cone; solvers use that as the backtracking signal.
+    ``O(p^2 r)``.  For an eigenform tuple ``(V, d)``, ``products`` may give
+    the precomputed ``(C V, S^-1 V)``, which drops the cost to ``O(p r^2)``.
+    Raises :class:`NotPositiveDefiniteError` when ``S + L`` leaves the PD
+    cone; solvers use that as the backtracking signal.
     """
     if not isinstance(L, tuple):
         L = np.asarray(L, dtype=np.float64)
@@ -186,7 +196,7 @@ def nll(ctx, L):
                 raise NotPositiveDefiniteError(str(exc)) from exc
             logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
             return -logdet + float(np.sum(theta * ctx.C))
-    return _nll_eig(ctx, *as_eigenform(L, ctx.p))
+    return _nll_eig(ctx, *as_eigenform(L, ctx.p), products)
 
 
 class GradientOperator:
@@ -211,8 +221,14 @@ class GradientOperator:
     def __matmul__(self, X):
         out = self._residual0 @ X
         if self._M.shape[1]:
-            out += self._M @ (self._K @ (self._M.T @ X))
+            out += self.low_rank(X)
         return out
+
+    def low_rank(self, X):
+        """The Woodbury term ``M K M^T X`` alone, at ``O(p r k)``."""
+        if not self._M.shape[1]:
+            return np.zeros((self._M.shape[0], X.shape[1]))
+        return self._M @ (self._K @ (self._M.T @ X))
 
     def dense(self):
         """The gradient as a ``p x p`` symmetric array."""
@@ -225,19 +241,20 @@ class GradientOperator:
         return G if dtype is None else G.astype(dtype, copy=False)
 
 
-def gradient(ctx, L):
+def gradient(ctx, L, M=None):
     """Gradient ``C - (S + L)^{-1}``.
 
     ``L`` is any form :func:`as_eigenform` takes.  An eigenform tuple (what
     the solvers pass) gives a symmetric :class:`GradientOperator` at
-    ``O(p^2 r)`` set-up cost; any other input gives its dense symmetric
+    ``O(p^2 r)`` set-up cost, or ``O(p r^2)`` when the caller passes the
+    precomputed ``M = S^-1 V``; any other input gives its dense symmetric
     matrix (a dense ``L`` is eigendecomposed first, at ``O(p^3)``).
     """
     V, d = as_eigenform(L, ctx.p)
     if V.shape[1] == 0:
         G = GradientOperator(ctx.residual0, V, np.zeros((0, 0)))
     else:
-        K, M = woodbury_core_eig(ctx.S_chol, V, d)
+        K, M = woodbury_core_eig(ctx.S_chol, V, d, M)
         G = GradientOperator(ctx.residual0, M, K)
     return G if isinstance(L, tuple) else G.dense()
 

@@ -67,14 +67,14 @@ class ProjectionConfig:
 class Subspace:
     """Column-orthonormal basis returned by head/tail subspace routines.
 
-    ``ritz`` holds the Rayleigh-Ritz values of the input on the basis, so
-    that ``basis.T @ A @ basis`` equals ``diag(ritz)``, when the routine
-    computed them from a basis it did not pad; otherwise it is None.
+    ``products`` is ``A @ basis`` when the routine assembled it from the
+    Krylov products it already formed (symmetric block-Krylov input);
+    otherwise it is None.
     """
 
     basis: np.ndarray
     degraded: bool = False
-    ritz: np.ndarray | None = None
+    products: np.ndarray | None = None
 
 
 def rng_for(seed, *salts):
@@ -205,8 +205,9 @@ def _bk_subspace(A, r, cfg):
     """Block-Krylov rank-``r`` left singular subspace of a square matrix.
 
     ``A`` is a square ndarray, or a symmetric linear operator with ``shape``
-    and ``@`` (such as the solvers' gradient operator).  Symmetric inputs get
-    Ritz values on the returned subspace unless its basis had to be padded.
+    and ``@`` (such as the solvers' gradient operator).  For symmetric input
+    the returned subspace carries ``A @ basis``, combined from the Krylov
+    products.
     """
     p = A.shape[0]
     if not 1 <= r <= p:
@@ -230,24 +231,13 @@ def _bk_subspace(A, r, cfg):
         Q = _complete_basis(Q, p, r, rng_for(cfg.seed, 103))
         AQ = A @ Q if symmetric else None
 
-    # Rayleigh-Ritz on the Krylov basis
-    ritz = None
+    # Rayleigh-Ritz on the Krylov basis; Q has at least r columns here
     if symmetric:
-        M = symmetrize(Q.T @ AQ)
-        w, E = np.linalg.eigh(M)
-        order = np.argsort(-np.abs(w), kind="stable")[:r]
-        Z = Q @ E[:, order]
-        ritz = w[order]
-    else:
-        M = Q.T @ A
-        U, _, _ = np.linalg.svd(M, full_matrices=False)
-        Z = Q @ U[:, :r]
-    if Z.shape[1] < r:
-        Z = _complete_basis(Z, p, r, rng_for(cfg.seed, 107))
-        degraded = True
-    return Subspace(
-        np.ascontiguousarray(Z), degraded=degraded, ritz=None if degraded else ritz
-    )
+        w, E = np.linalg.eigh(symmetrize(Q.T @ AQ))
+        E = E[:, np.argsort(-np.abs(w), kind="stable")[:r]]
+        return Subspace(np.ascontiguousarray(Q @ E), degraded, AQ @ E)
+    U, _, _ = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return Subspace(np.ascontiguousarray(Q @ U[:, :r]), degraded)
 
 
 def bk_svd(A, r, cfg):

@@ -8,16 +8,21 @@ backtracking on the NLL, and differs between solvers only in ``P``:
   leading eigenpairs of the step matrix; the eigensolver computes only
   those, but its tridiagonal reduction keeps the per-iteration cost cubic.
 * ``ap_lvm`` replaces the exact projection with an approximate head
-  projection of the gradient at rank ``2r`` followed by an approximate tail
-  projection of the step at rank ``r``; iterates may carry small negative
-  eigenvalues and are not PSD-finalized unless requested.
+  projection of the gradient at rank ``2r``, onto a basis ``Z``, and takes
+  the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
+  followed by an approximate tail projection of the step at rank ``r``;
+  iterates may carry small negative eigenvalues and are not PSD-finalized
+  unless requested.
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
 identity and makes error tracking against a known truth cheap.  AP never
 forms the ``p x p`` gradient with the block-Krylov backend: the head
-projection applies the gradient operator to blocks, and its Ritz values give
-the compressed head step ``Z^T G Z``.
+projection applies the gradient operator to blocks and returns ``G Z`` from
+its Krylov products.  AP also carries the accepted iterate's ``C V`` and
+``S^-1 V`` from one iteration to the next and each trial's from the products
+on ``[V, Z]``, so its only ``p x p`` products are the head projection's and
+one ``S^-1 Z`` solve (elementwise for a diagonal ``S``).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -27,17 +32,24 @@ scripts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import NotPositiveDefiniteError, effective_rank, sym_evd, symmetrize
 from .objective import as_eigenform, gradient, nll
 from .projections import ProjectionConfig, compress_symmetric, head_project
 
 _SEED_MASK = 2**64 - 1
+
+# AP drops a head direction whose residual against the iterate's basis is
+# below this norm: it lies in that span up to the tolerance, and normalizing
+# it would amplify roundoff into the basis and its carried products.
+_DEFLATION_TOL = 1e-4
 
 # Projected-gradient algorithm names and the head-projection backend each
 # uses; EP projects exactly and never reads its backend.
@@ -319,21 +331,24 @@ class _RunState:
 
 
 def _accept(state, candidate, current_nll):
-    """Backtracking acceptance loop; returns (V, d, nll, halvings, improved).
+    """Backtracking acceptance loop.
 
-    ``candidate(eta)`` produces a trial eigenform for the given step size.
-    A trial is rejected when ``S + L`` leaves the PD cone (Cholesky failure)
-    or the NLL increases beyond a roundoff slack; the step then halves.
+    ``candidate(eta)`` produces a trial eigenform ``(V, d)`` for the given
+    step size and its products ``(C V, S^-1 V)``, or None to have the NLL
+    form them.  A trial is rejected when ``S + L`` leaves the PD cone
+    (Cholesky failure) or the NLL increases beyond a roundoff slack; the
+    step then halves.  Returns ``(V, d, products, nll, halvings, improved)``.
     """
     max_halvings = state.cfg.backtracking.max_halvings
     slack = 1e-12 * max(1.0, abs(current_nll))
     halvings = 0
     while True:
-        V, d = candidate(state.eta)
+        V, d, products = candidate(state.eta)
         try:
-            value = nll(state.ctx, (V, d))
+            value = nll(state.ctx, (V, d), products)
             if value <= current_nll + slack:
-                return V, d, value, halvings, value < current_nll - slack
+                improved = value < current_nll - slack
+                return V, d, products, value, halvings, improved
         except NotPositiveDefiniteError:
             pass
         halvings += 1
@@ -348,10 +363,12 @@ def _accept(state, candidate, current_nll):
 def _descend(ctx, cfg, truth, make_candidate):
     """The descent loop ``L <- P(L - eta * grad F(L))`` from ``L = 0``.
 
-    ``make_candidate(t, V, d)`` sees iteration ``t``'s iterate and returns
-    ``(candidate, degraded)``: ``candidate(eta)`` gives the projected step
-    as an eigenform, and ``degraded`` flags an approximate projection that
-    fell short.  Returns ``(LowRankEstimate, Trace)``.
+    ``make_candidate(t, V, d, products)`` sees iteration ``t``'s iterate and
+    the products its candidate returned (``(C V, S^-1 V)`` or None) and
+    returns ``(candidate, degraded)``: ``candidate(eta)`` gives the
+    projected step as an eigenform with its products (see :func:`_accept`),
+    and ``degraded`` flags an approximate projection that fell short.
+    Returns ``(LowRankEstimate, Trace)``.
     """
     p = ctx.p
     if cfg.rank > p:
@@ -359,13 +376,14 @@ def _descend(ctx, cfg, truth, make_candidate):
     state = _RunState(ctx, cfg, truth)
     V = np.zeros((p, 0))
     d = np.zeros(0)
+    products = (V, V)  # C V and S^-1 V of L = 0
     current_nll = nll(ctx, (V, d))
     status = "max-iters"
     for t in range(cfg.max_iters):
         tic = time.perf_counter()
-        candidate, degraded = make_candidate(t, V, d)
+        candidate, degraded = make_candidate(t, V, d, products)
         state.trace.degraded_projections += int(degraded)
-        V_new, d_new, new_nll, halvings, improved = _accept(
+        V_new, d_new, products, new_nll, halvings, improved = _accept(
             state, candidate, current_nll
         )
         seconds = time.perf_counter() - tic
@@ -393,7 +411,7 @@ def ep_lvm(ctx, cfg, truth=None):
     """
     r = cfg.rank
 
-    def make_candidate(t, V, d):
+    def make_candidate(t, V, d, products):
         G = gradient(ctx, (V, d)).dense()
         base = (V * d) @ V.T
 
@@ -404,6 +422,7 @@ def ep_lvm(ctx, cfg, truth=None):
             return (
                 np.ascontiguousarray(spec.eigenvectors[:, keep]),
                 spec.eigenvalues[keep],
+                None,
             )
 
         return candidate, False
@@ -411,42 +430,90 @@ def ep_lvm(ctx, cfg, truth=None):
     return _descend(ctx, cfg, truth, make_candidate)
 
 
+def _extend_basis(V, Z):
+    """Orthonormal ``U = [V, Z_perp]`` spanning ``[V, Z]``, and ``B`` with
+    ``U = [V, Z] @ B``.
+
+    ``Z_perp`` is ``Z`` orthogonalized against ``V`` by two block
+    Gram-Schmidt passes and then within itself by a column-pivoted QR that
+    deflates residual columns of norm below ``_DEFLATION_TOL``.  ``Z_perp``
+    is formed from the same coefficients that ``B`` carries, so products
+    ``Y [V, Z]`` of the caller give ``Y U`` as ``Y [V, Z] @ B``.
+    """
+    k, q = V.shape[1], Z.shape[1]
+    X = Z
+    P = np.zeros((k, q))
+    for _ in range(2):
+        H = V.T @ X
+        X = X - V @ H
+        P += H
+    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True, check_finite=False)
+    m = int(np.cumprod(np.abs(np.diag(R)) > _DEFLATION_TOL).sum())
+    sel = piv[:m]
+    R_inv = scipy.linalg.lapack.dtrtri(R[:m, :m])[0] if m else np.zeros((0, 0))
+    B = np.zeros((k + q, k + m))
+    B[:k, :k] = np.eye(k)
+    B[:k, k:] = -P[:, sel] @ R_inv
+    B[k + sel, k:] = R_inv
+    return np.hstack([V, X[:, sel] @ R_inv]), B
+
+
+def _ap_candidate(ctx, cfg, t, V, d, products):
+    """AP's ``make_candidate`` for :func:`_descend` (see :func:`ap_lvm`)."""
+    CV, M = products
+    G = gradient(ctx, (V, d), M)
+    pcfg = dataclasses.replace(
+        cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
+    )
+    head = head_project(G, min(2 * cfg.rank, ctx.p), pcfg)
+    Z = head.basis
+    GZ = G @ Z if head.products is None else head.products
+    SZ = ctx.S_chol.solve(Z)
+    # products of W = [V, Z]; U = W @ B
+    W = np.hstack([V, Z])
+    GW = np.hstack([CV - M + G.low_rank(V), GZ])
+    CW = np.hstack([CV, GZ + SZ - G.low_rank(Z)])
+    SW = np.hstack([M, SZ])
+    U, B = _extend_basis(V, Z)
+    UGU = symmetrize(B.T @ (W.T @ GW) @ B)
+    k = d.size
+
+    def candidate(eta):
+        core = -eta * UGU
+        core[:k, :k] += np.diag(d)
+        V_new, d_new = compress_symmetric(U, core, cfg.rank)
+        F = B @ (U.T @ V_new)
+        return V_new, d_new, (CW @ F, SW @ F)
+
+    return candidate, head.degraded
+
+
 def ap_lvm(ctx, cfg, truth=None):
     """Approximate-projection solver.
 
     Each iteration head-projects the gradient at rank ``2r`` (randomized
-    block-Krylov or Lanczos), takes the step, then tail-projects back to rank
-    ``r``.  Because the step matrix is explicitly rank ``<= 3r``, the tail
-    projection is evaluated as the exact compression of its factored form
-    (the Krylov space of a rank-``m`` matrix lies inside its range, so the
-    randomized tail resolves to this compression).  Iterates may carry small
-    negative eigenvalues; the returned estimate is not PSD-finalized.
+    block-Krylov or Lanczos) onto a basis ``Z`` and takes the step on
+    ``U = [V, Z_perp]``, an orthonormal basis of ``span[V, Z]``
+    (:func:`_extend_basis`): the candidate is the rank-``r`` tail projection
+    of ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,
+    that is ``T_r(L - eta P_U G P_U)``.  The two-sided projection onto a
+    subspace that contains ``Z`` captures at least ``Z``'s energy, so it is
+    a head projection in its own right.  Because the step matrix is explicitly
+    rank ``<= 3r``, the tail projection is evaluated as the exact
+    compression of its factored form (the Krylov space of a rank-``m``
+    matrix lies inside its range, so the randomized tail resolves to this
+    compression).
+
+    Outside the head projection the only ``p x p`` product is one
+    ``S^-1 Z`` solve (elementwise for a diagonal ``S``).  ``G Z`` comes from
+    the Krylov products; ``C V`` and ``M = S^-1 V`` of the accepted iterate
+    are carried over, so ``G V = C V - M + M K M^T V``;
+    ``C Z = G Z + S^-1 Z - M K M^T Z``; and each trial ``V_new = U E`` gets
+    ``C V_new`` and ``S^-1 V_new`` from the products on ``[V, Z]``, which
+    the NLL and the next gradient take as they are.  Iterates may carry
+    small negative eigenvalues; the returned estimate is not PSD-finalized.
     """
-    r = cfg.rank
-    head_rank = min(2 * r, ctx.p)
-
-    def make_candidate(t, V, d):
-        G = gradient(ctx, (V, d))
-        pcfg = dataclasses.replace(
-            cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
-        )
-        head = head_project(G, head_rank, pcfg)
-        Z = head.basis
-        if head.ritz is not None:
-            T_h = np.diag(head.ritz)
-        else:
-            T_h = symmetrize(Z.T @ (G @ Z))
-        W = np.hstack([V, Z])
-
-        def candidate(eta):
-            core = np.zeros((W.shape[1], W.shape[1]))
-            core[: d.size, : d.size] = np.diag(d)
-            core[d.size :, d.size :] = -eta * T_h
-            return compress_symmetric(W, core, r)
-
-        return candidate, head.degraded
-
-    return _descend(ctx, cfg, truth, make_candidate)
+    return _descend(ctx, cfg, truth, functools.partial(_ap_candidate, ctx, cfg))
 
 
 def fit_pgd(algo, ctx, rank, seed=0, truth=None, **knobs):

@@ -100,3 +100,19 @@ def reference_sample_covariance(model, n, seed=0):
         done += m
     C /= n
     return (C + C.T) / 2.0
+
+
+def allocating_sample_covariance(model, n, seed=0):
+    """``datagen.sample_covariance`` with a fresh draw array per chunk: the
+    same draws, Gram and congruence, so the result must match bit for bit."""
+    Lc = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0)
+    rng = np.random.default_rng([seed, 0xC0F])
+    W = np.zeros((model.p, model.p))
+    done = 0
+    while done < n:
+        m = min(8192, n - done)
+        Z = rng.standard_normal((m, model.p))
+        W += Z.T @ Z
+        done += m
+    C = Lc @ (W / n) @ Lc.T
+    return (C + C.T) / 2.0

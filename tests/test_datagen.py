@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from lvggm.datagen import (
 )
 from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 
-from .oracles import loglog_slope, reference_sample_covariance
+from .oracles import (
+    allocating_sample_covariance,
+    loglog_slope,
+    reference_sample_covariance,
+)
 
 
 class TestGenModel:
@@ -137,6 +143,28 @@ class TestSampleCovariance:
         assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(C, C.T)
         assert np.array_equal(C, sample_covariance(model, n, seed=n))
+
+    @pytest.mark.parametrize("p, n", [(12, 50), (100, 8193), (300, 20000)])
+    def test_reused_buffer_draws_the_same_values(self, p, n):
+        model = gen_model(p, "auto", seed=p + 1)
+        assert np.array_equal(
+            sample_covariance(model, n, seed=n),
+            allocating_sample_covariance(model, n, seed=n),
+        )
+
+    def test_one_draw_buffer_is_live(self):
+        # three chunks at p=300: a second live chunk would add 19.7 MB to
+        # the peak, while the p x p matrices add 0.7 MB each
+        p, n = 300, 20000
+        model = gen_model(p, "auto", seed=4)
+        tracemalloc.start()
+        try:
+            sample_covariance(model, n, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = datagen._SAMPLE_CHUNK * p * 8
+        assert peak < 1.5 * chunk + 3 * p * p * 8
 
 
 class TestLoadDataset:

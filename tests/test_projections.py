@@ -192,20 +192,20 @@ class TestOperatorInput:
             angles = scipy.linalg.subspace_angles(on_operator.basis, on_array.basis)
             assert angles.max() <= 1e-8
 
-    def test_ritz_values_are_the_compressed_operator(self):
+    def test_carried_products_are_the_operator_on_the_basis(self):
         G = _gradient_operator()
         sub = head_project(G, 8, ProjectionConfig(seed=4))
-        Z = sub.basis
-        compressed = Z.T @ (G @ Z)
-        assert sub.ritz.shape == (8,)
-        assert np.abs(sub.ritz - np.diag(compressed)).max() <= 1e-10
-        assert np.abs(np.diag(sub.ritz) - compressed).max() <= 1e-10
+        fresh = G @ sub.basis
+        assert sub.products.shape == sub.basis.shape == (80, 8)
+        assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
-    def test_padded_basis_has_no_ritz_values(self, rng):
+    def test_padded_basis_carries_the_operator_on_the_basis(self, rng):
         U = rng.standard_normal((30, 3))
-        sub = head_project(U @ U.T, 5, ProjectionConfig(seed=1))
+        A = U @ U.T
+        sub = head_project(A, 5, ProjectionConfig(seed=1))
         assert sub.degraded
-        assert sub.ritz is None
+        fresh = A @ sub.basis
+        assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     def test_reused_products_equal_recomputed(self, rng):
         U = rng.standard_normal((40, 3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lvggm import objective, solvers
 from lvggm.datagen import gen_model, sample_covariance
@@ -232,6 +233,106 @@ class TestApLvm:
         est2, tr2 = ap_lvm(ctx, cfg)
         assert np.array_equal(est1.dense(), est2.dense())
         assert tr1.nll == tr2.nll
+
+
+def _top_r_by_magnitude(A, r):
+    w, E = np.linalg.eigh((A + A.T) / 2)
+    keep = np.argsort(-np.abs(w), kind="stable")[:r]
+    return (E[:, keep] * w[keep]) @ E[:, keep].T
+
+
+def _banded_ctx(p, r, seed):
+    """Tridiagonal ``S`` as in the benchmark's noiseless workload (coupling
+    0.2, so ``S^-1`` is dense) and the exact ``C = (S + L*)^-1``."""
+    model = gen_model(p, r, seed=seed)
+    s = model.s_diag
+    off = 0.2 * np.sqrt(s[:-1] * s[1:])
+    S = np.diag(s) + np.diag(off, 1) + np.diag(off, -1)
+    C = np.linalg.inv(S + model.L_star)
+    return model, ModelContext.create(S, (C + C.T) / 2)
+
+
+class TestApStep:
+    """AP's step on ``span[V, Z]`` and the products it carries."""
+
+    @pytest.mark.parametrize("d", [(0.6, 0.3, 0.1), (0.6, -0.15, 0.25)])
+    def test_candidate_is_the_step_projected_on_the_span(self, d, monkeypatch):
+        p, r, eta = 40, 3, 0.7
+        _, ctx = sampled_ctx(p, r, 100 * p, seed=19)
+        V = np.linalg.qr(np.random.default_rng(3).standard_normal((p, r)))[0]
+        d = np.asarray(d)
+        heads = []
+
+        def recording(*args):
+            heads.append(head_project(*args))
+            return heads[-1]
+
+        head_project = solvers.head_project
+        monkeypatch.setattr(solvers, "head_project", recording)
+        cfg = SolverConfig(rank=r, projection=ProjectionConfig(seed=4))
+        products = (ctx.C @ V, ctx.S_chol.solve(V))
+        candidate, degraded = solvers._ap_candidate(ctx, cfg, 0, V, d, products)
+        V_new, d_new, (CV_new, M_new) = candidate(eta)
+
+        L = (V * d) @ V.T
+        G = ctx.C - np.linalg.inv(ctx.S_star + L)
+        Z = heads[0].basis
+        U = scipy.linalg.orth(np.hstack([V, Z]))
+        assert not degraded and U.shape[1] == 3 * r
+        P_U, P_Z = U @ U.T, Z @ Z.T
+        oracle = _top_r_by_magnitude(L - eta * P_U @ G @ P_U, r)
+        assert np.abs((V_new * d_new) @ V_new.T - oracle).max() <= 1e-10
+        assert np.abs(V_new.T @ V_new - np.eye(r)).max() <= 1e-10
+        assert np.abs(CV_new - ctx.C @ V_new).max() <= 1e-10
+        assert np.abs(M_new - np.linalg.solve(ctx.S_star, V_new)).max() <= 1e-10
+        assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
+
+    def test_basis_deflates_head_directions_in_the_iterate_span(self, rng):
+        p = 30
+        V = np.linalg.qr(rng.standard_normal((p, 3)))[0]
+        # the first two head directions lie in span V up to 1e-6, the third
+        # up to 1e-3: only the first two are dropped
+        E = np.linalg.qr(rng.standard_normal((p, 6)))[0]
+        Z = np.hstack(
+            [V[:, :2] + 1e-6 * E[:, :2], V[:, 2:] + 1e-3 * E[:, 2:3], E[:, 3:]]
+        )
+        U, B = solvers._extend_basis(V, Z)
+        assert U.shape == (p, 3 + 4)
+        assert np.array_equal(U[:, :3], V)
+        assert np.abs(U.T @ U - np.eye(7)).max() <= 1e-10
+        assert np.abs(np.hstack([V, Z]) @ B - U).max() <= 1e-12
+        residual = Z - U @ (U.T @ Z)
+        assert np.linalg.norm(residual, axis=0).max() <= 2e-6
+
+    @pytest.mark.parametrize("banded", [False, True], ids=["diagonal-S", "banded-S"])
+    def test_carried_products_match_fresh_ones(self, banded, monkeypatch):
+        p, r = 100, 5
+        if banded:
+            model, ctx = _banded_ctx(p, r, seed=3)
+            knobs = dict(nll_tolerance=0.0, max_iters=80)
+        else:
+            model, ctx = sampled_ctx(p, r, 400 * p, seed=3)
+            knobs = dict(true_nll_floor=nll(ctx, model.L_factor))
+        assert ctx.S_chol.is_diagonal != banded
+        checked = []
+
+        def checking(ctx_, L, products=None):
+            V, _ = L
+            if V.shape[1]:
+                for carried, fresh in zip(products, (ctx.C @ V, ctx.S_chol.solve(V))):
+                    scale = np.abs(fresh).max()
+                    assert np.abs(carried - fresh).max() <= 1e-10 * scale
+                checked.append(V.shape[1])
+            return nll(ctx_, L, products)
+
+        monkeypatch.setattr(solvers, "nll", checking)
+        est, trace = fit_pgd("ap-bk", ctx, r, seed=2, truth=model.L_factor, **knobs)
+        # every trial was checked, accepted iterates included
+        assert len(checked) >= len(trace) - 1 > 5
+        final = nll(ctx, est.dense())
+        assert abs(trace.nll[-1] - final) <= 1e-10 * abs(final)
+        if banded:
+            assert trace.rel_error[-1] < 1e-4
 
 
 class TestHooks:
