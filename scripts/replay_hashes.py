@@ -4,9 +4,10 @@
 Builds desk-p100 trials 1-3, noiseless-banded-p500 trial 1 and
 northstar-p1000 trial 1 of ``perfbench`` at one seed, fits each with EP,
 AP-BK and AP-Lanczos, and prints one line per fit: a hash of the
-instance's covariance ``C``, iteration count, stop status, a hash of the
-full NLL series, a hash of the returned ``(V, d)``, the final NLL (``repr``)
-and the target F(L*) (plus the noiseless gap on that workload).
+instance's covariance ``C``, iteration count, total halvings, the largest
+step relative to the first trial step, stop status, a hash of the full NLL
+series, a hash of the returned ``(V, d)``, the final NLL (``repr``) and the
+target F(L*) (plus the noiseless gap on that workload).
 
 Run it in two checkouts and diff the outputs to check that a refactor keeps
 every iterate bit-identical; a change that moves the bits at roundoff can be
@@ -25,6 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
+from lvggm import auto_step_size  # noqa: E402
 from workloads import SOLVERS, WORKLOADS, build_instance, run_solver  # noqa: E402
 
 CASES = (
@@ -47,11 +49,13 @@ def main():
     for name, trial in CASES:
         inst = build_instance(WORKLOADS[name], args.seed, trial, lambda _, f, *a: f(*a))
         c_hash = digest(inst.ctx.C)
+        eta0 = auto_step_size(inst.ctx)
         for solver in SOLVERS:
             est, trace = run_solver(inst, solver)
             print(
                 f"{name} t{trial} {solver:10s} C={c_hash} "
-                f"iters={len(trace):3d} "
+                f"iters={len(trace):3d} halvings={trace.total_halvings:3d} "
+                f"eta_max={max(trace.eta) / eta0:<5g} "
                 f"status={trace.status:13s} nll={digest(trace.nll)} "
                 f"Vd={digest(est.vectors, est.values)} final={trace.nll[-1]!r} "
                 f"target={inst.target!r}",

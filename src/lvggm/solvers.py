@@ -2,7 +2,10 @@
 
 Both solvers run one loop, :func:`_descend`: from ``L = 0`` (no spectral
 initialization) it iterates ``L <- P(L - eta * grad F(L))`` with
-backtracking on the NLL, and differs between solvers only in ``P``:
+backtracking on the NLL.  The step starts at ``0.5 * lambda_min(S)^2``
+(:func:`auto_step_size`), doubles after each iteration accepted on its first
+trial with a strict decrease of the NLL, halves on each rejected trial and
+has no cap.  The solvers differ only in ``P``:
 
 * ``ep_lvm`` projects exactly onto the rank-r PSD cone from the ``r``
   leading eigenpairs of the step matrix; the eigensolver computes only
@@ -75,7 +78,9 @@ class InsufficientDataError(Exception):
 
 @dataclass
 class BacktrackingConfig:
-    """Each rejected trial halves the step, at most ``max_halvings`` times."""
+    """Each rejected trial halves the step, at most ``max_halvings`` times
+    per iteration; an iteration accepted on its first trial with a strict
+    decrease of the NLL doubles it, with no cap."""
 
     max_halvings: int = 30
 
@@ -186,8 +191,9 @@ def auto_step_size(ctx):
     """Certified conservative step ``0.5 * lambda_min(S*)^2``.
 
     The smoothness constant over PSD iterates is at most
-    ``1 / lambda_min(S*)^2``, so this is a lower bound on ``0.5 / M``;
-    backtracking then adapts the step in both directions.
+    ``1 / lambda_min(S*)^2``, so this is a lower bound on ``0.5 / M``.  The
+    descent starts here, doubles the step after each clean, strictly
+    improving iteration and halves it on each rejected trial, with no cap.
     """
     S = ctx.S_star
     off = S - np.diag(np.diag(S))
@@ -265,10 +271,9 @@ class _RunState:
     def __init__(self, ctx, cfg, truth):
         self.ctx = ctx
         self.cfg = cfg
-        self.eta0 = (
+        self.eta = (
             auto_step_size(ctx) if cfg.step_size == "auto" else float(cfg.step_size)
         )
-        self.eta = self.eta0
         self.truth = None
         self.truth_norm = None
         if truth is not None:
@@ -277,7 +282,6 @@ class _RunState:
             self.truth_norm = float(np.sqrt(np.sum(dt**2)))
         self.trace = Trace()
         self.nll_history = []
-        self.grow_streak = 0
 
     def rel_error(self, V, d):
         if self.truth is None:
@@ -298,15 +302,11 @@ class _RunState:
             )
 
     def adapt_step(self, halvings, improved):
-        # grow only on cleanly improving steps; an overshooting step size
-        # oscillates near the optimum without decreasing the NLL
+        # double only after a step accepted on its first trial with a strict
+        # decrease: an overshooting step oscillates near the optimum without
+        # decreasing the NLL, so growing it there would only feed halvings
         if halvings == 0 and improved:
-            self.grow_streak += 1
-            if self.grow_streak >= 3:
-                self.eta = min(self.eta * 1.25, self.eta0 * 8.0)
-                self.grow_streak = 0
-        else:
-            self.grow_streak = 0
+            self.eta *= 2.0
 
     def should_stop(self, nll_value, moved, scale):
         cfg = self.cfg

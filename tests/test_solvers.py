@@ -311,8 +311,10 @@ class TestApStep:
             model, ctx = _banded_ctx(p, r, seed=3)
             knobs = dict(nll_tolerance=0.0, max_iters=80)
         else:
+            # no floor and a fixed count: F(L*) is reached in a few
+            # iterations, and the run on past it also checks rejected trials
             model, ctx = sampled_ctx(p, r, 400 * p, seed=3)
-            knobs = dict(true_nll_floor=nll(ctx, model.L_factor))
+            knobs = dict(nll_tolerance=0.0, max_iters=12)
         assert ctx.S_chol.is_diagonal != banded
         checked = []
 
@@ -333,6 +335,40 @@ class TestApStep:
         assert abs(trace.nll[-1] - final) <= 1e-10 * abs(final)
         if banded:
             assert trace.rel_error[-1] < 1e-4
+
+
+class TestStepRule:
+    """The step doubles after each iteration accepted on its first trial with
+    a strict decrease, halves on each rejected trial and has no cap."""
+
+    @pytest.mark.parametrize("algo", ["ep", "ap-bk"])
+    def test_step_doubles_after_clean_iterations(self, algo):
+        _, ctx = sampled_ctx(100, 5, 400 * 100, seed=3)
+        _, trace = fit_pgd(algo, ctx, 5, seed=2, nll_tolerance=0.0, max_iters=30)
+        eta, halvings, nlls = trace.eta, trace.halvings, trace.nll
+        assert len(trace) == 30
+        growths = []
+        for t in range(1, len(trace) - 1):
+            slack = 1e-12 * max(1.0, abs(nlls[t - 1]))
+            clean = halvings[t] == 0 and nlls[t] < nlls[t - 1] - slack
+            growths.append(2.0 if clean else 1.0)
+            assert eta[t + 1] == eta[t] * growths[-1] * 0.5 ** halvings[t + 1], t
+        # both branches of the rule ran, and so did backtracking
+        assert {1.0, 2.0} <= set(growths) and sum(halvings[2:]) > 0
+
+    @pytest.mark.parametrize("algo", ["ep", "ap-bk"])
+    def test_step_grows_past_the_old_cap(self, algo):
+        _, ctx = _banded_ctx(100, 5, seed=3)
+        _, trace = fit_pgd(algo, ctx, 5, seed=2, nll_tolerance=0.0, max_iters=80)
+        assert max(trace.eta) > 8.0 * auto_step_size(ctx)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_no_floor_fits_stop_on_the_nll_window(self, seed):
+        _, ctx = sampled_ctx(100, 5, 400 * 100, seed=seed)
+        for algo in solvers.PGD_ALGORITHMS:
+            _, trace = fit_pgd(algo, ctx, 5, seed=2)
+            assert trace.status == "nll-window", algo
+            assert trace.iters[-1] < SolverConfig(rank=5).max_iters - 1, algo
 
 
 class TestHooks:
