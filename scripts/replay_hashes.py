@@ -5,13 +5,15 @@ Builds desk-p100 trials 1-3, noiseless-banded-p500 trial 1 and
 northstar-p1000 trial 1 of ``perfbench`` at one seed, fits each with EP,
 AP-BK and AP-Lanczos, and prints one line per fit: a hash of the
 instance's covariance ``C``, iteration count, total halvings, the largest
-step relative to the first trial step, stop status, a hash of the full NLL
+step relative to the first trial step, the count of degraded head
+projections, stop status, a hash of the full NLL
 series, a hash of the returned ``(V, d)``, the final NLL (``repr``) and the
 target F(L*) (plus the noiseless gap on that workload).
 
 Run it in two checkouts and diff the outputs to check that a refactor keeps
 every iterate bit-identical; a change that moves the bits at roundoff can be
-checked by iterations, status and final NLL instead.  The ``C`` hash tells a
+checked by iterations, halvings, degraded count, status and final NLL
+instead.  The ``C`` hash tells a
 change in the sampled data apart from a change in the solvers:
 
     OPENBLAS_NUM_THREADS=1 python scripts/replay_hashes.py [--seed 9]
@@ -56,6 +58,7 @@ def main():
                 f"{name} t{trial} {solver:10s} C={c_hash} "
                 f"iters={len(trace):3d} halvings={trace.total_halvings:3d} "
                 f"eta_max={max(trace.eta) / eta0:<5g} "
+                f"degraded={trace.degraded_projections:3d} "
                 f"status={trace.status:13s} nll={digest(trace.nll)} "
                 f"Vd={digest(est.vectors, est.values)} final={trace.nll[-1]!r} "
                 f"target={inst.target!r}",

@@ -9,7 +9,8 @@ best rank-r residual, a head projection returns a subspace capturing at
 least a fraction ``c_H < 1`` of the best rank-k Frobenius energy.  Both
 are served by a randomized block-Krylov solver (gap-independent) or by
 Lanczos iteration (cheaper per step, but convergence depends on spectral
-gaps).
+gaps).  Either applies a symmetric operator, such as the solvers' gradient,
+only to blocks or vectors and returns its products on the basis it finds.
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -48,15 +49,9 @@ class ProjectionConfig:
 
     krylov_depth: int | None = None
     seed: int = 0
-    target_tail_constant: float = 1.1
-    target_head_constant: float = 0.9
     backend: str = "block-krylov"
 
     def __post_init__(self):
-        if self.target_tail_constant <= 1.0:
-            raise ValueError("target_tail_constant must exceed 1")
-        if not 0.0 < self.target_head_constant < 1.0:
-            raise ValueError("target_head_constant must lie in (0, 1)")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
         if self.krylov_depth is not None and self.krylov_depth < 1:
@@ -67,9 +62,9 @@ class ProjectionConfig:
 class Subspace:
     """Column-orthonormal basis returned by head/tail subspace routines.
 
-    ``products`` is ``A @ basis`` when the routine assembled it from the
-    Krylov products it already formed (symmetric block-Krylov input);
-    otherwise it is None.
+    ``products`` is ``A @ basis``, assembled from the Krylov products the
+    routine formed; it is None only for non-symmetric block-Krylov input
+    (as :func:`bk_svd` takes).
     """
 
     basis: np.ndarray
@@ -209,6 +204,8 @@ def _bk_subspace(A, r, cfg):
     the returned subspace carries ``A @ basis``, combined from the Krylov
     products.
     """
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     p = A.shape[0]
     if not 1 <= r <= p:
         raise ValueError(f"rank r={r} out of range [1, {p}]")
@@ -255,8 +252,6 @@ def bk_svd(A, r, cfg):
     the basis and flags the result as degraded.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     sub = _bk_subspace(A, r, cfg)
     Z = sub.basis
     B = Z @ (Z.T @ A)
@@ -267,11 +262,16 @@ def lanczos_subspace(A, k, cfg, steps=None):
     """Dominant ``k``-dimensional eigenspace approximation via Lanczos.
 
     Single-vector Lanczos with full reorthogonalization; convergence depends
-    on spectral gaps, unlike the block-Krylov route.  On breakdown (zero
-    residual norm) the iteration terminates early and the basis is padded
-    with random orthonormal completions, flagging the subspace as degraded.
+    on spectral gaps, unlike the block-Krylov route.  ``A`` is a symmetric
+    ndarray, which is validated, or a symmetric linear operator with
+    ``shape`` and ``@``, which is only applied to vectors.  The subspace
+    carries ``A @ basis``, combined from the products the iteration forms.
+    On breakdown (a residual norm at most ``1e-12 max(1, ||A v_1||)`` for
+    the random start ``v_1``) the iteration terminates early and the basis
+    is padded with random orthonormal completions, flagging it as degraded.
     """
-    A = check_finite_symmetric(A)
+    if isinstance(A, np.ndarray):
+        A = check_finite_symmetric(A)
     p = A.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"subspace size k={k} out of range [1, {p}]")
@@ -279,19 +279,20 @@ def lanczos_subspace(A, k, cfg, steps=None):
         steps = min(p, max(2 * k, k + 30))
     steps = min(max(steps, k), p)
     rng = rng_for(cfg.seed, 211)
-    scale = max(1.0, float(np.linalg.norm(A, "fro")))
-    tol = 1e-12 * scale
 
     V = np.zeros((p, steps))
+    AV = np.zeros((p, steps))
     alphas = []
     betas = []
     v = rng.standard_normal(p)
     v /= np.linalg.norm(v)
     V[:, 0] = v
-    m = 1
     degraded = False
     for j in range(steps):
-        w = A @ V[:, j]
+        AV[:, j] = A @ V[:, j]
+        if j == 0:
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(AV[:, 0])))
+        w = AV[:, j].copy()
         alphas.append(float(V[:, j] @ w))
         # full reorthogonalization, two passes
         for _ in range(2):
@@ -304,76 +305,44 @@ def lanczos_subspace(A, k, cfg, steps=None):
             break
         betas.append(beta)
         V[:, j + 1] = w / beta
-        m = j + 2
 
-    T = np.diag(np.asarray(alphas))
-    if betas:
-        off = np.asarray(betas)[: m - 1]
-        T += np.diag(off, 1) + np.diag(off, -1)
+    m = len(alphas)
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     ritz, E = np.linalg.eigh(T)
-    order = np.argsort(-np.abs(ritz), kind="stable")[: min(k, m)]
-    Z = V[:, :m] @ E[:, order]
-    Z = _orthonormalize(Z)
+    E = E[:, np.argsort(-np.abs(ritz), kind="stable")[: min(k, m)]]
+    Z, AZ = V[:, :m] @ E, AV[:, :m] @ E
     if Z.shape[1] < k:
         Z = _complete_basis(Z, p, k, rng_for(cfg.seed, 223))
+        AZ = np.hstack([AZ, A @ Z[:, m:]])
         degraded = True
-    return Subspace(Z[:, :k], degraded=degraded)
+    return Subspace(Z, degraded, AZ)
 
 
 def head_project(A, k, cfg):
     """Subspace ``V`` with ``||P_V A||_F >= c_H ||A_k||_F``.
 
     Both backends satisfy the bound with high probability.  ``A`` is a
-    square ndarray or a symmetric linear operator (``shape``, ``@`` and
-    ``__array__``); the block-Krylov backend applies an operator without
-    materializing it, the Lanczos backend materializes it.
+    square ndarray or a symmetric linear operator (``shape`` and ``@``),
+    which neither backend materializes; for symmetric ``A`` the subspace
+    carries ``A @ basis``.
     """
-    operator = not isinstance(A, np.ndarray) and hasattr(A, "__matmul__")
-    if cfg.backend == "block-krylov" and operator:
-        return _bk_subspace(A, k, cfg)
-    A = np.asarray(A, dtype=np.float64)
     if cfg.backend == "lanczos":
         return lanczos_subspace(A, k, cfg)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return _bk_subspace(A, k, cfg)
 
 
-def compress_symmetric(W, core, r):
-    """Exact rank-``r`` tail projection of ``W @ core @ W.T``.
+def compress_symmetric(U, core, r):
+    """Exact rank-``r`` tail projection of ``U @ core @ U.T``.
 
-    ``W`` is ``p x m`` (not necessarily orthonormal) with ``m`` small, and
-    ``core`` is ``m x m`` symmetric.  Because the Krylov space of a rank-m
-    matrix is contained in its range, a randomized tail projection of such a
-    matrix resolves to the exact compression computed here; solvers use it to
-    keep the per-iteration cost at ``O(p m^2)``.
+    ``U`` is ``p x m`` column-orthonormal with ``m`` small, and ``core`` is
+    ``m x m`` symmetric.  Because the Krylov space of a rank-m matrix is
+    contained in its range, a randomized tail projection of such a matrix
+    resolves to this exact compression, one eigensolve of ``core``; solvers
+    use it to keep the per-iteration cost at ``O(p m^2)``.
 
-    Returns ``(V, d)`` with ``V`` ``p x r`` orthonormal, ``d`` the retained
-    eigenvalues (largest magnitude first), for ``V @ diag(d) @ V.T``.
+    Returns ``(V, d)`` with ``V = U E`` ``p x r`` orthonormal, ``d`` the
+    retained eigenvalues (largest magnitude first), for ``V diag(d) V^T``.
     """
-    W = np.asarray(W, dtype=np.float64)
-    core = np.asarray(core, dtype=np.float64)
-    # Fast path: generalized eigensolve against the Gram matrix; eigenpairs
-    # (x, lam) of R core R^T with G = R^T R give orthonormal V = W R^-1 x.
-    try:
-        Lc = np.linalg.cholesky(W.T @ W)  # G = Lc Lc^T, R = Lc^T
-        B = symmetrize(Lc.T @ core @ Lc)
-        w, E = np.linalg.eigh(B)
-        order = np.argsort(-np.abs(w), kind="stable")[: min(r, len(w))]
-        Lc_inv, info = scipy.linalg.lapack.dtrtri(Lc, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("triangular inverse failed")
-        V = W @ (Lc_inv.T @ E[:, order])
-        if np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-8:
-            return V, w[order]
-    except np.linalg.LinAlgError:
-        pass
-    # Rank-deficient W: orthonormalize explicitly and compress.
-    Q = _orthonormalize(W)
-    if Q.shape[1] == 0:
-        return np.zeros((W.shape[0], 0)), np.zeros(0)
-    C = Q.T @ W
-    T = symmetrize(C @ core @ C.T)
-    w, E = np.linalg.eigh(T)
-    order = np.argsort(-np.abs(w), kind="stable")[: min(r, len(w))]
-    return Q @ E[:, order], w[order]
+    w, E = np.linalg.eigh(core)
+    order = np.argsort(-np.abs(w), kind="stable")[:r]
+    return U @ E[:, order], w[order]

@@ -20,8 +20,8 @@ has no cap.  The solvers differ only in ``P``:
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
 identity and makes error tracking against a known truth cheap.  AP never
-forms the ``p x p`` gradient with the block-Krylov backend: the head
-projection applies the gradient operator to blocks and returns ``G Z`` from
+forms the ``p x p`` gradient: the head projection, block-Krylov or Lanczos,
+applies the gradient operator to blocks or vectors and returns ``G Z`` from
 its Krylov products.  AP also carries the accepted iterate's ``C V`` and
 ``S^-1 V`` from one iteration to the next and each trial's from the products
 on ``[V, Z]``, so its only ``p x p`` products are the head projection's and
@@ -467,7 +467,7 @@ def _ap_candidate(ctx, cfg, t, V, d, products):
     )
     head = head_project(G, min(2 * cfg.rank, ctx.p), pcfg)
     Z = head.basis
-    GZ = G @ Z if head.products is None else head.products
+    GZ = head.products
     SZ = ctx.S_chol.solve(Z)
     # products of W = [V, Z]; U = W @ B
     W = np.hstack([V, Z])

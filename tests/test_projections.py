@@ -24,12 +24,6 @@ from .oracles import psd_clamp_truncate
 class TestProjectionConfig:
     def test_constant_ranges_enforced(self):
         with pytest.raises(ValueError):
-            ProjectionConfig(target_tail_constant=1.0)
-        with pytest.raises(ValueError):
-            ProjectionConfig(target_head_constant=1.0)
-        with pytest.raises(ValueError):
-            ProjectionConfig(target_head_constant=0.0)
-        with pytest.raises(ValueError):
             ProjectionConfig(backend="qr")
 
     def test_default_depth(self):
@@ -92,7 +86,7 @@ class TestBkSvd:
         # basis spans e1, e2
         coords = sub.basis[2, :]
         assert np.abs(coords).max() < 1e-8
-        assert np.linalg.norm(A - B, "fro") <= cfg.target_tail_constant * 1.0
+        assert np.linalg.norm(A - B, "fro") <= 1.1 * 1.0
 
     def test_guarantees_small_sample(self, rng):
         # full 100-trial version runs in the acceptance suite
@@ -182,30 +176,42 @@ def _gradient_operator(p=80, r=4, seed=5):
     return gradient(ctx, (V, np.linspace(0.5, -0.1, r)))
 
 
+_BACKENDS = ("block-krylov", "lanczos")
+
+
 class TestOperatorInput:
+    """Each head-projection backend on the gradient operator and on its
+    array."""
+
     def test_operator_and_its_array_span_the_same_subspace(self):
         G = _gradient_operator()
-        for seed in range(3):
-            cfg = ProjectionConfig(seed=seed)
-            on_operator = head_project(G, 8, cfg)
-            on_array = head_project(np.asarray(G), 8, cfg)
-            angles = scipy.linalg.subspace_angles(on_operator.basis, on_array.basis)
-            assert angles.max() <= 1e-8
+        for backend in _BACKENDS:
+            for seed in range(3):
+                cfg = ProjectionConfig(seed=seed, backend=backend)
+                on_operator = head_project(G, 8, cfg)
+                on_array = head_project(np.asarray(G), 8, cfg)
+                angles = scipy.linalg.subspace_angles(
+                    on_operator.basis, on_array.basis
+                )
+                assert angles.max() <= 1e-8
 
     def test_carried_products_are_the_operator_on_the_basis(self):
         G = _gradient_operator()
-        sub = head_project(G, 8, ProjectionConfig(seed=4))
-        fresh = G @ sub.basis
-        assert sub.products.shape == sub.basis.shape == (80, 8)
-        assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        for backend in _BACKENDS:
+            sub = head_project(G, 8, ProjectionConfig(seed=4, backend=backend))
+            fresh = G @ sub.basis
+            assert sub.products.shape == sub.basis.shape == (80, 8)
+            assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     def test_padded_basis_carries_the_operator_on_the_basis(self, rng):
         U = rng.standard_normal((30, 3))
         A = U @ U.T
-        sub = head_project(A, 5, ProjectionConfig(seed=1))
-        assert sub.degraded
-        fresh = A @ sub.basis
-        assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
+        for backend in _BACKENDS:
+            sub = head_project(A, 5, ProjectionConfig(seed=1, backend=backend))
+            assert sub.degraded
+            assert np.abs(sub.basis.T @ sub.basis - np.eye(5)).max() <= 1e-10
+            fresh = A @ sub.basis
+            assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     def test_reused_products_equal_recomputed(self, rng):
         U = rng.standard_normal((40, 3))
@@ -261,20 +267,12 @@ class TestLanczosSubspace:
 class TestCompressSymmetric:
     def test_matches_dense_truncation_oracle(self, rng):
         p, m, r = 40, 9, 4
-        W = rng.standard_normal((p, m))
+        U = np.linalg.qr(rng.standard_normal((p, m)))[0]
         core = random_symmetric(rng, m)
-        V, d = compress_symmetric(W, core, r)
-        dense = W @ core @ W.T
+        V, d = compress_symmetric(U, core, r)
+        dense = U @ core @ U.T
         w, E = np.linalg.eigh((dense + dense.T) / 2)
         order = np.argsort(-np.abs(w))[:r]
         oracle = (E[:, order] * w[order]) @ E[:, order].T
         assert np.abs((V * d) @ V.T - oracle).max() < 1e-10
         assert np.abs(V.T @ V - np.eye(r)).max() < 1e-8
-
-    def test_rank_deficient_w(self, rng):
-        W = np.hstack([rng.standard_normal((20, 3))] * 2)  # rank 3, width 6
-        core = np.eye(6)
-        V, d = compress_symmetric(W, core, 5)
-        dense = W @ W.T
-        assert V.shape[1] <= 5
-        assert np.abs((V * d) @ V.T - psd_clamp_truncate(dense, 5)).max() < 1e-8

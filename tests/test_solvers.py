@@ -214,13 +214,17 @@ class TestApLvm:
         bound = spectral * (1.0 + np.sqrt(3)) + margin
         assert est.values.min() >= -bound
 
-    def test_block_krylov_never_materializes_the_gradient(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["block-krylov", "lanczos"])
+    def test_never_materializes_the_gradient(self, backend, monkeypatch):
         def no_dense(self):
             raise AssertionError("p x p gradient materialized")
 
         monkeypatch.setattr(GradientOperator, "dense", no_dense)
         model, ctx = sampled_ctx(40, 3, 4000, seed=17)
-        cfg = SolverConfig(rank=3, max_iters=25, projection=ProjectionConfig(seed=3))
+        cfg = SolverConfig(
+            rank=3, max_iters=25,
+            projection=ProjectionConfig(seed=3, backend=backend),
+        )
         est, trace = ap_lvm(ctx, cfg, truth=model.L_factor)
         assert len(trace) > 5
         assert trace.degraded_projections == 0
@@ -328,13 +332,15 @@ class TestApStep:
             return nll(ctx_, L, products)
 
         monkeypatch.setattr(solvers, "nll", checking)
-        est, trace = fit_pgd("ap-bk", ctx, r, seed=2, truth=model.L_factor, **knobs)
-        # every trial was checked, accepted iterates included
-        assert len(checked) >= len(trace) - 1 > 5
-        final = nll(ctx, est.dense())
-        assert abs(trace.nll[-1] - final) <= 1e-10 * abs(final)
-        if banded:
-            assert trace.rel_error[-1] < 1e-4
+        for algo in ("ap-bk", "ap-lanczos"):
+            checked.clear()
+            est, trace = fit_pgd(algo, ctx, r, seed=2, truth=model.L_factor, **knobs)
+            # every trial was checked, accepted iterates included
+            assert len(checked) >= len(trace) - 1 > 5
+            final = nll(ctx, est.dense())
+            assert abs(trace.nll[-1] - final) <= 1e-10 * abs(final)
+            if banded:
+                assert trace.rel_error[-1] < 1e-4
 
 
 class TestStepRule:
