@@ -41,7 +41,6 @@ from .projections import (
 )
 from .solvers import (
     PGD_ALGORITHMS,
-    BacktrackingConfig,
     DivergedError,
     InsufficientDataError,
     LowRankEstimate,

@@ -2,15 +2,15 @@
 
 The exact route projects onto the rank-r PSD cone from the ``r`` leading
 eigenpairs, which the eigensolver computes alone after its ``O(p^3)``
-tridiagonal reduction.  The approximate routes produce head/tail
-projections in the sense of constant-factor guarantees: a tail projection
-returns a rank-r matrix whose residual is within a factor ``c_T > 1`` of the
-best rank-r residual, a head projection returns a subspace capturing at
-least a fraction ``c_H < 1`` of the best rank-k Frobenius energy.  Both
-are served by a randomized block-Krylov solver (gap-independent) or by
-Lanczos iteration (cheaper per step, but convergence depends on spectral
-gaps).  Either applies a symmetric operator, such as the solvers' gradient,
-only to blocks or vectors and returns its products on the basis it finds.
+tridiagonal reduction.  The approximate routes are randomized block-Krylov
+(gap-independent) and Lanczos (convergence depends on spectral gaps).
+:func:`bk_svd`, at :func:`default_krylov_depth`, carries constant-factor
+guarantees: its rank-r residual is within ``c_T = 1.1`` of the best rank-r
+residual, and it captures at least ``c_H = 0.9`` of the best rank-r
+Frobenius energy.  :func:`head_project`, the solvers' head projection,
+takes one block-Krylov step (or runs Lanczos) and advertises no constant.
+Both backends apply a symmetric operator, such as the solvers' gradient,
+only to blocks or vectors and return its products on the basis they find.
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -25,37 +25,34 @@ import scipy.linalg
 
 from .linalg import check_finite_symmetric, sym_evd, symmetrize
 
-# Krylov bases wider than this fraction of the ambient dimension degenerate
-# toward a full decomposition; the floor keeps small problems uncapped.
-_WIDTH_FRACTION = 5
-_WIDTH_FLOOR = 96
+# Krylov depth of head_project's block-Krylov backend, at every size.  A
+# small depth already gives gap-independent bounds (Musco & Musco, NeurIPS
+# 2015), and AP fits at depth 1 were no slower end to end at any size tried.
+_HEAD_KRYLOV_DEPTH = 1
 
 _BACKENDS = ("block-krylov", "lanczos")
 
 
 def default_krylov_depth(p):
-    """Default depth ``max(7, ceil(log2 p))``; 7 suffices empirically for a
-    tail constant of 1.1 at desk scale."""
+    """:func:`bk_svd`'s depth ``max(7, ceil(log2 p))``; 7 suffices
+    empirically for a tail constant of 1.1 at desk scale."""
     return max(7, int(math.ceil(math.log2(max(p, 2)))))
 
 
 @dataclass
 class ProjectionConfig:
-    """Knobs for the approximate projections.
+    """Seed and head-projection backend of the approximate projections.
 
-    ``krylov_depth=None`` resolves to :func:`default_krylov_depth`.  The
-    block-Krylov block size is the target rank of each call.
+    The block-Krylov block size is the target rank of each call; each
+    routine fixes its own depth (see :func:`head_project`, :func:`bk_svd`).
     """
 
-    krylov_depth: int | None = None
     seed: int = 0
     backend: str = "block-krylov"
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
-        if self.krylov_depth is not None and self.krylov_depth < 1:
-            raise ValueError("krylov_depth must be >= 1")
 
 
 @dataclass
@@ -92,11 +89,6 @@ def psd_rank_r_project(A, r):
     """
     spec = sym_evd(A, r)
     return spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
-
-
-def _effective_depth(p, block, depth):
-    cap = min(p, max(p // _WIDTH_FRACTION, _WIDTH_FLOOR))
-    return max(1, min(depth, cap // block - 1))
 
 
 def _orthonormalize(K, floor=0.0):
@@ -196,8 +188,9 @@ def _krylov_basis(A, block, depth, rng, symmetric):
     return Q, np.hstack(products)
 
 
-def _bk_subspace(A, r, cfg):
-    """Block-Krylov rank-``r`` left singular subspace of a square matrix.
+def _bk_subspace(A, r, depth, seed):
+    """Rank-``r`` left singular subspace of a square matrix from ``depth``
+    block-Krylov steps.
 
     ``A`` is a square ndarray, or a symmetric linear operator with ``shape``
     and ``@`` (such as the solvers' gradient operator).  For symmetric input
@@ -209,14 +202,12 @@ def _bk_subspace(A, r, cfg):
     p = A.shape[0]
     if not 1 <= r <= p:
         raise ValueError(f"rank r={r} out of range [1, {p}]")
-    depth = cfg.krylov_depth if cfg.krylov_depth is not None else default_krylov_depth(p)
-    depth = _effective_depth(p, r, depth)
     symmetric = not isinstance(A, np.ndarray) or bool(np.array_equal(A, A.T))
 
     Q = np.zeros((p, 0))
     degraded = False
     for attempt in range(4):
-        rng = rng_for(cfg.seed, 101, attempt)
+        rng = rng_for(seed, 101, attempt)
         Q, AQ = _krylov_basis(A, r, depth, rng, symmetric)
         if Q.shape[1] >= r:
             break
@@ -225,7 +216,7 @@ def _bk_subspace(A, r, cfg):
     if Q.shape[1] < r:
         # Input rank below r: best effort, pad deterministically.
         degraded = True
-        Q = _complete_basis(Q, p, r, rng_for(cfg.seed, 103))
+        Q = _complete_basis(Q, p, r, rng_for(seed, 103))
         AQ = A @ Q if symmetric else None
 
     # Rayleigh-Ritz on the Krylov basis; Q has at least r columns here
@@ -242,42 +233,41 @@ def bk_svd(A, r, cfg):
 
     Returns ``(Subspace Z, B)`` with ``Z`` a ``p x r`` column-orthonormal
     basis approximating the top-``r`` left singular subspace and
-    ``B = Z @ Z.T @ A``.  With the default depth, the tail bound
-    ``||A - B||_F <= c_T ||A - A_r||_F`` and the head bound
-    ``||B||_F >= c_H ||A_r||_F`` hold on all but a small fraction of random
-    trials.
+    ``B = Z @ Z.T @ A``.  It runs :func:`default_krylov_depth` Krylov
+    steps, at which the tail bound ``||A - B||_F <= c_T ||A - A_r||_F``
+    and the head bound ``||B||_F >= c_H ||A_r||_F`` (``c_T = 1.1``,
+    ``c_H = 0.9``) hold on all but a small fraction of random trials.
 
     If block orthogonalization comes up rank-deficient (Krylov breakdown),
     the iteration retries with a fresh random block up to 3 times, then pads
     the basis and flags the result as degraded.
     """
     A = np.asarray(A, dtype=np.float64)
-    sub = _bk_subspace(A, r, cfg)
+    sub = _bk_subspace(A, r, default_krylov_depth(A.shape[0]), cfg.seed)
     Z = sub.basis
     B = Z @ (Z.T @ A)
     return sub, B
 
 
-def lanczos_subspace(A, k, cfg, steps=None):
+def lanczos_subspace(A, k, cfg):
     """Dominant ``k``-dimensional eigenspace approximation via Lanczos.
 
-    Single-vector Lanczos with full reorthogonalization; convergence depends
-    on spectral gaps, unlike the block-Krylov route.  ``A`` is a symmetric
-    ndarray, which is validated, or a symmetric linear operator with
-    ``shape`` and ``@``, which is only applied to vectors.  The subspace
-    carries ``A @ basis``, combined from the products the iteration forms.
-    On breakdown (a residual norm at most ``1e-12 max(1, ||A v_1||)`` for
-    the random start ``v_1``) the iteration terminates early and the basis
-    is padded with random orthonormal completions, flagging it as degraded.
+    Single-vector Lanczos with full reorthogonalization over
+    ``min(p, max(2k, k + 30))`` steps; convergence depends on spectral gaps.
+    ``A`` is a symmetric ndarray, which is validated, or a symmetric linear
+    operator with ``shape`` and ``@``, which is only applied to vectors.  The
+    subspace carries ``A @ basis``, combined from the products the iteration
+    forms.  On breakdown (a residual norm at most ``1e-12 max(1, ||A v_1||)``
+    for the random start ``v_1``) the iteration terminates early and the
+    basis is padded with random orthonormal completions, flagging it as
+    degraded.
     """
     if isinstance(A, np.ndarray):
         A = check_finite_symmetric(A)
     p = A.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"subspace size k={k} out of range [1, {p}]")
-    if steps is None:
-        steps = min(p, max(2 * k, k + 30))
-    steps = min(max(steps, k), p)
+    steps = min(p, max(2 * k, k + 30))
     rng = rng_for(cfg.seed, 211)
 
     V = np.zeros((p, steps))
@@ -319,16 +309,17 @@ def lanczos_subspace(A, k, cfg, steps=None):
 
 
 def head_project(A, k, cfg):
-    """Subspace ``V`` with ``||P_V A||_F >= c_H ||A_k||_F``.
+    """``k``-dimensional head subspace ``V`` of ``A``, with no advertised
+    constant: ``||P_V A||_F >= c_H ||A_k||_F`` is :func:`bk_svd`'s bound.
 
-    Both backends satisfy the bound with high probability.  ``A`` is a
-    square ndarray or a symmetric linear operator (``shape`` and ``@``),
+    The block-Krylov backend takes one Krylov step at every size.  ``A`` is
+    a square ndarray or a symmetric linear operator (``shape`` and ``@``),
     which neither backend materializes; for symmetric ``A`` the subspace
     carries ``A @ basis``.
     """
     if cfg.backend == "lanczos":
         return lanczos_subspace(A, k, cfg)
-    return _bk_subspace(A, k, cfg)
+    return _bk_subspace(A, k, _HEAD_KRYLOV_DEPTH, cfg.seed)
 
 
 def compress_symmetric(U, core, r):

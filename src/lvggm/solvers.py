@@ -54,6 +54,10 @@ _SEED_MASK = 2**64 - 1
 # it would amplify roundoff into the basis and its carried products.
 _DEFLATION_TOL = 1e-4
 
+# Each rejected trial halves the step, at most this many times per
+# iteration, before the descent gives up with a DivergedError.
+_MAX_HALVINGS = 30
+
 # Projected-gradient algorithm names and the head-projection backend each
 # uses; EP projects exactly and never reads its backend.
 PGD_ALGORITHMS = {
@@ -77,15 +81,6 @@ class InsufficientDataError(Exception):
 
 
 @dataclass
-class BacktrackingConfig:
-    """Each rejected trial halves the step, at most ``max_halvings`` times
-    per iteration; an iteration accepted on its first trial with a strict
-    decrease of the NLL doubles it, with no cap."""
-
-    max_halvings: int = 30
-
-
-@dataclass
 class SolverConfig:
     """Solver knobs; ``step_size="auto"`` resolves via :func:`auto_step_size`."""
 
@@ -95,7 +90,6 @@ class SolverConfig:
     nll_tolerance: float = 1e-7
     true_nll_floor: float | None = None
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
-    backtracking: BacktrackingConfig = field(default_factory=BacktrackingConfig)
     trace_every: int = 1
 
     def __post_init__(self):
@@ -337,9 +331,9 @@ def _accept(state, candidate, current_nll):
     step size and its products ``(C V, S^-1 V)``, or None to have the NLL
     form them.  A trial is rejected when ``S + L`` leaves the PD cone
     (Cholesky failure) or the NLL increases beyond a roundoff slack; the
-    step then halves.  Returns ``(V, d, products, nll, halvings, improved)``.
+    step then halves, at most ``_MAX_HALVINGS`` times.  Returns
+    ``(V, d, products, nll, halvings, improved)``.
     """
-    max_halvings = state.cfg.backtracking.max_halvings
     slack = 1e-12 * max(1.0, abs(current_nll))
     halvings = 0
     while True:
@@ -352,9 +346,9 @@ def _accept(state, candidate, current_nll):
         except NotPositiveDefiniteError:
             pass
         halvings += 1
-        if halvings > max_halvings:
+        if halvings > _MAX_HALVINGS:
             raise DivergedError(
-                f"no acceptable step after {max_halvings} halvings",
+                f"no acceptable step after {_MAX_HALVINGS} halvings",
                 state.finish("diverged"),
             )
         state.eta *= 0.5

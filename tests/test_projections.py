@@ -81,7 +81,7 @@ class TestBkSvd:
 
     def test_separated_spectrum(self):
         A = np.diag([4.0, 2.0, 1.0])
-        cfg = ProjectionConfig(seed=1, krylov_depth=10)
+        cfg = ProjectionConfig(seed=1)
         sub, B = bk_svd(A, 2, cfg)
         # basis spans e1, e2
         coords = sub.basis[2, :]
@@ -122,6 +122,23 @@ class TestBkSvd:
         sub, _ = bk_svd(A, 6, ProjectionConfig(seed=2))
         assert np.abs(sub.basis.T @ sub.basis - np.eye(6)).max() <= 1e-8
 
+    @pytest.mark.parametrize("k", [10, 50])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_advertised_constants_at_solver_size(self, k, symmetric):
+        # c_T = 1.1 and c_H = 0.9 at p = 1000, against exact singular values
+        p = 1000
+        A = np.random.default_rng([1000, k]).standard_normal((p, p))
+        if symmetric:
+            A = (A + A.T) / 2.0
+            s = np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
+        else:
+            s = np.linalg.svd(A, compute_uv=False)
+        _, B = bk_svd(A, k, ProjectionConfig(seed=k))
+        tail = np.linalg.norm(A - B, "fro") / np.sqrt(np.sum(s[k:] ** 2))
+        head = np.linalg.norm(B, "fro") / np.sqrt(np.sum(s[:k] ** 2))
+        assert tail <= 1.1
+        assert head >= 0.9
+
 
 class TestTailProject:
     """Tail projections ``Z Z^T A`` on each backend's rank-r subspace."""
@@ -143,6 +160,19 @@ class TestTailProject:
         assert ratio <= 1.1
 
 
+class _CountingOperator:
+    """Symmetric operator that counts the blocks it is applied to."""
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = A.shape
+        self.blocks = 0
+
+    def __matmul__(self, X):
+        self.blocks += 1
+        return self.A @ X
+
+
 class TestHeadProject:
     def test_low_rank_energy_equality_exact(self, rng):
         G = rng.standard_normal((20, 3))
@@ -156,6 +186,15 @@ class TestHeadProject:
         sub = head_project(A, 2, ProjectionConfig())
         captured = np.linalg.norm(sub.basis @ (sub.basis.T @ A), "fro")
         assert captured == pytest.approx(np.sqrt(20.0), abs=1e-10)
+
+    @pytest.mark.parametrize("p,k", [(100, 10), (500, 20)])
+    def test_depth_does_not_follow_dimension(self, p, k):
+        # one Krylov step at every size: the start block, one step and the
+        # products of the last block
+        A = _CountingOperator(random_symmetric(np.random.default_rng(p), p))
+        sub = head_project(A, k, ProjectionConfig(seed=1))
+        assert not sub.degraded
+        assert A.blocks == 3
 
     def test_randomized_head_ratio(self, rng):
         for i in range(10):
@@ -250,7 +289,7 @@ class TestLanczosSubspace:
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
         w = np.concatenate([[40.0, 35.0, 30.0, 25.0], rng.uniform(0.1, 1.0, p - k)])
         A = (Q * w) @ Q.T
-        sub = lanczos_subspace((A + A.T) / 2, k, ProjectionConfig(seed=6), steps=30)
+        sub = lanczos_subspace((A + A.T) / 2, k, ProjectionConfig(seed=6))
         # principal angles against the exact dominant eigenspace
         exact = Q[:, :k]
         s = np.linalg.svd(exact.T @ sub.basis, compute_uv=False)

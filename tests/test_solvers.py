@@ -7,7 +7,6 @@ from lvggm.datagen import gen_model, sample_covariance
 from lvggm.objective import GradientOperator, ModelContext, nll
 from lvggm.projections import ProjectionConfig, psd_rank_r_project
 from lvggm.solvers import (
-    BacktrackingConfig,
     DivergedError,
     InsufficientDataError,
     LowRankEstimate,
@@ -139,14 +138,11 @@ class TestEpLvm:
 
     def test_divergence_with_exhausted_backtracking(self):
         model, ctx = sampled_ctx(10, 2, 500, seed=23)
-        cfg = SolverConfig(
-            rank=2,
-            step_size=1e8,
-            backtracking=BacktrackingConfig(max_halvings=0),
-        )
-        with pytest.raises(DivergedError) as exc_info:
-            ep_lvm(ctx, cfg)
-        assert exc_info.value.trace is not None
+        cfg = SolverConfig(rank=2, step_size=1e30)
+        for solver in (ep_lvm, ap_lvm):
+            with pytest.raises(DivergedError, match="after 30 halvings") as exc_info:
+                solver(ctx, cfg)
+            assert exc_info.value.trace.status == "diverged"
 
     def test_rank_exceeding_dimension_rejected(self):
         ctx = ModelContext.create(np.eye(3), np.eye(3))
