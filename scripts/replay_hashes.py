@@ -4,17 +4,18 @@
 Builds desk-p100 trials 1-3, noiseless-banded-p500 trial 1 and
 northstar-p1000 trial 1 of ``perfbench`` at one seed, fits each with EP,
 AP-BK and AP-Lanczos, and prints one line per fit: a hash of the
-instance's covariance ``C``, iteration count, total halvings, the largest
-step relative to the first trial step, the count of degraded head
-projections, stop status, a hash of the full NLL
+instance's covariance ``C``, the route of its factor of ``S``
+(``S=diagonal``, ``S=banded:<bandwidth>`` or ``S=dense``), iteration
+count, total halvings, the largest step relative to the first trial step,
+the count of degraded head projections, stop status, a hash of the full NLL
 series, a hash of the returned ``(V, d)``, the final NLL (``repr``) and the
 target F(L*) (plus the noiseless gap on that workload).
 
 Run it in two checkouts and diff the outputs to check that a refactor keeps
 every iterate bit-identical; a change that moves the bits at roundoff can be
 checked by iterations, halvings, degraded count, status and final NLL
-instead.  The ``C`` hash tells a
-change in the sampled data apart from a change in the solvers:
+instead.  The ``C`` hash tells a change in the sampled data apart from a
+change in the solvers, and the ``S`` field shows which factor route ran:
 
     OPENBLAS_NUM_THREADS=1 python scripts/replay_hashes.py [--seed 9]
 """
@@ -52,10 +53,12 @@ def main():
         inst = build_instance(WORKLOADS[name], args.seed, trial, lambda _, f, *a: f(*a))
         c_hash = digest(inst.ctx.C)
         eta0 = auto_step_size(inst.ctx)
+        fac = inst.ctx.S_chol
+        route = f"banded:{fac.bandwidth}" if fac.route == "banded" else fac.route
         for solver in SOLVERS:
             est, trace = run_solver(inst, solver)
             print(
-                f"{name} t{trial} {solver:10s} C={c_hash} "
+                f"{name} t{trial} {solver:10s} C={c_hash} S={route} "
                 f"iters={len(trace):3d} halvings={trace.total_halvings:3d} "
                 f"eta_max={max(trace.eta) / eta0:<5g} "
                 f"degraded={trace.degraded_projections:3d} "

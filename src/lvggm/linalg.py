@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cho_solve_banded
 
 
 class NotPositiveDefiniteError(Exception):
@@ -88,75 +88,135 @@ def effective_rank(eigenvalues, rel_tol=1e-8):
     return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
 
 
+# A non-diagonal ``S`` of bandwidth ``b`` takes the banded route when
+# ``_BAND_RATIO * b <= p``.  Measured crossover of a 20-column solve at
+# p=500, one BLAS thread (Intel Xeon, 2 cores): b=16 takes 0.36 ms banded
+# against 0.37 ms for the GEMM against the dense inverse, b=32 takes 0.48
+# against 0.45 ms.
+_BAND_RATIO = 32
+
+
 class CholeskyFactor:
     """Opaque handle around a Cholesky factorization of an SPD matrix ``S``.
 
     Computed once per solver run for the fixed sparse part and reused across
     objective and gradient evaluations, all of which reach ``S^-1`` through
-    :meth:`solve`.
+    :meth:`solve`.  :func:`cholesky_logdet` picks one of three routes from
+    the structure of ``S`` when it factors it (:attr:`route`):
 
-    Diagonal fast path: a diagonal ``S`` is recognized from its structure
-    when it is factored.  Its solves are then elementwise divisions
-    (``O(p k)`` for a ``p x k`` right-hand side) and no dense inverse exists
-    unless :attr:`inverse` is read.  For any other ``S`` the dense inverse is
-    materialized the first time it is needed and cached, and solves are one
-    GEMM against it.
+    * ``"diagonal"``: solves are elementwise divisions, ``O(p k)`` for a
+      ``p x k`` right-hand side.
+    * ``"banded"``: ``S`` of bandwidth ``b`` with ``0 < b`` and
+      ``32 b <= p`` is factored in lower band form by LAPACK's band
+      Cholesky, and solves are band triangular solves at ``O(p b k)``.
+    * ``"dense"``: every other ``S`` (and a factor built directly from
+      ``scipy.linalg.cho_factor`` output).  The dense inverse is
+      materialized the first time it is needed and cached, and solves are
+      one GEMM against it.
+
+    On the first two routes no dense inverse exists unless :attr:`inverse`
+    is read; :meth:`subtract_inverse` builds one for the banded route
+    without keeping it.
     """
 
-    def __init__(self, factor, lower, diagonal=None):
+    def __init__(self, factor, lower, diagonal=None, band=None):
         self._factor = factor
         self._lower = lower
         self._diagonal = diagonal
+        self._band = band  # lower band form of S on the banded route
         self._inverse = None
+        self._min_eigenvalue = None
+
+    @property
+    def route(self):
+        """``"diagonal"``, ``"banded"`` or ``"dense"``."""
+        if self._diagonal is not None:
+            return "diagonal"
+        return "dense" if self._band is None else "banded"
+
+    @property
+    def bandwidth(self):
+        """Bandwidth the route stores: 0, ``b`` or ``p - 1``."""
+        if self._band is not None:
+            return self._band.shape[0] - 1
+        return 0 if self._diagonal is not None else self.dim - 1
 
     @property
     def dim(self):
-        return self._factor.shape[0]
-
-    @property
-    def is_diagonal(self):
-        return self._diagonal is not None
+        return self._factor.shape[1 if self._band is not None else 0]
 
     def solve(self, b):
         """Solve ``S x = b`` (``b`` a vector or a ``p x k`` block)."""
         b = np.asarray(b, dtype=np.float64)
         if self._diagonal is not None:
             return b / (self._diagonal if b.ndim == 1 else self._diagonal[:, np.newaxis])
+        if self._band is not None:
+            return self._factor_solve(b)
         return self.inverse @ b
+
+    def _factor_solve(self, b):
+        """Triangular solves against the banded or dense factor."""
+        if self._band is not None:
+            return cho_solve_banded((self._factor, True), b, check_finite=False)
+        return cho_solve((self._factor, self._lower), b, check_finite=False)
 
     def subtract_inverse(self, A):
         """``A - S^-1`` for a symmetric ``A``, symmetric on return."""
         if self._diagonal is None:
-            return symmetrize(A - self.inverse)
+            inv = self.inverse if self._band is None else self._inverse_uncached()
+            return symmetrize(A - inv)
         out = np.array(A, dtype=np.float64)
         out[np.diag_indices_from(out)] -= 1.0 / self._diagonal
         return out
+
+    def _inverse_uncached(self):
+        if self._diagonal is not None:
+            return np.diag(1.0 / self._diagonal)
+        return symmetrize(self._factor_solve(np.eye(self.dim)))
 
     @property
     def inverse(self):
         """Dense inverse of the factored matrix (computed once, cached)."""
         if self._inverse is None:
-            if self._diagonal is not None:
-                self._inverse = np.diag(1.0 / self._diagonal)
-            else:
-                eye = np.eye(self.dim)
-                self._inverse = symmetrize(
-                    cho_solve((self._factor, self._lower), eye, check_finite=False)
-                )
+            self._inverse = self._inverse_uncached()
         return self._inverse
 
     @property
     def logdet(self):
         if self._diagonal is not None:
             return float(np.sum(np.log(self._diagonal)))
-        return 2.0 * float(np.sum(np.log(np.diag(self._factor))))
+        diag = self._factor[0] if self._band is not None else np.diag(self._factor)
+        return 2.0 * float(np.sum(np.log(diag)))
+
+    @property
+    def min_eigenvalue(self):
+        """Smallest eigenvalue of the factored matrix (computed once, cached).
+
+        The dense route takes it from the matrix rebuilt from its factor.
+        """
+        if self._min_eigenvalue is None:
+            if self._diagonal is not None:
+                lam = self._diagonal.min()
+            elif self._band is not None:
+                lam = scipy.linalg.eigvals_banded(
+                    self._band, lower=True, select="i", select_range=(0, 0),
+                    check_finite=False,
+                )[0]
+            else:
+                c = self._factor
+                T = np.tril(c) if self._lower else np.triu(c).T
+                lam = np.linalg.eigvalsh(T @ T.T)[0]
+            self._min_eigenvalue = float(lam)
+        return self._min_eigenvalue
 
 
 def cholesky_logdet(A):
     """Cholesky-factor a symmetric matrix and return ``(factor, log det A)``.
 
-    A diagonal ``A`` (no nonzero off-diagonal entry) takes the diagonal fast
-    path of :class:`CholeskyFactor`.
+    The route of the returned :class:`CholeskyFactor` follows the structure
+    of ``A``: diagonal (no nonzero off-diagonal entry), banded (bandwidth
+    ``b`` with ``0 < b`` and ``32 b <= p``, factored in lower band form) or
+    dense.  The bandwidth is scanned only for a non-diagonal ``A``.
 
     Raises
     ------
@@ -173,11 +233,22 @@ def cholesky_logdet(A):
             )
         fac = CholeskyFactor(np.sqrt(diag), True, diagonal=diag)
         return fac, fac.logdet
+    p = A.shape[0]
+    # first nonzero column of each row; A is symmetric, so the largest
+    # distance to the diagonal is the bandwidth
+    b = int(np.max(np.arange(p) - np.argmax(A != 0, axis=1)))
     try:
-        c, lower = cho_factor(A, lower=True)
+        if 0 < b and _BAND_RATIO * b <= p:
+            band = np.zeros((b + 1, p))
+            for k in range(b + 1):
+                band[k, : p - k] = np.diagonal(A, -k)
+            c = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+            fac = CholeskyFactor(c, True, band=band)
+        else:
+            c, lower = cho_factor(A, lower=True)
+            fac = CholeskyFactor(c, lower)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    fac = CholeskyFactor(c, lower)
     return fac, fac.logdet
 
 

@@ -16,18 +16,19 @@ the Woodbury identity against the cached factorization of ``S``: with
 
     grad F(L) = (C - S^-1) + M K M^T,    K = diag(d) (I + V^T M diag(d))^-1.
 
-Every ``S^-1`` product goes through :meth:`CholeskyFactor.solve`, which is
-an elementwise division when ``S`` is diagonal and a GEMM against the cached
-dense inverse otherwise.  For eigenform input the gradient is returned as a
-:class:`GradientOperator` that applies this expression to a block of
-vectors in ``O(p^2 k)`` without forming the ``p x p`` matrix; callers that
-need the matrix (the exact projection's eigendecomposition) call
-:meth:`GradientOperator.dense`.  A caller that already holds ``S^-1 V``
-and ``C V`` (AP carries them from one iterate to the next) passes them to
-:func:`gradient` and :func:`nll`, which then skip their ``O(p^2 r)``
-products.  Only a dense ``L`` keeps a second NLL route, a Cholesky
-factorization of ``S + L``: it is the reference the eigenform route is
-checked against.
+Every ``S^-1`` product goes through :meth:`CholeskyFactor.solve`, whose
+route is fixed when ``S`` is factored: an elementwise division when ``S`` is
+diagonal, a band triangular solve when ``S`` is banded (bandwidth ``b``,
+``32 b <= p``) and a GEMM against the cached dense inverse otherwise.  For
+eigenform input the gradient is returned as a :class:`GradientOperator`
+that applies this expression to a block of vectors in ``O(p^2 k)`` without
+forming the ``p x p`` matrix; callers that need the matrix (the exact
+projection's eigendecomposition) call :meth:`GradientOperator.dense`.  A
+caller that already holds ``S^-1 V`` and ``C V`` (AP carries them from one
+iterate to the next) passes them to :func:`gradient` and :func:`nll`, which
+then skip their ``O(p^2 r)`` products.  Only a dense ``L`` keeps a second
+NLL route, a Cholesky factorization of ``S + L``: it is the reference the
+eigenform route is checked against.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ applies the gradient operator to blocks or vectors and returns ``G Z`` from
 its Krylov products.  AP also carries the accepted iterate's ``C V`` and
 ``S^-1 V`` from one iteration to the next and each trial's from the products
 on ``[V, Z]``, so its only ``p x p`` products are the head projection's and
-one ``S^-1 Z`` solve (elementwise for a diagonal ``S``).
+one ``S^-1 Z`` solve (elementwise for a diagonal ``S``, a band solve for a
+banded one).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -188,14 +189,11 @@ def auto_step_size(ctx):
     ``1 / lambda_min(S*)^2``, so this is a lower bound on ``0.5 / M``.  The
     descent starts here, doubles the step after each clean, strictly
     improving iteration and halves it on each rejected trial, with no cap.
+    ``lambda_min`` comes from the context's factor of ``S*``, once per
+    factor, by its route: the smallest diagonal entry, one banded
+    eigenvalue or a dense ``eigvalsh``.
     """
-    S = ctx.S_star
-    off = S - np.diag(np.diag(S))
-    if not off.any():
-        lam_min = float(np.diag(S).min())
-    else:
-        lam_min = float(np.linalg.eigvalsh(S)[0])
-    return 0.5 * lam_min**2
+    return 0.5 * ctx.S_chol.min_eigenvalue**2
 
 
 def derived_seed(seed, *salts):
@@ -499,13 +497,14 @@ def ap_lvm(ctx, cfg, truth=None):
     compression).
 
     Outside the head projection the only ``p x p`` product is one
-    ``S^-1 Z`` solve (elementwise for a diagonal ``S``).  ``G Z`` comes from
-    the Krylov products; ``C V`` and ``M = S^-1 V`` of the accepted iterate
-    are carried over, so ``G V = C V - M + M K M^T V``;
-    ``C Z = G Z + S^-1 Z - M K M^T Z``; and each trial ``V_new = U E`` gets
-    ``C V_new`` and ``S^-1 V_new`` from the products on ``[V, Z]``, which
-    the NLL and the next gradient take as they are.  Iterates may carry
-    small negative eigenvalues; the returned estimate is not PSD-finalized.
+    ``S^-1 Z`` solve (elementwise for a diagonal ``S``, a band solve for a
+    banded one).  ``G Z`` comes from the Krylov products; ``C V`` and
+    ``M = S^-1 V`` of the accepted iterate are carried over, so
+    ``G V = C V - M + M K M^T V``; ``C Z = G Z + S^-1 Z - M K M^T Z``; and
+    each trial ``V_new = U E`` gets ``C V_new`` and ``S^-1 V_new`` from the
+    products on ``[V, Z]``, which the NLL and the next gradient take as they
+    are.  Iterates may carry small negative eigenvalues; the returned
+    estimate is not PSD-finalized.
     """
     return _descend(ctx, cfg, truth, functools.partial(_ap_candidate, ctx, cfg))
 

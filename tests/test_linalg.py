@@ -149,6 +149,61 @@ class TestCholeskyLogdet:
         assert np.abs(A @ x - 1.0).max() < 1e-10
 
 
+def banded_spd(rng, p, b):
+    """SPD matrix of bandwidth exactly ``b``, diagonally dominant."""
+    S = np.diag(rng.uniform(1.0, 2.0, p) * (2 * b + 1))
+    for k in range(1, b + 1):
+        off = rng.uniform(0.2, 1.0, p - k)
+        S += np.diag(off, k) + np.diag(off, -k)
+    return S
+
+
+class TestFactorRoutes:
+    """The factor route follows the bandwidth ``b`` of ``S``: diagonal,
+    banded when ``32 b <= p``, dense otherwise; every route matches a dense
+    oracle."""
+
+    @staticmethod
+    def _close(got, want, rel=1e-12):
+        return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [64, 500])
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    def test_route_and_dense_oracle(self, rng, p, b):
+        S = banded_spd(rng, p, b)
+        fac, logdet = cholesky_logdet(S)
+        banded = 32 * b <= p  # only p=64, b=5 is too wide
+        assert fac.route == ("banded" if banded else "dense")
+        assert fac.bandwidth == (b if banded else p - 1)
+        assert fac.dim == p
+        inv = np.linalg.inv(S)
+        for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
+            assert self._close(fac.solve(rhs), np.linalg.solve(S, rhs))
+        assert abs(logdet - np.linalg.slogdet(S)[1]) <= 1e-12 * abs(logdet)
+        A = random_symmetric(rng, p)
+        assert self._close(fac.subtract_inverse(A), A - inv)
+        assert self._close(fac.inverse, inv)
+        lam = np.linalg.eigvalsh(S)[0]
+        assert abs(fac.min_eigenvalue - lam) <= 1e-12 * lam
+
+    def test_selection_edges(self, rng):
+        fac, _ = cholesky_logdet(np.diag(rng.uniform(1.0, 2.0, 64)))
+        assert (fac.route, fac.bandwidth) == ("diagonal", 0)
+        fac, _ = cholesky_logdet(banded_spd(rng, 64, 2))  # 32 b = p
+        assert (fac.route, fac.bandwidth) == ("banded", 2)
+        fac, _ = cholesky_logdet(banded_spd(rng, 63, 2))  # 32 b > p
+        assert fac.route == "dense"
+        fac, _ = cholesky_logdet(random_spd(rng, 64))
+        assert fac.route == "dense"
+
+    def test_non_pd_tridiagonal_raises(self):
+        # eigenvalues 1 + 1.2 cos(k pi / 65): the smallest is near -0.2
+        p = 64
+        S = np.eye(p) + 0.6 * (np.eye(p, k=1) + np.eye(p, k=-1))
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_logdet(S)
+
+
 class TestWoodburyInverse:
     def test_zero_perturbation(self, rng):
         S = random_spd(rng, 8)

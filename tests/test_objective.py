@@ -10,6 +10,7 @@ from lvggm.linalg import (
     NotPositiveDefiniteError,
     cholesky_logdet,
     symmetrize,
+    woodbury_core_eig,
     woodbury_inverse,
 )
 from lvggm.objective import (
@@ -21,6 +22,7 @@ from lvggm.objective import (
     projected_gradient_norm,
     rsc_rss_bounds,
 )
+from lvggm.solvers import auto_step_size
 
 from .conftest import random_spd
 from .oracles import fd_factor_gradient, kron_hessian_extremes, loglog_slope
@@ -179,10 +181,10 @@ class TestDiagonalFastPath:
         model = gen_model(p, r, seed=int(rng.integers(2**31)))
         C = sample_covariance(model, 40 * p, seed=int(rng.integers(2**31)))
         fast = ModelContext.create(model.S_star, C)
-        assert fast.S_chol.is_diagonal
+        assert fast.S_chol.route == "diagonal"
         c, lower = scipy.linalg.cho_factor(model.S_star, lower=True)
         slow = dataclasses.replace(fast, S_chol=CholeskyFactor(c, lower))
-        assert not slow.S_chol.is_diagonal
+        assert slow.S_chol.route == "dense"
         return model, fast, slow
 
     def test_nll_gradient_and_woodbury_match_dense_inverse_route(self, rng):
@@ -215,14 +217,33 @@ class TestDiagonalFastPath:
         nll(fast, (V, d))
         gradient(fast, (V, d)) @ V
 
+    def test_banded_route_builds_no_dense_inverse(self, rng, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("dense S inverse built")
+
+        p = 200
+        s = rng.uniform(1.0, 2.0, p)
+        off = 0.2 * np.sqrt(s[:-1] * s[1:])
+        S = np.diag(s) + np.diag(off, 1) + np.diag(off, -1)
+        ctx = ModelContext.create(S, np.eye(p))
+        assert ctx.S_chol.route == "banded"
+        monkeypatch.setattr(CholeskyFactor, "inverse", property(no_inverse))
+        V, _ = np.linalg.qr(rng.standard_normal((p, 2)))
+        d = np.array([0.5, 0.1])
+        nll(ctx, (V, d))
+        gradient(ctx, (V, d)) @ V
+        woodbury_core_eig(ctx.S_chol, V, d)
+        auto_step_size(ctx)
+
     def test_tridiagonal_takes_dense_route(self, rng):
+        # bandwidth 1 at p=10: the banded route needs 32 b <= p
         s = rng.uniform(1.0, 2.0, 10)
         S = np.diag(s) + np.diag(0.2 * s[:-1], 1) + np.diag(0.2 * s[:-1], -1)
         fac, logdet = cholesky_logdet(S)
-        assert not fac.is_diagonal
+        assert fac.route == "dense"
         assert abs(logdet - np.linalg.slogdet(S)[1]) < 1e-12
         fac, logdet = cholesky_logdet(np.diag(s))
-        assert fac.is_diagonal
+        assert fac.route == "diagonal"
         assert abs(logdet - float(np.sum(np.log(s)))) < 1e-12
         b = rng.standard_normal((10, 3))
         assert np.abs(fac.solve(b) - b / s[:, None]).max() < 1e-15
@@ -243,7 +264,7 @@ class TestPdMargin:
         if banded:
             S += np.diag(0.2 * s[:-1], 1) + np.diag(0.2 * s[:-1], -1)
         ctx = ModelContext.create(S, np.eye(p))
-        assert ctx.S_chol.is_diagonal != banded
+        assert ctx.S_chol.route == ("dense" if banded else "diagonal")
         lam_min = float(np.linalg.eigvalsh(S)[0])
         Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         for d in (

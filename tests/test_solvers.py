@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from lvggm import objective, solvers
 from lvggm.datagen import gen_model, sample_covariance
+from lvggm.linalg import CholeskyFactor
 from lvggm.objective import GradientOperator, ModelContext, nll
 from lvggm.projections import ProjectionConfig, psd_rank_r_project
 from lvggm.solvers import (
@@ -20,6 +23,7 @@ from lvggm.solvers import (
     psd_finalize,
 )
 
+from .conftest import random_spd
 from .oracles import psd_clamp_truncate
 
 
@@ -42,6 +46,31 @@ class TestAutoStepSize:
     def test_scaled_identity(self):
         ctx = ModelContext.create(2.0 * np.eye(4), 0.5 * np.eye(4))
         assert auto_step_size(ctx) == pytest.approx(2.0)
+
+    def test_banded_matches_dense_eigenvalue(self):
+        _, ctx = _banded_ctx(200, 5, seed=3)
+        assert ctx.S_chol.route == "banded"
+        want = 0.5 * np.linalg.eigvalsh(ctx.S_star)[0] ** 2
+        assert abs(auto_step_size(ctx) - want) <= 1e-12 * want
+
+    def test_dense_eigenvalue_computed_once_per_context(self, rng, monkeypatch):
+        p, r = 30, 2
+        S = random_spd(rng, p)
+        G = 0.3 * rng.standard_normal((p, r))
+        ctx = ModelContext.create(S, np.linalg.inv(S + G @ G.T))
+        assert ctx.S_chol.route == "dense"
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(A, *args, **kwargs):
+            if np.shape(A) == (p, p):
+                calls.append(1)
+            return eigvalsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for _ in range(2):
+            fit_pgd("ap-bk", ctx, r, max_iters=5)
+        assert len(calls) == 1
 
     def test_auto_step_converges_on_random_diagonal(self, rng):
         p, r = 25, 2
@@ -252,6 +281,27 @@ def _banded_ctx(p, r, seed):
     return model, ModelContext.create(S, (C + C.T) / 2)
 
 
+class TestBandedFactor:
+    """Fits through the banded factor of ``S`` follow fits through a dense
+    factor of the same ``S`` up to roundoff."""
+
+    @pytest.mark.parametrize("algo", ["ep", "ap-bk", "ap-lanczos"])
+    def test_fit_matches_dense_factor_route(self, algo):
+        model, ctx = _banded_ctx(200, 5, seed=3)
+        c, lower = scipy.linalg.cho_factor(ctx.S_star, lower=True)
+        dense = dataclasses.replace(ctx, S_chol=CholeskyFactor(c, lower))
+        assert (ctx.S_chol.route, dense.S_chol.route) == ("banded", "dense")
+        floor = nll(dense, model.L_factor)
+        knobs = dict(nll_tolerance=0.0, true_nll_floor=floor + 1e-11 * abs(floor))
+        _, got = fit_pgd(algo, ctx, 5, seed=2, **knobs)
+        _, want = fit_pgd(algo, dense, 5, seed=2, **knobs)
+        assert want.status == "reached-floor"
+        assert (len(got), got.total_halvings, got.status) == (
+            len(want), want.total_halvings, want.status
+        )
+        assert abs(got.nll[-1] - want.nll[-1]) <= 1e-12 * abs(want.nll[-1])
+
+
 class TestApStep:
     """AP's step on ``span[V, Z]`` and the products it carries."""
 
@@ -315,7 +365,7 @@ class TestApStep:
             # iterations, and the run on past it also checks rejected trials
             model, ctx = sampled_ctx(p, r, 400 * p, seed=3)
             knobs = dict(nll_tolerance=0.0, max_iters=12)
-        assert ctx.S_chol.is_diagonal != banded
+        assert ctx.S_chol.route == ("banded" if banded else "diagonal")
         checked = []
 
         def checking(ctx_, L, products=None):
