@@ -195,19 +195,13 @@ def _run_cell(args):
     return run_single(*args)
 
 
-def worker_count():
-    env = os.environ.get("LVGGM_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def run_bench(spec, out_dir, workers=None):
     """Execute the grid; write ``results.csv`` and ``medians.csv``.
 
     Rows are collected order-independently, then sorted, so results are
     reproducible for a fixed spec and master seed (timing columns exempt).
+    ``workers`` above 1 runs the cells in a process pool of that size;
+    otherwise they run sequentially.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = [
@@ -217,8 +211,7 @@ def run_bench(spec, out_dir, workers=None):
         for algo in spec.algorithms
         for trial in range(spec.trials)
     ]
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers > 1:
+    if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:

@@ -139,7 +139,6 @@ def cmd_fit(args):
         max_iters=args.max_iters,
         nll_tolerance=args.nll_tol,
         true_nll_floor=args.true_nll_floor,
-        trace_every=args.trace_every,
     )
     write_matrix(os.path.join(args.out, "Lhat.mat"), est.dense())
     trace.to_csv(os.path.join(args.out, "trace.csv"))
@@ -228,7 +227,6 @@ def build_parser():
     f.add_argument("--nll-tol", type=float, default=1e-7)
     f.add_argument("--true-nll-floor", type=float, default=None)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--trace-every", type=int, default=1)
     f.add_argument("--l1", type=float, default=None, help="admm l1 weight")
     f.add_argument("--nuclear", type=float, default=None, help="admm nuclear weight")
     f.add_argument("--rho", type=float, default=1.0, help="admm penalty")
@@ -240,8 +238,8 @@ def build_parser():
     b = sub.add_parser("bench", help="run the Monte-Carlo benchmark grid")
     b.add_argument("--spec", required=True, help="bench spec JSON")
     b.add_argument("--out", required=True)
-    b.add_argument("--workers", type=int, default=None,
-                   help="default: LVGGM_WORKERS env var, else 1")
+    b.add_argument("--workers", type=int, default=1,
+                   help="process-pool size; 1 runs trials sequentially")
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("eval", help="evaluate an estimate")

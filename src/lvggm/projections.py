@@ -204,18 +204,11 @@ def _bk_subspace(A, r, depth, seed):
         raise ValueError(f"rank r={r} out of range [1, {p}]")
     symmetric = not isinstance(A, np.ndarray) or bool(np.array_equal(A, A.T))
 
-    Q = np.zeros((p, 0))
-    degraded = False
-    for attempt in range(4):
-        rng = rng_for(seed, 101, attempt)
-        Q, AQ = _krylov_basis(A, r, depth, rng, symmetric)
-        if Q.shape[1] >= r:
-            break
-    else:
-        degraded = True
-    if Q.shape[1] < r:
-        # Input rank below r: best effort, pad deterministically.
-        degraded = True
+    Q, AQ = _krylov_basis(A, r, depth, rng_for(seed, 101, 0), symmetric)
+    degraded = Q.shape[1] < r
+    if degraded:
+        # Input rank below r, so any start block breaks down: best effort,
+        # pad deterministically.
         Q = _complete_basis(Q, p, r, rng_for(seed, 103))
         AQ = A @ Q if symmetric else None
 
@@ -239,8 +232,9 @@ def bk_svd(A, r, cfg):
     ``c_H = 0.9``) hold on all but a small fraction of random trials.
 
     If block orthogonalization comes up rank-deficient (Krylov breakdown),
-    the iteration retries with a fresh random block up to 3 times, then pads
-    the basis and flags the result as degraded.
+    ``A`` has numerical rank below ``r`` and a fresh random block would span
+    the same range, so the basis is padded at once and the result flagged
+    as degraded.
     """
     A = np.asarray(A, dtype=np.float64)
     sub = _bk_subspace(A, r, default_krylov_depth(A.shape[0]), cfg.seed)

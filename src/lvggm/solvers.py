@@ -5,7 +5,9 @@ initialization) it iterates ``L <- P(L - eta * grad F(L))`` with
 backtracking on the NLL.  The step starts at ``0.5 * lambda_min(S)^2``
 (:func:`auto_step_size`), doubles after each iteration accepted on its first
 trial with a strict decrease of the NLL, halves on each rejected trial and
-has no cap.  The solvers differ only in ``P``:
+has no cap.  The step size and the iterate are locals of the loop, and each
+iteration is one row of the returned :class:`Trace`.  The solvers differ
+only in ``P``:
 
 * ``ep_lvm`` projects exactly onto the rank-r PSD cone from the ``r``
   leading eigenpairs of the step matrix; the eigensolver computes only
@@ -91,7 +93,6 @@ class SolverConfig:
     nll_tolerance: float = 1e-7
     true_nll_floor: float | None = None
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.rank < 1:
@@ -100,8 +101,6 @@ class SolverConfig:
             raise ValueError("step_size must be positive or 'auto'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
 
 class LowRankEstimate(NamedTuple):
@@ -124,13 +123,11 @@ class LowRankEstimate(NamedTuple):
 
 @dataclass
 class Trace:
-    """Per-iteration solver diagnostics.
+    """Per-iteration solver diagnostics, one row per iteration.
 
     ``rel_error`` entries are NaN when no ground truth was supplied.
     ``rho_hat`` is the fitted per-iteration contraction factor, when the
-    trace is long enough to estimate one.  ``total_halvings`` and
-    ``degraded_projections`` count over every iteration, including those
-    that ``trace_every`` leaves out of the rows.
+    trace is long enough to estimate one.
     """
 
     iters: list = field(default_factory=list)
@@ -143,12 +140,15 @@ class Trace:
     rho_hat: float | None = None
     status: str = ""
     degraded_projections: int = 0
-    total_halvings: int = 0
 
     CSV_HEADER = "iter,nll,seconds,eta,halvings,rank,rel_error"
 
     def __len__(self):
         return len(self.iters)
+
+    @property
+    def total_halvings(self):
+        return sum(self.halvings)
 
     def append(self, it, nll_value, seconds, eta, halvings, rank, rel_error):
         self.iters.append(int(it))
@@ -158,6 +158,14 @@ class Trace:
         self.halvings.append(int(halvings))
         self.rank.append(int(rank))
         self.rel_error.append(float(rel_error))
+
+    def finish(self, status):
+        """Set the stop ``status`` and, from 5 rows on, ``rho_hat``; returns
+        the trace."""
+        self.status = status
+        if len(self) >= 5:
+            self.rho_hat = contraction_estimate(self)
+        return self
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -257,99 +265,52 @@ def psd_finalize(L, r):
     return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep].copy())
 
 
-class _RunState:
-    """Iteration bookkeeping of :func:`_descend`."""
-
-    def __init__(self, ctx, cfg, truth):
-        self.ctx = ctx
-        self.cfg = cfg
-        self.eta = (
-            auto_step_size(ctx) if cfg.step_size == "auto" else float(cfg.step_size)
-        )
-        self.truth = None
-        self.truth_norm = None
-        if truth is not None:
-            Vt, dt = as_eigenform(truth, ctx.p)
-            self.truth = (Vt, dt)
-            self.truth_norm = float(np.sqrt(np.sum(dt**2)))
-        self.trace = Trace()
-        self.nll_history = []
-
-    def rel_error(self, V, d):
-        if self.truth is None:
-            return float("nan")
-        dist = _eig_distance(V, d, *self.truth)
-        denom = self.truth_norm if self.truth_norm > 0 else 1.0
-        return dist / denom
-
-    def note(self, nll_value):
-        self.nll_history.append(nll_value)
-
-    def record(self, t, nll_value, seconds, halvings, V, d, force=False):
-        self.trace.total_halvings += halvings
-        if force or t % self.cfg.trace_every == 0:
-            self.trace.append(
-                t, nll_value, seconds, self.eta, halvings,
-                effective_rank(d), self.rel_error(V, d),
-            )
-
-    def adapt_step(self, halvings, improved):
-        # double only after a step accepted on its first trial with a strict
-        # decrease: an overshooting step oscillates near the optimum without
-        # decreasing the NLL, so growing it there would only feed halvings
-        if halvings == 0 and improved:
-            self.eta *= 2.0
-
-    def should_stop(self, nll_value, moved, scale):
-        cfg = self.cfg
-        if cfg.true_nll_floor is not None and nll_value <= cfg.true_nll_floor:
-            return "reached-floor"
-        if moved <= 1e-13 * max(1.0, scale):
-            return "stationary"
-        h = self.nll_history
-        if cfg.nll_tolerance > 0 and len(h) >= 6:
-            if abs(h[-6] - h[-1]) <= cfg.nll_tolerance * max(1.0, abs(h[-1])):
-                return "nll-window"
-        return None
-
-    def finish(self, status):
-        self.trace.status = status
-        if len(self.trace) >= 5:
-            try:
-                self.trace.rho_hat = contraction_estimate(self.trace)
-            except InsufficientDataError:
-                pass
-        return self.trace
-
-
-def _accept(state, candidate, current_nll):
+def _accept(ctx, candidate, current_nll, eta, trace):
     """Backtracking acceptance loop.
 
     ``candidate(eta)`` produces a trial eigenform ``(V, d)`` for the given
     step size and its products ``(C V, S^-1 V)``, or None to have the NLL
     form them.  A trial is rejected when ``S + L`` leaves the PD cone
     (Cholesky failure) or the NLL increases beyond a roundoff slack; the
-    step then halves, at most ``_MAX_HALVINGS`` times.  Returns
-    ``(V, d, products, nll, halvings, improved)``.
+    step then halves, at most ``_MAX_HALVINGS`` times, before a
+    :class:`DivergedError` carries ``trace`` finished as ``"diverged"``.
+    Returns ``(V, d, products, nll, eta, halvings, improved)`` with the
+    accepted step size ``eta``.
     """
     slack = 1e-12 * max(1.0, abs(current_nll))
     halvings = 0
     while True:
-        V, d, products = candidate(state.eta)
+        V, d, products = candidate(eta)
         try:
-            value = nll(state.ctx, (V, d), products)
+            value = nll(ctx, (V, d), products)
             if value <= current_nll + slack:
                 improved = value < current_nll - slack
-                return V, d, products, value, halvings, improved
+                return V, d, products, value, eta, halvings, improved
         except NotPositiveDefiniteError:
             pass
         halvings += 1
         if halvings > _MAX_HALVINGS:
             raise DivergedError(
                 f"no acceptable step after {_MAX_HALVINGS} halvings",
-                state.finish("diverged"),
+                trace.finish("diverged"),
             )
-        state.eta *= 0.5
+        eta *= 0.5
+
+
+def _stop_status(cfg, nlls, moved, scale):
+    """The stop status after an iteration, or None to go on.
+
+    ``nlls`` is the accepted NLL series, ``moved`` the distance the iterate
+    moved and ``scale`` the norm of the iterate it moved from.
+    """
+    if cfg.true_nll_floor is not None and nlls[-1] <= cfg.true_nll_floor:
+        return "reached-floor"
+    if moved <= 1e-13 * max(1.0, scale):
+        return "stationary"
+    if cfg.nll_tolerance > 0 and len(nlls) >= 6:
+        if abs(nlls[-6] - nlls[-1]) <= cfg.nll_tolerance * max(1.0, abs(nlls[-1])):
+            return "nll-window"
+    return None
 
 
 def _descend(ctx, cfg, truth, make_candidate):
@@ -365,7 +326,11 @@ def _descend(ctx, cfg, truth, make_candidate):
     p = ctx.p
     if cfg.rank > p:
         raise ValueError(f"rank {cfg.rank} exceeds dimension {p}")
-    state = _RunState(ctx, cfg, truth)
+    eta = auto_step_size(ctx) if cfg.step_size == "auto" else float(cfg.step_size)
+    if truth is not None:
+        truth = as_eigenform(truth, p)
+        truth_norm = float(np.sqrt(np.sum(truth[1] ** 2))) or 1.0
+    trace = Trace()
     V = np.zeros((p, 0))
     d = np.zeros(0)
     products = (V, V)  # C V and S^-1 V of L = 0
@@ -374,25 +339,31 @@ def _descend(ctx, cfg, truth, make_candidate):
     for t in range(cfg.max_iters):
         tic = time.perf_counter()
         candidate, degraded = make_candidate(t, V, d, products)
-        state.trace.degraded_projections += int(degraded)
-        V_new, d_new, products, new_nll, halvings, improved = _accept(
-            state, candidate, current_nll
+        trace.degraded_projections += int(degraded)
+        V_new, d_new, products, new_nll, eta, halvings, improved = _accept(
+            ctx, candidate, current_nll, eta, trace
         )
         seconds = time.perf_counter() - tic
         moved = _eig_distance(V_new, d_new, V, d)
         scale = float(np.sqrt(np.sum(d**2)))
-        state.note(new_nll)
-        stop = state.should_stop(new_nll, moved, scale)
-        state.record(
-            t, new_nll, seconds, halvings, V_new, d_new,
-            force=stop is not None or t == cfg.max_iters - 1,
+        rel_error = (
+            float("nan") if truth is None
+            else _eig_distance(V_new, d_new, *truth) / truth_norm
+        )
+        trace.append(
+            t, new_nll, seconds, eta, halvings, effective_rank(d_new), rel_error
         )
         V, d, current_nll = V_new, d_new, new_nll
+        stop = _stop_status(cfg, trace.nll, moved, scale)
         if stop:
             status = stop
             break
-        state.adapt_step(halvings, improved)
-    return LowRankEstimate(V, d), state.finish(status)
+        # double only after a step accepted on its first trial with a strict
+        # decrease: an overshooting step oscillates near the optimum without
+        # decreasing the NLL, so growing it there would only feed halvings
+        if halvings == 0 and improved:
+            eta *= 2.0
+    return LowRankEstimate(V, d), trace.finish(status)
 
 
 def ep_lvm(ctx, cfg, truth=None):

@@ -547,10 +547,12 @@ class TestTrace:
         assert all(s >= 0 for s in trace.seconds)
         assert all(np.isnan(x) for x in trace.rel_error)  # no truth given
 
-    def test_trace_every_thins_rows(self):
+    def test_max_iters_stop_keeps_one_row_per_iteration(self):
+        # no NLL window and an oversized fixed step, which forces halvings
         model, ctx = sampled_ctx(15, 2, 500, seed=37)
         _, trace = ep_lvm(
-            ctx, SolverConfig(rank=2, max_iters=20, nll_tolerance=0, trace_every=5)
+            ctx, SolverConfig(rank=2, step_size=50.0, max_iters=8, nll_tolerance=0)
         )
-        assert all(it % 5 == 0 or it == trace.iters[-1] for it in trace.iters)
-        assert len(trace) < 20
+        assert trace.status == "max-iters"
+        assert len(trace) == 8 and trace.iters == list(range(8))
+        assert trace.total_halvings == sum(trace.halvings) > 0
