@@ -5,11 +5,12 @@ Builds desk-p100 trials 1-3, noiseless-banded-p500 trial 1 and
 northstar-p1000 trial 1 of ``perfbench`` at one seed, fits each with EP,
 AP-BK and AP-Lanczos, and prints one line per fit: a hash of the
 instance's covariance ``C``, the route of its factor of ``S``
-(``S=diagonal``, ``S=banded:<bandwidth>`` or ``S=dense``), iteration
-count, total halvings, the largest step relative to the first trial step,
-the count of degraded head projections, stop status, a hash of the full NLL
-series, a hash of the returned ``(V, d)``, the final NLL (``repr``) and the
-target F(L*) (plus the noiseless gap on that workload).
+(``S=banded:<bandwidth>``, ``banded:0`` for a diagonal ``S``, or
+``S=dense``), iteration count, total halvings, the largest step relative to
+the first trial step, the count of degraded head projections, stop status,
+a hash of the full NLL series, a hash of the returned ``(V, d)``, the final
+NLL (``repr``) and the target F(L*) (plus the noiseless gap on that
+workload).
 
 Run it in two checkouts and diff the outputs to check that a refactor keeps
 every iterate bit-identical; a change that moves the bits at roundoff can be

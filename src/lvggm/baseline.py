@@ -41,8 +41,6 @@ class AdmmConfig:
 @dataclass
 class AdmmTrace:
     primal_residual: list = field(default_factory=list)
-    dual_residual: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
 
@@ -69,7 +67,7 @@ def _logdet_prox(M, C, rho):
     """argmin_Theta -logdet(Theta) + <Theta, C> + rho/2 ||Theta - M||_F^2."""
     w, V = np.linalg.eigh(symmetrize(M - C / rho))
     theta_eigs = (w + np.sqrt(w**2 + 4.0 / rho)) / 2.0
-    return symmetrize((V * theta_eigs) @ V.T), theta_eigs
+    return symmetrize((V * theta_eigs) @ V.T)
 
 
 def admm_lvglasso(C, cfg):
@@ -90,7 +88,7 @@ def admm_lvglasso(C, cfg):
     trace = AdmmTrace()
     prev_sum = S + L
     for it in range(cfg.max_iters):
-        theta, theta_eigs = _logdet_prox(S + L - Y, C, rho)
+        theta = _logdet_prox(S + L - Y, C, rho)
 
         target_s = theta - L + Y
         S = np.where(off_mask, soft_threshold(target_s, cfg.l1_weight / rho), target_s)
@@ -105,16 +103,7 @@ def admm_lvglasso(C, cfg):
         primal = float(np.linalg.norm(gap, "fro"))
         dual = rho * float(np.linalg.norm(cur_sum - prev_sum, "fro"))
         prev_sum = cur_sum
-        nuc = float(np.trace(L))  # L is PSD by construction
-        obj = (
-            -float(np.sum(np.log(theta_eigs)))
-            + float(np.sum(theta * C))
-            + cfg.l1_weight * float(np.abs(S[off_mask]).sum())
-            + cfg.nuclear_weight * nuc
-        )
         trace.primal_residual.append(primal)
-        trace.dual_residual.append(dual)
-        trace.objective.append(obj)
         trace.iterations = it + 1
 
         scale = max(1.0, float(np.linalg.norm(theta, "fro")))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cho_solve_banded
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpbtrs
 
 
 class NotPositiveDefiniteError(Exception):
@@ -61,9 +62,9 @@ class Spectrum:
         self.eigenvectors = eigenvectors
 
 
-def sym_evd(A, k=None):
+def sym_evd(A, k):
     """The ``k`` algebraically largest eigenpairs of a symmetric matrix,
-    eigenvalues descending (``k=None``: all ``p``).
+    eigenvalues descending.
 
     LAPACK's ``syevr`` driver computes and back-transforms only the
     requested eigenvectors of the tridiagonal form, so ``k << p`` skips the
@@ -72,7 +73,6 @@ def sym_evd(A, k=None):
     """
     A = check_finite_symmetric(A)
     p = A.shape[0]
-    k = p if k is None else k
     if not 1 <= k <= p:
         raise ValueError(f"eigenpair count k={k} out of range [1, {p}]")
     w, V = scipy.linalg.eigh(
@@ -88,58 +88,48 @@ def effective_rank(eigenvalues, rel_tol=1e-8):
     return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
 
 
-# A non-diagonal ``S`` of bandwidth ``b`` takes the banded route when
-# ``_BAND_RATIO * b <= p``.  Measured crossover of a 20-column solve at
-# p=500, one BLAS thread (Intel Xeon, 2 cores): b=16 takes 0.36 ms banded
-# against 0.37 ms for the GEMM against the dense inverse, b=32 takes 0.48
-# against 0.45 ms.
+# ``S`` of bandwidth ``b`` takes the banded route when ``_BAND_RATIO * b <= p``.
+# Measured crossover of a 20-column solve at p=500, one BLAS thread (Intel
+# Xeon, 2 cores): b=16 takes 0.36 ms banded against 0.37 ms for the GEMM
+# against the dense inverse, b=32 takes 0.48 against 0.45 ms.
 _BAND_RATIO = 32
 
 
 class CholeskyFactor:
-    """Opaque handle around a Cholesky factorization of an SPD matrix ``S``.
+    """Opaque handle around a lower Cholesky factor of an SPD matrix ``S``.
 
     Computed once per solver run for the fixed sparse part and reused across
     objective and gradient evaluations, all of which reach ``S^-1`` through
-    :meth:`solve`.  :func:`cholesky_logdet` picks one of three routes from
-    the structure of ``S`` when it factors it (:attr:`route`):
+    :meth:`solve`.  :func:`cholesky_logdet` picks one of two routes from
+    the bandwidth ``b`` of ``S`` when it factors it (:attr:`route`):
 
-    * ``"diagonal"``: solves are elementwise divisions, ``O(p k)`` for a
-      ``p x k`` right-hand side.
-    * ``"banded"``: ``S`` of bandwidth ``b`` with ``0 < b`` and
-      ``32 b <= p`` is factored in lower band form by LAPACK's band
-      Cholesky, and solves are band triangular solves at ``O(p b k)``.
+    * ``"banded"``: ``S`` with ``32 b <= p`` (a diagonal ``S`` is ``b = 0``)
+      is factored in lower band form by LAPACK's band Cholesky, and solves
+      are band triangular solves at ``O(p (b + 1) k)`` for ``k`` columns.
     * ``"dense"``: every other ``S`` (and a factor built directly from
-      ``scipy.linalg.cho_factor`` output).  The dense inverse is
-      materialized the first time it is needed and cached, and solves are
-      one GEMM against it.
+      ``scipy.linalg.cho_factor(S, lower=True)`` output).  The dense
+      inverse is materialized the first time it is needed and cached, and
+      solves are one GEMM against it.
 
-    On the first two routes no dense inverse exists unless :attr:`inverse`
-    is read; :meth:`subtract_inverse` builds one for the banded route
-    without keeping it.
+    On the banded route no dense inverse exists unless :attr:`inverse` is
+    read; :meth:`subtract_inverse` builds one without keeping it.
     """
 
-    def __init__(self, factor, lower, diagonal=None, band=None):
+    def __init__(self, factor, band=None):
         self._factor = factor
-        self._lower = lower
-        self._diagonal = diagonal
         self._band = band  # lower band form of S on the banded route
         self._inverse = None
         self._min_eigenvalue = None
 
     @property
     def route(self):
-        """``"diagonal"``, ``"banded"`` or ``"dense"``."""
-        if self._diagonal is not None:
-            return "diagonal"
+        """``"banded"`` or ``"dense"``."""
         return "dense" if self._band is None else "banded"
 
     @property
     def bandwidth(self):
-        """Bandwidth the route stores: 0, ``b`` or ``p - 1``."""
-        if self._band is not None:
-            return self._band.shape[0] - 1
-        return 0 if self._diagonal is not None else self.dim - 1
+        """Bandwidth the route stores: ``b`` or ``p - 1``."""
+        return self.dim - 1 if self._band is None else self._band.shape[0] - 1
 
     @property
     def dim(self):
@@ -148,8 +138,6 @@ class CholeskyFactor:
     def solve(self, b):
         """Solve ``S x = b`` (``b`` a vector or a ``p x k`` block)."""
         b = np.asarray(b, dtype=np.float64)
-        if self._diagonal is not None:
-            return b / (self._diagonal if b.ndim == 1 else self._diagonal[:, np.newaxis])
         if self._band is not None:
             return self._factor_solve(b)
         return self.inverse @ b
@@ -157,21 +145,20 @@ class CholeskyFactor:
     def _factor_solve(self, b):
         """Triangular solves against the banded or dense factor."""
         if self._band is not None:
-            return cho_solve_banded((self._factor, True), b, check_finite=False)
-        return cho_solve((self._factor, self._lower), b, check_finite=False)
+            # LAPACK direct: a 5-column solve of a diagonal S at p=100 takes
+            # 1.9 us, 6.8 us through cho_solve_banded (one BLAS thread)
+            x, info = dpbtrs(self._factor, b, lower=1)
+            if info != 0:
+                raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+            return x
+        return cho_solve((self._factor, True), b, check_finite=False)
 
     def subtract_inverse(self, A):
         """``A - S^-1`` for a symmetric ``A``, symmetric on return."""
-        if self._diagonal is None:
-            inv = self.inverse if self._band is None else self._inverse_uncached()
-            return symmetrize(A - inv)
-        out = np.array(A, dtype=np.float64)
-        out[np.diag_indices_from(out)] -= 1.0 / self._diagonal
-        return out
+        inv = self.inverse if self._band is None else self._inverse_uncached()
+        return symmetrize(A - inv)
 
     def _inverse_uncached(self):
-        if self._diagonal is not None:
-            return np.diag(1.0 / self._diagonal)
         return symmetrize(self._factor_solve(np.eye(self.dim)))
 
     @property
@@ -183,8 +170,6 @@ class CholeskyFactor:
 
     @property
     def logdet(self):
-        if self._diagonal is not None:
-            return float(np.sum(np.log(self._diagonal)))
         diag = self._factor[0] if self._band is not None else np.diag(self._factor)
         return 2.0 * float(np.sum(np.log(diag)))
 
@@ -192,19 +177,17 @@ class CholeskyFactor:
     def min_eigenvalue(self):
         """Smallest eigenvalue of the factored matrix (computed once, cached).
 
-        The dense route takes it from the matrix rebuilt from its factor.
+        The banded route takes it from LAPACK's band eigensolver, the dense
+        route from the matrix rebuilt from its factor.
         """
         if self._min_eigenvalue is None:
-            if self._diagonal is not None:
-                lam = self._diagonal.min()
-            elif self._band is not None:
+            if self._band is not None:
                 lam = scipy.linalg.eigvals_banded(
                     self._band, lower=True, select="i", select_range=(0, 0),
                     check_finite=False,
                 )[0]
             else:
-                c = self._factor
-                T = np.tril(c) if self._lower else np.triu(c).T
+                T = np.tril(self._factor)
                 lam = np.linalg.eigvalsh(T @ T.T)[0]
             self._min_eigenvalue = float(lam)
         return self._min_eigenvalue
@@ -213,10 +196,9 @@ class CholeskyFactor:
 def cholesky_logdet(A):
     """Cholesky-factor a symmetric matrix and return ``(factor, log det A)``.
 
-    The route of the returned :class:`CholeskyFactor` follows the structure
-    of ``A``: diagonal (no nonzero off-diagonal entry), banded (bandwidth
-    ``b`` with ``0 < b`` and ``32 b <= p``, factored in lower band form) or
-    dense.  The bandwidth is scanned only for a non-diagonal ``A``.
+    The route of the returned :class:`CholeskyFactor` follows the bandwidth
+    ``b`` of ``A``: banded when ``32 b <= p`` (factored in lower band form;
+    a diagonal ``A`` is ``b = 0``), dense otherwise.
 
     Raises
     ------
@@ -225,28 +207,19 @@ def cholesky_logdet(A):
         backtracking signal for steps that leave the PD cone.
     """
     A = check_finite_symmetric(A)
-    diag = np.diag(A).copy()
-    if np.count_nonzero(A) == np.count_nonzero(diag):
-        if not np.all(diag > 0.0):
-            raise NotPositiveDefiniteError(
-                f"diagonal matrix has a non-positive entry ({diag.min():.3e})"
-            )
-        fac = CholeskyFactor(np.sqrt(diag), True, diagonal=diag)
-        return fac, fac.logdet
     p = A.shape[0]
     # first nonzero column of each row; A is symmetric, so the largest
     # distance to the diagonal is the bandwidth
     b = int(np.max(np.arange(p) - np.argmax(A != 0, axis=1)))
     try:
-        if 0 < b and _BAND_RATIO * b <= p:
+        if _BAND_RATIO * b <= p:
             band = np.zeros((b + 1, p))
             for k in range(b + 1):
                 band[k, : p - k] = np.diagonal(A, -k)
             c = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-            fac = CholeskyFactor(c, True, band=band)
+            fac = CholeskyFactor(c, band=band)
         else:
-            c, lower = cho_factor(A, lower=True)
-            fac = CholeskyFactor(c, lower)
+            fac = CholeskyFactor(cho_factor(A, lower=True)[0])
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     return fac, fac.logdet

@@ -17,9 +17,9 @@ the Woodbury identity against the cached factorization of ``S``: with
     grad F(L) = (C - S^-1) + M K M^T,    K = diag(d) (I + V^T M diag(d))^-1.
 
 Every ``S^-1`` product goes through :meth:`CholeskyFactor.solve`, whose
-route is fixed when ``S`` is factored: an elementwise division when ``S`` is
-diagonal, a band triangular solve when ``S`` is banded (bandwidth ``b``,
-``32 b <= p``) and a GEMM against the cached dense inverse otherwise.  For
+route is fixed when ``S`` is factored: a band triangular solve when ``S`` is
+banded (bandwidth ``b`` with ``32 b <= p``, a diagonal ``S`` included at
+``b = 0``) and a GEMM against the cached dense inverse otherwise.  For
 eigenform input the gradient is returned as a :class:`GradientOperator`
 that applies this expression to a block of vectors in ``O(p^2 k)`` without
 forming the ``p x p`` matrix; callers that need the matrix (the exact

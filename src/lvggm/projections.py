@@ -98,9 +98,13 @@ def _orthonormalize(K, floor=0.0):
     treated as numerically zero (deflation); callers that know the problem
     scale pass it to avoid normalizing roundoff residue into junk directions.
 
-    Fast path: CholeskyQR2, which runs at GEMM speed.  If the Gram matrix is
-    not numerically PD or the result fails an orthonormality check, falls
-    back to pivoted QR and trims columns with negligible pivots.
+    Fast path: CholeskyQR2, which runs at GEMM speed.  CholeskyQR squares
+    the conditioning, so the roundoff directions of a rank-deficient block
+    give first-pass pivots near ``sqrt(eps)``, not ``eps``.  A block whose
+    first-pass pivots fall below ``1e-7`` of the largest, whose Gram matrix
+    is not numerically PD or whose result fails an orthonormality check
+    falls back to pivoted QR, which trims columns with pivots below
+    ``1e-10`` of the first.
     """
     K = np.asarray(K, dtype=np.float64)
     norms = np.linalg.norm(K, axis=0)
@@ -110,11 +114,14 @@ def _orthonormalize(K, floor=0.0):
     K = K[:, keep] / norms[keep]
     try:
         Q = K
-        for _ in range(2):
+        for sweep in range(2):
             # CholeskyQR via explicit triangular inverse: GEMM-bound, which
-            # is much faster than TRSM on small-core BLAS builds; the
-            # orthonormality check below guards the conditioning loss.
+            # is much faster than TRSM on small-core BLAS builds; the pivot
+            # test and the orthonormality check guard the conditioning loss.
             R = np.linalg.cholesky(Q.T @ Q)
+            # the columns have unit norm, so the largest pivot is R[0, 0] = 1
+            if sweep == 0 and R.diagonal().min() < 1e-7:
+                raise np.linalg.LinAlgError("block is numerically rank-deficient")
             Rinv, info = scipy.linalg.lapack.dtrtri(R, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("triangular inverse failed")
@@ -128,7 +135,7 @@ def _orthonormalize(K, floor=0.0):
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
         return K[:, :0]
-    ncols = int(np.sum(diag > diag[0] * max(K.shape) * np.finfo(np.float64).eps))
+    ncols = int(np.sum(diag > 1e-10 * diag[0]))
     return np.ascontiguousarray(Q[:, :ncols])
 
 

@@ -27,8 +27,7 @@ applies the gradient operator to blocks or vectors and returns ``G Z`` from
 its Krylov products.  AP also carries the accepted iterate's ``C V`` and
 ``S^-1 V`` from one iteration to the next and each trial's from the products
 on ``[V, Z]``, so its only ``p x p`` products are the head projection's and
-one ``S^-1 Z`` solve (elementwise for a diagonal ``S``, a band solve for a
-banded one).
+one ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -198,8 +197,7 @@ def auto_step_size(ctx):
     descent starts here, doubles the step after each clean, strictly
     improving iteration and halves it on each rejected trial, with no cap.
     ``lambda_min`` comes from the context's factor of ``S*``, once per
-    factor, by its route: the smallest diagonal entry, one banded
-    eigenvalue or a dense ``eigvalsh``.
+    factor, by its route: one banded eigenvalue or a dense ``eigvalsh``.
     """
     return 0.5 * ctx.S_chol.min_eigenvalue**2
 
@@ -468,8 +466,8 @@ def ap_lvm(ctx, cfg, truth=None):
     compression).
 
     Outside the head projection the only ``p x p`` product is one
-    ``S^-1 Z`` solve (elementwise for a diagonal ``S``, a band solve for a
-    banded one).  ``G Z`` comes from the Krylov products; ``C V`` and
+    ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
+    ``G Z`` comes from the Krylov products; ``C V`` and
     ``M = S^-1 V`` of the accepted iterate are carried over, so
     ``G V = C V - M + M K M^T V``; ``C Z = G Z + S^-1 Z - M K M^T Z``; and
     each trial ``V_new = U E`` gets ``C V_new`` and ``S^-1 V_new`` from the

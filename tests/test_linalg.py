@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lvggm.linalg
 from lvggm.linalg import (
     NotPositiveDefiniteError,
     cholesky_logdet,
@@ -35,30 +36,30 @@ class TestSymmetrize:
 
 class TestSymEvd:
     def test_diagonal_sorted_descending(self):
-        spec = sym_evd(np.diag([3.0, 1.0, 2.0]))
+        spec = sym_evd(np.diag([3.0, 1.0, 2.0]), 3)
         assert np.allclose(spec.eigenvalues, [3.0, 2.0, 1.0])
 
     def test_identity(self):
-        spec = sym_evd(np.eye(5))
+        spec = sym_evd(np.eye(5), 5)
         assert np.allclose(spec.eigenvalues, 1.0)
         assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(5)).max() < 1e-12
 
     def test_matches_jacobi_oracle(self, rng):
         A = random_symmetric(rng, 8)
-        spec = sym_evd(A)
+        spec = sym_evd(A, 8)
         w_oracle, _ = jacobi_evd(A)
         assert np.abs(spec.eigenvalues - w_oracle).max() < 1e-9
 
     def test_reconstruction_invariant(self, rng):
         for scale in (1e-6, 1.0, 1e6):
             A = random_symmetric(rng, 12, scale=scale)
-            spec = sym_evd(A)
+            spec = sym_evd(A, 12)
             V, w = spec.eigenvectors, spec.eigenvalues
             err = np.linalg.norm(A - (V * w) @ V.T, "fro")
             assert err <= 1e-10 * max(1.0, np.linalg.norm(A, "fro"))
 
     def test_orthonormality_invariant(self, rng):
-        spec = sym_evd(random_symmetric(rng, 15))
+        spec = sym_evd(random_symmetric(rng, 15), 15)
         V = spec.eigenvectors
         assert np.abs(V.T @ V - np.eye(15)).max() <= 1e-10
 
@@ -66,12 +67,12 @@ class TestSymEvd:
         A = np.eye(3)
         A[0, 1] = A[1, 0] = np.nan
         with pytest.raises(ValueError):
-            sym_evd(A)
+            sym_evd(A, 3)
 
     @pytest.mark.parametrize("p, r", [(100, 5), (500, 10), (1000, 50)])
     def test_leading_pairs_match_full_decomposition(self, p, r):
         A = random_symmetric(np.random.default_rng(p), p)
-        full = sym_evd(A)
+        full = sym_evd(A, p)
         norm2 = float(np.abs(full.eigenvalues).max())
         w_ref = np.linalg.eigvalsh(A)[::-1]  # a different LAPACK driver
         assert np.abs(full.eigenvalues - w_ref).max() <= 1e-10 * norm2
@@ -133,7 +134,7 @@ class TestCholeskyLogdet:
         norm2 = w[-1]
         for shift, expect in ((0.05 * norm2, True), (-0.05 * norm2, False)):
             A = symmetrize((V * (w - w[0] + shift)) @ V.T)
-            min_eig = sym_evd(A).eigenvalues[-1]
+            min_eig = sym_evd(A, 6).eigenvalues[-1]
             try:
                 cholesky_logdet(A)
                 ok = True
@@ -159,16 +160,16 @@ def banded_spd(rng, p, b):
 
 
 class TestFactorRoutes:
-    """The factor route follows the bandwidth ``b`` of ``S``: diagonal,
-    banded when ``32 b <= p``, dense otherwise; every route matches a dense
-    oracle."""
+    """The factor route follows the bandwidth ``b`` of ``S``: banded when
+    ``32 b <= p`` (a diagonal ``S`` is ``b = 0``), dense otherwise; both
+    routes match a dense oracle."""
 
     @staticmethod
     def _close(got, want, rel=1e-12):
         return np.abs(got - want).max() <= rel * np.abs(want).max()
 
     @pytest.mark.parametrize("p", [64, 500])
-    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("b", [0, 1, 2, 5])
     def test_route_and_dense_oracle(self, rng, p, b):
         S = banded_spd(rng, p, b)
         fac, logdet = cholesky_logdet(S)
@@ -188,7 +189,7 @@ class TestFactorRoutes:
 
     def test_selection_edges(self, rng):
         fac, _ = cholesky_logdet(np.diag(rng.uniform(1.0, 2.0, 64)))
-        assert (fac.route, fac.bandwidth) == ("diagonal", 0)
+        assert (fac.route, fac.bandwidth) == ("banded", 0)
         fac, _ = cholesky_logdet(banded_spd(rng, 64, 2))  # 32 b = p
         assert (fac.route, fac.bandwidth) == ("banded", 2)
         fac, _ = cholesky_logdet(banded_spd(rng, 63, 2))  # 32 b > p
@@ -202,6 +203,17 @@ class TestFactorRoutes:
         S = np.eye(p) + 0.6 * (np.eye(p, k=1) + np.eye(p, k=-1))
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_logdet(S)
+
+    @pytest.mark.parametrize("row, value", [(5, -0.5), (1, 0.0)])
+    def test_non_pd_diagonal_raises_on_band_route(self, monkeypatch, row, value):
+        def no_dense_factor(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(lvggm.linalg, "cho_factor", no_dense_factor)
+        S = np.ones(64)
+        S[row] = value
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_logdet(np.diag(S))
 
 
 class TestWoodburyInverse:

@@ -174,16 +174,16 @@ class TestGradientOperator:
 
 
 class TestDiagonalFastPath:
-    """A diagonal ``S`` divides elementwise; the dense-inverse route is the
-    reference."""
+    """A diagonal ``S`` takes the banded route at bandwidth 0, whose solves
+    build no dense inverse; the dense-inverse route is the reference."""
 
     def _contexts(self, rng, p=15, r=2):
         model = gen_model(p, r, seed=int(rng.integers(2**31)))
         C = sample_covariance(model, 40 * p, seed=int(rng.integers(2**31)))
         fast = ModelContext.create(model.S_star, C)
-        assert fast.S_chol.route == "diagonal"
-        c, lower = scipy.linalg.cho_factor(model.S_star, lower=True)
-        slow = dataclasses.replace(fast, S_chol=CholeskyFactor(c, lower))
+        assert (fast.S_chol.route, fast.S_chol.bandwidth) == ("banded", 0)
+        c, _ = scipy.linalg.cho_factor(model.S_star, lower=True)
+        slow = dataclasses.replace(fast, S_chol=CholeskyFactor(c))
         assert slow.S_chol.route == "dense"
         return model, fast, slow
 
@@ -243,7 +243,7 @@ class TestDiagonalFastPath:
         assert fac.route == "dense"
         assert abs(logdet - np.linalg.slogdet(S)[1]) < 1e-12
         fac, logdet = cholesky_logdet(np.diag(s))
-        assert fac.route == "diagonal"
+        assert (fac.route, fac.bandwidth) == ("banded", 0)
         assert abs(logdet - float(np.sum(np.log(s)))) < 1e-12
         b = rng.standard_normal((10, 3))
         assert np.abs(fac.solve(b) - b / s[:, None]).max() < 1e-15
@@ -264,7 +264,7 @@ class TestPdMargin:
         if banded:
             S += np.diag(0.2 * s[:-1], 1) + np.diag(0.2 * s[:-1], -1)
         ctx = ModelContext.create(S, np.eye(p))
-        assert ctx.S_chol.route == ("dense" if banded else "diagonal")
+        assert ctx.S_chol.route == ("dense" if banded else "banded")
         lam_min = float(np.linalg.eigvalsh(S)[0])
         Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         for d in (

@@ -196,6 +196,18 @@ class TestHeadProject:
         assert not sub.degraded
         assert A.blocks == 3
 
+    def test_rank_deficient_gradient_is_flagged_at_every_seed(self):
+        # population instance: the gradient at L = 0 has rank 2, below the
+        # head rank 4, so every start block is short of four directions
+        model = gen_model(20, 2, seed=11)
+        ctx = ModelContext.create(model.S_star, model.sigma_star)
+        G = gradient(ctx, (np.zeros((20, 0)), np.zeros(0)))
+        unflagged = [
+            seed for seed in range(300)
+            if not head_project(G, 4, ProjectionConfig(seed=seed)).degraded
+        ]
+        assert unflagged == []
+
     def test_randomized_head_ratio(self, rng):
         for i in range(10):
             A = np.random.default_rng([7, i]).standard_normal((100, 100))

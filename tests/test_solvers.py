@@ -288,8 +288,8 @@ class TestBandedFactor:
     @pytest.mark.parametrize("algo", ["ep", "ap-bk", "ap-lanczos"])
     def test_fit_matches_dense_factor_route(self, algo):
         model, ctx = _banded_ctx(200, 5, seed=3)
-        c, lower = scipy.linalg.cho_factor(ctx.S_star, lower=True)
-        dense = dataclasses.replace(ctx, S_chol=CholeskyFactor(c, lower))
+        c, _ = scipy.linalg.cho_factor(ctx.S_star, lower=True)
+        dense = dataclasses.replace(ctx, S_chol=CholeskyFactor(c))
         assert (ctx.S_chol.route, dense.S_chol.route) == ("banded", "dense")
         floor = nll(dense, model.L_factor)
         knobs = dict(nll_tolerance=0.0, true_nll_floor=floor + 1e-11 * abs(floor))
@@ -365,7 +365,7 @@ class TestApStep:
             # iterations, and the run on past it also checks rejected trials
             model, ctx = sampled_ctx(p, r, 400 * p, seed=3)
             knobs = dict(nll_tolerance=0.0, max_iters=12)
-        assert ctx.S_chol.route == ("banded" if banded else "diagonal")
+        assert ctx.S_chol.route == "banded"
         checked = []
 
         def checking(ctx_, L, products=None):
