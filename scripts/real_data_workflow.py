@@ -44,8 +44,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    C, n, p_full = load_dataset(args.samples, center=True,
-                                skip_header=args.skip_header)
+    C, n, p_full = load_dataset(args.samples, skip_header=args.skip_header)
     if p_full > args.max_p:
         C = C[: args.max_p, : args.max_p]
     p = C.shape[0]

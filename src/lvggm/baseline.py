@@ -21,6 +21,9 @@ import numpy as np
 
 from .linalg import check_finite_symmetric, symmetrize
 
+# Tolerance on the primal and dual residuals, relative to max(1, ||Theta||_F).
+_TOL = 1e-5
+
 
 @dataclass
 class AdmmConfig:
@@ -28,8 +31,6 @@ class AdmmConfig:
     nuclear_weight: float = 0.1
     rho: float = 1.0
     max_iters: int = 500
-    tol_primal: float = 1e-5
-    tol_dual: float = 1e-5
 
     def __post_init__(self):
         if self.l1_weight < 0 or self.nuclear_weight < 0:
@@ -73,9 +74,9 @@ def _logdet_prox(M, C, rho):
 def admm_lvglasso(C, cfg):
     """Run the ADMM comparator on a sample covariance.
 
-    Returns ``(S_hat, L_hat, AdmmTrace)``.  When the residual tolerances are
-    not met within ``max_iters`` the best (final) iterate is returned with
-    ``converged=False``.
+    Returns ``(S_hat, L_hat, AdmmTrace)``.  When the residuals do not both
+    meet ``_TOL`` within ``max_iters`` the best (final) iterate is returned
+    with ``converged=False``.
     """
     C = check_finite_symmetric(C, "C")
     p = C.shape[0]
@@ -107,7 +108,7 @@ def admm_lvglasso(C, cfg):
         trace.iterations = it + 1
 
         scale = max(1.0, float(np.linalg.norm(theta, "fro")))
-        if primal <= cfg.tol_primal * scale and dual <= cfg.tol_dual * scale:
+        if primal <= _TOL * scale and dual <= _TOL * scale:
             trace.converged = True
             break
     return S, L, trace

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import AdmmConfig, admm_lvglasso, admm_objective
-from .datagen import GenParams, gen_model, sample_covariance
+from .datagen import gen_model, sample_covariance
 from .linalg import effective_rank, symmetrize
 from .objective import ModelContext, nll
 from .solvers import PGD_ALGORITHMS, DivergedError, derived_seed, fit_pgd
@@ -46,18 +46,14 @@ ADMM_NUCLEAR_GRID = (0.25, 1.0, 4.0)
 
 @dataclass
 class BenchSpec:
-    """Benchmark grid description (JSON-serializable)."""
+    """Benchmark grid description (JSON-serializable); every cell fits the
+    default ensemble at ``r = ceil(0.05 p)`` to its true NLL floor."""
 
     dims: list
     oversampling: list
     trials: int = 5
     algorithms: list = field(default_factory=lambda: ["ep"])
     master_seed: int = 0
-    rank: object = "auto"
-    max_iters: int = 600
-    use_true_nll_floor: bool = True
-    diag_range: tuple = (1.0, 2.0)
-    spectral_norm: float = 1.0
 
     def __post_init__(self):
         if not self.dims or any(int(p) < 2 for p in self.dims):
@@ -80,13 +76,7 @@ class BenchSpec:
         extra = set(payload) - known
         if extra:
             raise ValueError(f"unknown bench spec fields: {sorted(extra)}")
-        if "diag_range" in payload:
-            payload["diag_range"] = tuple(payload["diag_range"])
         return cls(**payload)
-
-
-def _resolve_rank(spec, p):
-    return int(math.ceil(0.05 * p)) if spec.rank == "auto" else int(spec.rank)
 
 
 def tune_admm(C, n, truth=None, max_iters=300):
@@ -144,12 +134,8 @@ def run_single(spec, p, ratio, algo, trial):
         "error": "",
     }
     try:
-        r = _resolve_rank(spec, p)
         n = int(round(ratio * p))
-        model = gen_model(
-            p, r, seed=derived_seed(spec.master_seed, 1, p, trial),
-            params=GenParams(spec.diag_range, spec.spectral_norm),
-        )
+        model = gen_model(p, seed=derived_seed(spec.master_seed, 1, p, trial))
         C = sample_covariance(
             model, n, seed=derived_seed(spec.master_seed, 2, p, n, trial)
         )
@@ -170,9 +156,8 @@ def run_single(spec, p, ratio, algo, trial):
             row["rel_error"] = float(np.linalg.norm(L_hat - L_true, "fro")) / true_norm
         else:
             est, trace = fit_pgd(
-                algo, ctx, r, derived_seed(spec.master_seed, 3, p, n, trial),
-                truth=model.L_factor, max_iters=spec.max_iters,
-                true_nll_floor=true_nll if spec.use_true_nll_floor else None,
+                algo, ctx, model.r, derived_seed(spec.master_seed, 3, p, n, trial),
+                truth=model.L_factor, true_nll_floor=true_nll,
             )
             row["final_nll"] = trace.nll[-1]
             row["rel_error"] = trace.rel_error[-1]

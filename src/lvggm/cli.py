@@ -1,7 +1,8 @@
 """Command-line front end: ``lvggm gen|fit|bench|eval``.
 
 Errors are reported as one-line JSON on stderr with a nonzero exit code so
-harnesses can parse failures.
+harnesses can parse failures; a diverged ``fit`` still writes its partial
+``trace.csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .datagen import GenParams, gen_model, sample_covariance
 from .linalg import NotPositiveDefiniteError, effective_rank, symmetrize
 from .matio import read_matrix, write_matrix
 from .objective import ModelContext, nll, pd_margin
-from .solvers import fit_pgd
+from .solvers import DivergedError, fit_pgd
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
@@ -133,15 +134,19 @@ def cmd_fit(args):
         ctx = ModelContext.create(S, C, validate_psd=False)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
-    est, trace = fit_pgd(
-        args.algo, ctx, args.rank, args.seed, truth=truth,
-        step_size="auto" if args.eta == "auto" else float(args.eta),
-        max_iters=args.max_iters,
-        nll_tolerance=args.nll_tol,
-        true_nll_floor=args.true_nll_floor,
-    )
+    trace_path = os.path.join(args.out, "trace.csv")
+    try:
+        est, trace = fit_pgd(
+            args.algo, ctx, args.rank, args.seed, truth=truth,
+            max_iters=args.max_iters,
+            nll_tolerance=args.nll_tol,
+            true_nll_floor=args.true_nll_floor,
+        )
+    except DivergedError as exc:
+        exc.trace.to_csv(trace_path)
+        raise
     write_matrix(os.path.join(args.out, "Lhat.mat"), est.dense())
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
+    trace.to_csv(trace_path)
     per_iter = trace.seconds[1:] if len(trace) > 1 else trace.seconds
     summary = {
         "algo": args.algo,
@@ -222,7 +227,6 @@ def build_parser():
     f.add_argument("--algo", choices=ALGORITHMS, required=True)
     f.add_argument("--rank", type=int, default=None)
     f.add_argument("--truth", default=None)
-    f.add_argument("--eta", default="auto")
     f.add_argument("--max-iters", type=int, default=600)
     f.add_argument("--nll-tol", type=float, default=1e-7)
     f.add_argument("--true-nll-floor", type=float, default=None)

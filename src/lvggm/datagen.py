@@ -133,20 +133,15 @@ def sample_covariance(model, n, seed=0):
     return symmetrize(Lc @ (W / n) @ Lc.T)
 
 
-def load_dataset(path, center=True, columns=None, skip_header=0):
+def load_dataset(path, skip_header=0):
     """Load a samples matrix (n rows, p columns; CSV or binary) and return
-    ``(C, n, p)`` with ``C`` the (optionally column-centered) sample
-    covariance ``(1/n) sum x_i x_i^T``.
-
-    ``columns`` selects a variable subset before the covariance is formed.
+    ``(C, n, p)`` with ``C`` the column-centered sample covariance
+    ``(1/n) sum x_i x_i^T``.
     """
     X = read_matrix(path, skip_header=skip_header)
     if X.ndim != 2 or X.shape[0] < 1:
         raise MatrixParseError(f"{path}: expected an n x p samples matrix")
-    if columns is not None:
-        X = X[:, list(columns)]
     n, p = X.shape
-    if center:
-        X = X - X.mean(axis=0, keepdims=True)
+    X = X - X.mean(axis=0, keepdims=True)
     C = symmetrize(X.T @ X / n)
     return C, n, p

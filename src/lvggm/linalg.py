@@ -81,11 +81,11 @@ def sym_evd(A, k):
     return Spectrum(w[::-1].copy(), V[:, ::-1].copy())
 
 
-def effective_rank(eigenvalues, rel_tol=1e-8):
-    """Count of eigenvalues with magnitude above ``rel_tol`` times the largest."""
+def effective_rank(eigenvalues):
+    """Count of eigenvalues with magnitude above ``1e-8`` times the largest."""
     w = np.abs(np.asarray(eigenvalues, dtype=np.float64))
     lam1 = float(w.max()) if w.size else 0.0
-    return 0 if lam1 == 0.0 else int(np.sum(w > rel_tol * lam1))
+    return 0 if lam1 == 0.0 else int(np.sum(w > 1e-8 * lam1))
 
 
 # ``S`` of bandwidth ``b`` takes the banded route when ``_BAND_RATIO * b <= p``.

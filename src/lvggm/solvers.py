@@ -84,10 +84,9 @@ class InsufficientDataError(Exception):
 
 @dataclass
 class SolverConfig:
-    """Solver knobs; ``step_size="auto"`` resolves via :func:`auto_step_size`."""
+    """Solver knobs; the step always starts at :func:`auto_step_size`."""
 
     rank: int
-    step_size: float | str = "auto"
     max_iters: int = 600
     nll_tolerance: float = 1e-7
     true_nll_floor: float | None = None
@@ -96,8 +95,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.step_size != "auto" and not float(self.step_size) > 0:
-            raise ValueError("step_size must be positive or 'auto'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -115,9 +112,9 @@ class LowRankEstimate(NamedTuple):
     def dense(self):
         return symmetrize((self.vectors * self.values) @ self.vectors.T)
 
-    def effective_rank(self, rel_tol=1e-8):
-        """Count of eigenvalues with magnitude above ``rel_tol`` times the largest."""
-        return effective_rank(self.values, rel_tol)
+    def effective_rank(self):
+        """Count of eigenvalues with magnitude above ``1e-8`` times the largest."""
+        return effective_rank(self.values)
 
 
 @dataclass
@@ -324,7 +321,7 @@ def _descend(ctx, cfg, truth, make_candidate):
     p = ctx.p
     if cfg.rank > p:
         raise ValueError(f"rank {cfg.rank} exceeds dimension {p}")
-    eta = auto_step_size(ctx) if cfg.step_size == "auto" else float(cfg.step_size)
+    eta = auto_step_size(ctx)
     if truth is not None:
         truth = as_eigenform(truth, p)
         truth_norm = float(np.sqrt(np.sum(truth[1] ** 2))) or 1.0

@@ -19,23 +19,27 @@ class TestBenchSpec:
         with pytest.raises(ValueError):
             BenchSpec(dims=[16], oversampling=[10], algorithms=["gd"])
 
-    def test_from_json_rejects_unknown_fields(self, tmp_path):
+    # an old spec naming a removed field must fail by name, not be ignored
+    @pytest.mark.parametrize("name", ["bogus", "rank"])
+    def test_from_json_rejects_unknown_fields(self, tmp_path, name):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"dims": [16], "oversampling": [10],
-                                    "algorithms": ["ep"], "bogus": 1}))
-        with pytest.raises(ValueError, match="bogus"):
+                                    "algorithms": ["ep"], name: 1}))
+        with pytest.raises(ValueError, match=f"unknown bench spec fields: .*'{name}'"):
             BenchSpec.from_json(path)
 
 
 class TestRunSingle:
-    def test_failure_becomes_status_row(self):
-        # rank exceeding the dimension raises inside the generator; the harness
-        # reports a failed row instead of propagating
-        spec = BenchSpec(dims=[16], oversampling=[10], trials=1,
-                         algorithms=["ep"], rank=99)
+    def test_failure_becomes_status_row(self, monkeypatch):
+        # the harness reports a failed row instead of propagating
+        def fail(ctx, cfg, truth=None):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(solvers, "ep_lvm", fail)
+        spec = BenchSpec(dims=[16], oversampling=[10], trials=1, algorithms=["ep"])
         row = run_single(spec, 16, 10.0, "ep", 0)
-        assert row["status"].startswith("failed:")
-        assert row["error"] == "rank r=99 out of range [1, 16)"
+        assert row["status"] == "failed:ValueError"
+        assert row["error"] == "injected failure"
         assert np.isnan(row["rel_error"])
 
     def test_divergence_keeps_its_message(self, monkeypatch):
@@ -63,7 +67,7 @@ class TestRunSingle:
 class TestWorkerPool:
     def test_parallel_matches_sequential(self, tmp_path):
         spec = BenchSpec(dims=[12], oversampling=[10], trials=2,
-                         algorithms=["ep"], master_seed=9, max_iters=50)
+                         algorithms=["ep"], master_seed=9)
         seq_results, _ = run_bench(spec, tmp_path / "seq", workers=1)
         par_results, _ = run_bench(spec, tmp_path / "par", workers=2)
         def strip_timing(path):

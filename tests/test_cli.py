@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lvggm import solvers
 from lvggm.cli import main
 from lvggm.datagen import gen_model
+from lvggm.linalg import NotPositiveDefiniteError
 from lvggm.matio import read_matrix, write_matrix_binary
 
 
@@ -129,15 +131,16 @@ class TestFit:
     def test_summary_reports_halvings_step_size_and_degraded_count(
         self, tmp_path, capsys
     ):
-        # an oversized fixed step forces halvings; the gradient at L = 0 of
-        # a population instance has rank 2, below the head rank 4, so the
-        # first head projection is padded and counted as degraded
+        # the doubling step overshoots and halves on this instance; the
+        # gradient at L = 0 of a population instance has rank 2, below the
+        # head rank 4, so the first head projection is padded and counted as
+        # degraded
         self._population_instance(tmp_path)
         out = tmp_path / "fit"
         code, _, _ = run_cli(
             capsys, "fit", "--s", str(tmp_path / "S.mat"),
             "--cov", str(tmp_path / "C.mat"), "--algo", "ap-bk",
-            "--rank", "2", "--eta", "50", "--max-iters", "40", "--out", str(out),
+            "--rank", "2", "--max-iters", "40", "--out", str(out),
         )
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -187,6 +190,34 @@ class TestFit:
         assert code == 1
         payload = json.loads(err.strip())
         assert payload["error"] == "NotPositiveDefiniteError"
+
+    def test_divergence_writes_the_partial_trace(self, tmp_path, capsys, monkeypatch):
+        # the NLL passes at L = 0 and on three trials, then fails every trial
+        # as non-PD, so the next iteration exhausts its halvings
+        real_nll, calls = solvers.nll, []
+
+        def failing_nll(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 4:
+                raise NotPositiveDefiniteError("injected")
+            return real_nll(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "nll", failing_nll)
+        self._population_instance(tmp_path)
+        out = tmp_path / "fit"
+        code, _, err = run_cli(
+            capsys, "fit", "--s", str(tmp_path / "S.mat"),
+            "--cov", str(tmp_path / "C.mat"), "--algo", "ep", "--rank", "2",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err.strip())["error"] == "DivergedError"
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert lines[0] == "iter,nll,seconds,eta,halvings,rank,rel_error"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        # every completed iteration spent one accepted trial and its halvings
+        assert rows and sum(1 + int(row[4]) for row in rows) == 3
 
     def test_missing_rank_is_usage_error(self, tmp_path, capsys):
         write_matrix_binary(tmp_path / "S.mat", np.eye(5))
@@ -242,7 +273,6 @@ class TestBench:
             "trials": 2,
             "algorithms": ["ep"],
             "master_seed": 4,
-            "max_iters": 120,
         }
         payload.update(overrides)
         path = tmp_path / "spec.json"

@@ -171,7 +171,7 @@ class TestLoadDataset:
     def test_two_sample_centered_covariance(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,0\n0,1\n")
-        C, n, p = load_dataset(path, center=True)
+        C, n, p = load_dataset(path)
         assert (n, p) == (2, 2)
         assert np.allclose(C, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
@@ -182,26 +182,27 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_matches_in_memory_covariance_exactly(self, rng, tmp_path):
-        # same data through the file path and the in-memory formula
+        # same data through the file path and the in-memory centered formula
         n, p = 301, 1000
         model = gen_model(p, 5, seed=14)
         Lc = np.linalg.cholesky(model.sigma_star)
         X = rng.standard_normal((n, p)) @ Lc.T
         path = tmp_path / "samples.csv"
         write_matrix_csv(path, X)
-        C_loaded, n_out, p_out = load_dataset(path, center=False)
-        C_mem = X.T @ X / n
+        C_loaded, n_out, p_out = load_dataset(path)
+        Xc = X - X.mean(axis=0)
+        C_mem = Xc.T @ Xc / n
         assert (n_out, p_out) == (n, p)
         assert np.abs(C_loaded - (C_mem + C_mem.T) / 2).max() < 1e-12
 
-    def test_binary_samples_and_column_subset(self, rng, tmp_path):
+    def test_binary_samples(self, rng, tmp_path):
         X = rng.standard_normal((20, 6))
         path = tmp_path / "x.mat"
         write_matrix_binary(path, X)
-        C, n, p = load_dataset(path, center=False, columns=[0, 2, 4])
-        assert (n, p) == (20, 3)
-        sub = X[:, [0, 2, 4]]
-        assert np.abs(C - (sub.T @ sub / 20 + (sub.T @ sub / 20).T) / 2).max() < 1e-15
+        C, n, p = load_dataset(path)
+        assert (n, p) == (20, 6)
+        Xc = X - X.mean(axis=0)
+        assert np.abs(C - (Xc.T @ Xc / 20 + (Xc.T @ Xc / 20).T) / 2).max() < 1e-15
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
