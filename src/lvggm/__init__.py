@@ -18,7 +18,6 @@ from .linalg import (
     effective_rank,
     sym_evd,
     symmetrize,
-    woodbury_inverse,
 )
 from .matio import MatrixParseError, read_matrix, write_matrix
 from .objective import (
@@ -37,7 +36,6 @@ from .projections import (
     default_krylov_depth,
     head_project,
     lanczos_subspace,
-    psd_rank_r_project,
 )
 from .solvers import (
     PGD_ALGORITHMS,

@@ -131,7 +131,7 @@ def cmd_fit(args):
         raise ValueError("--rank is required for ep/ap solvers")
     S = read_matrix(args.s)
     try:
-        ctx = ModelContext.create(S, C, validate_psd=False)
+        ctx = ModelContext.create(S, C)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
     trace_path = os.path.join(args.out, "trace.csv")

@@ -2,9 +2,9 @@
 
 Symmetric matrices are carried as plain ``(p, p)`` float64 ndarrays; every
 routine that constructs one symmetrizes as ``(A + A.T) / 2`` so that iterates
-stay exactly in the symmetric cone.  The Woodbury routines take a low-rank
-update as a PSD factor ``U`` (:func:`woodbury_inverse`) or in eigenform
-``V diag(d) V.T`` (:func:`woodbury_core_eig`).
+stay exactly in the symmetric cone.  :func:`woodbury_core_eig` gives the
+Woodbury pieces of the inverse of ``S`` plus a low-rank update in eigenform
+``V diag(d) V.T``.
 """
 
 from __future__ import annotations
@@ -223,32 +223,6 @@ def cholesky_logdet(A):
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     return fac, fac.logdet
-
-
-def woodbury_inverse(S_chol, U):
-    """Inverse of ``S + U @ U.T`` via the Woodbury identity.
-
-    ``S^-1 U`` comes from the factor's :meth:`CholeskyFactor.solve`, so the
-    per-call cost is ``O(p^2 r + r^3)``; the dense inverse of the *sum* is
-    never formed directly.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the inner ``r x r`` system ``I + U.T S^-1 U`` is not positive
-        definite, which signals ``S + U U.T`` leaving the PD cone.
-    """
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim != 2 or U.shape[0] != S_chol.dim:
-        raise ValueError(f"factor shape {U.shape} incompatible with dim {S_chol.dim}")
-    X = S_chol.solve(U)  # S^-1 U, (p, r)
-    K = np.eye(U.shape[1]) + U.T @ X
-    try:
-        kc, klower = cho_factor(symmetrize(K), lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError("inner Woodbury system not PD") from exc
-    correction = X @ cho_solve((kc, klower), X.T, check_finite=False)
-    return symmetrize(S_chol.inverse - correction)
 
 
 def woodbury_core_eig(S_chol, V, d, M=None):

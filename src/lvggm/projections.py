@@ -1,8 +1,7 @@
-"""Exact and approximate low-rank projections.
+"""Approximate low-rank projections.
 
-The exact route projects onto the rank-r PSD cone from the ``r`` leading
-eigenpairs, which the eigensolver computes alone after its ``O(p^3)``
-tridiagonal reduction.  The approximate routes are randomized block-Krylov
+The exact rank-r PSD projection is :func:`lvggm.solvers.psd_finalize`.
+The approximate routes here are randomized block-Krylov
 (gap-independent) and Lanczos (convergence depends on spectral gaps).
 :func:`bk_svd`, at :func:`default_krylov_depth`, carries constant-factor
 guarantees: its rank-r residual is within ``c_T = 1.1`` of the best rank-r
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import check_finite_symmetric, sym_evd, symmetrize
+from .linalg import check_finite_symmetric, symmetrize
 
 # Krylov depth of head_project's block-Krylov backend, at every size.  A
 # small depth already gives gap-independent bounds (Musco & Musco, NeurIPS
@@ -76,19 +75,6 @@ def rng_for(seed, *salts):
     iterations while preserving replay from a single master seed.
     """
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, salts)])
-
-
-def psd_rank_r_project(A, r):
-    """Euclidean projection of a symmetric matrix onto ``{rank <= r, PSD}``.
-
-    Computes only the ``r`` algebraically largest eigenpairs (exactly, by
-    :func:`~lvggm.linalg.sym_evd`), clamps negatives to zero, and returns the
-    factor ``U`` (``p x r``) with ``U @ U.T`` equal to the projection.
-    Components clamped to zero leave zero columns, so the factor always has
-    ``r`` columns.
-    """
-    spec = sym_evd(A, r)
-    return spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
 
 
 def _orthonormalize(K, floor=0.0):

@@ -9,9 +9,10 @@ has no cap.  The step size and the iterate are locals of the loop, and each
 iteration is one row of the returned :class:`Trace`.  The solvers differ
 only in ``P``:
 
-* ``ep_lvm`` projects exactly onto the rank-r PSD cone from the ``r``
-  leading eigenpairs of the step matrix; the eigensolver computes only
-  those, but its tridiagonal reduction keeps the per-iteration cost cubic.
+* ``ep_lvm`` projects exactly onto the rank-r PSD cone with
+  :func:`psd_finalize`, from the ``r`` leading eigenpairs of the dense step
+  matrix; the eigensolver computes only those, but its tridiagonal
+  reduction keeps the per-iteration cost cubic.
 * ``ap_lvm`` replaces the exact projection with an approximate head
   projection of the gradient at rank ``2r``, onto a basis ``Z``, and takes
   the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
@@ -247,17 +248,25 @@ def contraction_estimate(trace):
 
 
 def psd_finalize(L, r):
-    """Project an estimate onto the rank-``r`` PSD cone.
+    """Project an estimate onto the rank-``r`` PSD cone: keep its ``r``
+    largest eigenvalues and drop the negative ones.
 
-    ``L`` is any form :func:`~lvggm.objective.as_eigenform` takes.  For an
-    eigenform this is an ``O(p r^2)`` post-processing step (drop negative
-    eigenvalues, keep the ``r`` largest), equal to the exact PSD rank-``r``
-    projection of the materialized matrix.
+    This is the exact projection EP steps with.  A dense symmetric ``(p, p)``
+    ``L`` goes to :func:`~lvggm.linalg.sym_evd`, which computes only its
+    ``min(r, p)`` leading eigenpairs.  Any other form
+    :func:`~lvggm.objective.as_eigenform` takes is normalized by it first;
+    an eigenform is then only sorted and cut, in ``O(p r)``.
     """
-    V, d = as_eigenform(L)
-    order = np.argsort(-d, kind="stable")[: min(r, d.size)]
-    keep = order[d[order] > 0.0]
-    return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep].copy())
+    shape = () if isinstance(L, tuple) else np.shape(L)
+    if len(shape) == 2 and shape[0] == shape[1]:
+        spec = sym_evd(L, min(r, shape[0]))
+        V, d = spec.eigenvectors, spec.eigenvalues
+    else:
+        V, d = as_eigenform(L)
+        order = np.argsort(-d, kind="stable")[:r]
+        V, d = V[:, order], d[order]
+    keep = d > 0.0
+    return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep])
 
 
 def _accept(ctx, candidate, current_nll, eta, trace):
@@ -364,8 +373,9 @@ def _descend(ctx, cfg, truth, make_candidate):
 def ep_lvm(ctx, cfg, truth=None):
     """Exact-projection solver: ``L <- P_r^+(L - eta * grad F(L))``.
 
-    Starts from ``L = 0``; every iterate is PSD with rank at most ``r``.
-    Returns ``(LowRankEstimate, Trace)``.
+    Starts from ``L = 0``.  ``P_r^+`` is :func:`psd_finalize` of the dense
+    step matrix, so every iterate is PSD with rank at most ``r``.  Returns
+    ``(LowRankEstimate, Trace)``.
     """
     r = cfg.rank
 
@@ -374,14 +384,8 @@ def ep_lvm(ctx, cfg, truth=None):
         base = (V * d) @ V.T
 
         def candidate(eta):
-            step = symmetrize(base - eta * G)
-            spec = sym_evd(step, r)
-            keep = spec.eigenvalues > 0.0
-            return (
-                np.ascontiguousarray(spec.eigenvectors[:, keep]),
-                spec.eigenvalues[keep],
-                None,
-            )
+            V_new, d_new = psd_finalize(symmetrize(base - eta * G), r)
+            return V_new, d_new, None
 
         return candidate, False
 

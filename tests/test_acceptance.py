@@ -19,16 +19,23 @@ import pytest
 import lvggm
 from lvggm.bench import BenchSpec, run_single
 from lvggm.datagen import gen_model, sample_covariance
-from lvggm.linalg import cholesky_logdet, woodbury_inverse
+from lvggm.linalg import cholesky_logdet, woodbury_core_eig
 from lvggm.objective import (
     ModelContext,
+    as_eigenform,
     gradient,
     nll,
     projected_gradient_norm,
     rsc_rss_bounds,
 )
-from lvggm.projections import ProjectionConfig, bk_svd, psd_rank_r_project
-from lvggm.solvers import SolverConfig, ap_lvm, contraction_estimate, ep_lvm
+from lvggm.projections import ProjectionConfig, bk_svd
+from lvggm.solvers import (
+    SolverConfig,
+    ap_lvm,
+    contraction_estimate,
+    ep_lvm,
+    psd_finalize,
+)
 
 from .conftest import random_spd, random_symmetric
 from .oracles import (
@@ -129,7 +136,8 @@ def test_criterion_02_woodbury_matches_dense_inverse():
             S = random_spd(rng, p)
             U = rng.standard_normal((p, r)) / np.sqrt(p)
             fac, _ = cholesky_logdet(S)
-            out = woodbury_inverse(fac, U)
+            K, M = woodbury_core_eig(fac, *as_eigenform(U))
+            out = fac.inverse - M @ K @ M.T
             oracle = np.linalg.inv(S + U @ U.T)
             dev = np.abs(out - oracle).max()
             assert dev < 1e-10, f"instance {k}: max-abs deviation {dev:.3e}"
@@ -142,8 +150,8 @@ def test_criterion_03_psd_projection_oracle_equivalence():
         for k in range(100):
             rng = np.random.default_rng([303, k])
             A = random_symmetric(rng, 6)
-            U = psd_rank_r_project(A, 3)
-            dev = np.abs(U @ U.T - psd_clamp_truncate(A, 3)).max()
+            out = psd_finalize(A, 3).dense()
+            dev = np.abs(out - psd_clamp_truncate(A, 3)).max()
             assert dev <= 1e-12, f"instance {k}: deviation {dev:.3e}"
 
 

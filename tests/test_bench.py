@@ -30,7 +30,7 @@ class TestBenchSpec:
 
 
 class TestRunSingle:
-    def test_failure_becomes_status_row(self, monkeypatch):
+    def test_failure_becomes_status_row(self, monkeypatch, tmp_path):
         # the harness reports a failed row instead of propagating
         def fail(ctx, cfg, truth=None):
             raise ValueError("injected failure")
@@ -41,6 +41,11 @@ class TestRunSingle:
         assert row["status"] == "failed:ValueError"
         assert row["error"] == "injected failure"
         assert np.isnan(row["rel_error"])
+
+        # a group whose every trial failed keeps its medians row, all NaN
+        run_bench(spec, tmp_path)
+        medians = (tmp_path / "medians.csv").read_text().split("\n")
+        assert medians[1] == "16,10,ep,0,nan,nan,nan,nan"
 
     def test_divergence_keeps_its_message(self, monkeypatch):
         def diverge(ctx, cfg, truth=None):

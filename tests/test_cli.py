@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from lvggm import solvers
+from lvggm.bench import ADMM_L1_GRID
 from lvggm.cli import main
 from lvggm.datagen import gen_model
 from lvggm.linalg import NotPositiveDefiniteError
@@ -96,13 +97,30 @@ class TestFit:
         code, _, _ = run_cli(
             capsys, "fit", "--cov", str(tmp_path / "C.mat"), "--algo", "admm",
             "--l1", "0.05", "--nuclear", "0.1", "--out", str(out),
-            "--n-samples", "10000",
+            "--n-samples", "10000", "--truth", str(tmp_path / "Ltrue.mat"),
         )
         assert code == 0
         assert (out / "Lhat.mat").exists()
         assert (out / "Shat.mat").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert "admm_objective" in summary
+        L_hat = read_matrix(out / "Lhat.mat")
+        expected = np.linalg.norm(L_hat - model.L_star) / np.linalg.norm(model.L_star)
+        assert summary["rel_error"] == pytest.approx(expected, rel=1e-12)
+
+        # without --l1/--nuclear the weights come from the tuned grid, chosen
+        # by the regularized objective when no truth is given
+        out = tmp_path / "tuned"
+        code, _, _ = run_cli(
+            capsys, "fit", "--cov", str(tmp_path / "C.mat"), "--algo", "admm",
+            "--n-samples", "10000", "--max-iters", "100", "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        base_l1 = np.sqrt(np.log(25) / 10000)
+        ratio = summary["l1_weight"] / base_l1
+        assert any(ratio == pytest.approx(a) for a in ADMM_L1_GRID)
+        assert "rel_error" not in summary
 
     def test_eval_matches_solver_internal_rel_error(self, tmp_path, capsys):
         # sampled covariance: the statistical-error regime the cross-check
@@ -179,6 +197,21 @@ class TestFit:
         trace_lines = (out / "trace.csv").read_text().split("\n")
         assert trace_lines[0] == "iter,nll,seconds,eta,halvings,rank,rel_error"
 
+    def test_non_psd_covariance_fails_before_iterating(self, tmp_path, capsys):
+        write_matrix_binary(tmp_path / "S.mat", np.eye(5))
+        write_matrix_binary(tmp_path / "C.mat", np.diag([1.0, 1.0, 1.0, 1.0, -0.2]))
+        out = tmp_path / "fit"
+        code, _, err = run_cli(
+            capsys, "fit", "--s", str(tmp_path / "S.mat"),
+            "--cov", str(tmp_path / "C.mat"), "--algo", "ep", "--rank", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        payload = json.loads(err.strip())
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("C is not PSD (min eigenvalue")
+        assert not (out / "trace.csv").exists()
+
     def test_non_pd_sparse_part_fails_before_iterating(self, tmp_path, capsys):
         write_matrix_binary(tmp_path / "S.mat", -np.eye(5))
         write_matrix_binary(tmp_path / "C.mat", np.eye(5))
@@ -230,6 +263,16 @@ class TestFit:
         assert code == 1
         assert json.loads(err.strip())["error"] == "ValueError"
 
+        # so is a missing --s
+        code, _, err = run_cli(
+            capsys, "fit", "--cov", str(tmp_path / "C.mat"), "--algo", "ep",
+            "--rank", "1", "--out", str(tmp_path / "fit"),
+        )
+        assert code == 1
+        assert json.loads(err.strip()) == {
+            "error": "ValueError", "message": "--s is required for ep/ap solvers",
+        }
+
 
 class TestEval:
     def test_exact_match_is_zero(self, tmp_path, capsys, rng):
@@ -238,10 +281,11 @@ class TestEval:
         write_matrix_binary(tmp_path / "a.mat", A)
         code, stdout, _ = run_cli(
             capsys, "eval", "--estimate", str(tmp_path / "a.mat"),
-            "--reference", str(tmp_path / "a.mat"),
+            "--reference", str(tmp_path / "a.mat"), "--out", str(tmp_path / "r.json"),
         )
         report = json.loads(stdout)
         assert report["rel_error"] == 0.0
+        assert (tmp_path / "r.json").read_text() == stdout
 
     def test_zero_estimate_normalization(self, tmp_path, capsys, rng):
         A = rng.standard_normal((5, 5))

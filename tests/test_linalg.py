@@ -10,8 +10,8 @@ from lvggm.linalg import (
     sym_evd,
     symmetrize,
     woodbury_core_eig,
-    woodbury_inverse,
 )
+from lvggm.objective import as_eigenform
 
 from .conftest import random_spd, random_symmetric
 from .oracles import jacobi_evd
@@ -216,11 +216,20 @@ class TestFactorRoutes:
             cholesky_logdet(np.diag(S))
 
 
-class TestWoodburyInverse:
+class TestWoodburyInverseEig:
+    """``S^-1 - M K M.T`` from :func:`woodbury_core_eig` is the inverse of
+    ``S + V diag(d) V.T``, whatever the signs of ``d``, and of ``S + U U.T``
+    for a PSD factor ``U`` in eigenform."""
+
+    @staticmethod
+    def _inverse(fac, V, d):
+        K, M = woodbury_core_eig(fac, V, d)
+        return fac.inverse - M @ K @ M.T
+
     def test_zero_perturbation(self, rng):
         S = random_spd(rng, 8)
         fac, _ = cholesky_logdet(S)
-        out = woodbury_inverse(fac, np.zeros((8, 2)))
+        out = self._inverse(fac, *as_eigenform(np.zeros((8, 2))))
         assert np.abs(out - np.linalg.inv(S)).max() < 1e-10
 
     def test_rank_one_sherman_morrison(self):
@@ -228,7 +237,7 @@ class TestWoodburyInverse:
         fac, _ = cholesky_logdet(np.eye(p))
         e1 = np.zeros((p, 1))
         e1[0, 0] = 1.0
-        out = woodbury_inverse(fac, e1)
+        out = self._inverse(fac, *as_eigenform(e1))
         expected = np.eye(p)
         expected[0, 0] = 0.5
         assert np.abs(out - expected).max() < 1e-14
@@ -238,7 +247,7 @@ class TestWoodburyInverse:
         S = random_spd(rng, p)
         U = rng.standard_normal((p, r)) / np.sqrt(p)
         fac, _ = cholesky_logdet(S)
-        out = woodbury_inverse(fac, U)
+        out = self._inverse(fac, *as_eigenform(U))
         oracle = np.linalg.inv(S + U @ U.T)
         assert np.abs(out - oracle).max() < 1e-10
 
@@ -247,19 +256,9 @@ class TestWoodburyInverse:
             S = random_spd(rng, p)
             U = rng.standard_normal((p, 5)) / np.sqrt(p)
             fac, _ = cholesky_logdet(S)
-            out = woodbury_inverse(fac, U)
+            out = self._inverse(fac, *as_eigenform(U))
             prod = out @ (S + U @ U.T)
             assert np.abs(prod - np.eye(p)).max() < 1e-8
-
-
-class TestWoodburyInverseEig:
-    """``S^-1 - M K M.T`` from :func:`woodbury_core_eig` is the inverse of
-    ``S + V diag(d) V.T``, whatever the signs of ``d``."""
-
-    @staticmethod
-    def _inverse(fac, V, d):
-        K, M = woodbury_core_eig(fac, V, d)
-        return fac.inverse - M @ K @ M.T
 
     def test_matches_dense_inverse_with_mixed_signs(self, rng):
         p, r = 30, 4

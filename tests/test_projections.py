@@ -14,8 +14,8 @@ from lvggm.projections import (
     default_krylov_depth,
     head_project,
     lanczos_subspace,
-    psd_rank_r_project,
 )
+from lvggm.solvers import psd_finalize
 
 from .conftest import random_spd, random_symmetric
 from .oracles import psd_clamp_truncate
@@ -33,28 +33,29 @@ class TestProjectionConfig:
 
 
 class TestPsdRankRProject:
+    """:func:`psd_finalize` of a dense symmetric matrix is its Euclidean
+    projection onto ``{rank <= r, PSD}``."""
+
     def test_clamps_negative_eigenvalue(self):
-        U = psd_rank_r_project(np.diag([3.0, 1.0, -2.0]), 2)
-        assert np.abs(U @ U.T - np.diag([3.0, 1.0, 0.0])).max() < 1e-12
+        P = psd_finalize(np.diag([3.0, 1.0, -2.0]), 2).dense()
+        assert np.abs(P - np.diag([3.0, 1.0, 0.0])).max() < 1e-12
 
     def test_psd_low_rank_fixed_point(self, rng):
         G = rng.standard_normal((6, 2))
         A = G @ G.T
-        U = psd_rank_r_project(A, 2)
-        assert np.abs(U @ U.T - A).max() < 1e-10
+        P = psd_finalize(A, 2).dense()
+        assert np.abs(P - A).max() < 1e-10
 
     def test_matches_clamp_truncate_oracle(self, rng):
         A = random_symmetric(rng, 6)
-        U = psd_rank_r_project(A, 3)
-        assert np.abs(U @ U.T - psd_clamp_truncate(A, 3)).max() < 1e-12
+        P = psd_finalize(A, 3).dense()
+        assert np.abs(P - psd_clamp_truncate(A, 3)).max() < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=5))
     def test_output_psd_and_rank_bounded(self, seed, r):
         A = random_symmetric(np.random.default_rng(seed), 6)
-        U = psd_rank_r_project(A, r)
-        L = U @ U.T
-        w = np.linalg.eigvalsh(L)
+        w = np.linalg.eigvalsh(psd_finalize(A, r).dense())
         assert w[0] >= -1e-12
         assert np.sum(np.abs(w) > 1e-10 * max(1.0, abs(w[-1]))) <= r
 
@@ -62,8 +63,7 @@ class TestPsdRankRProject:
         # closer than 1000 random PSD rank-r candidates
         A = random_symmetric(rng, 6)
         r = 2
-        U = psd_rank_r_project(A, r)
-        best = np.linalg.norm(A - U @ U.T, "fro")
+        best = np.linalg.norm(A - psd_finalize(A, r).dense(), "fro")
         for _ in range(1000):
             G = rng.standard_normal((6, r))
             cand = G @ G.T
