@@ -82,9 +82,9 @@ def _rel_error_dense(est, ref):
 def cmd_fit(args):
     C = read_matrix(args.cov)
     truth = read_matrix(args.truth) if args.truth else None
-    os.makedirs(args.out, exist_ok=True)
 
     if args.algo == "admm":
+        os.makedirs(args.out, exist_ok=True)
         admm_iters = args.max_iters
         tic = time.perf_counter()
         if args.l1 is not None and args.nuclear is not None:
@@ -134,6 +134,8 @@ def cmd_fit(args):
         ctx = ModelContext.create(S, C)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
+    # created only now, so a rejected input leaves no output directory
+    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     try:
         est, trace = fit_pgd(

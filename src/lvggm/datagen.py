@@ -3,21 +3,31 @@
 The synthetic ensemble uses a diagonal positive sparse part (which keeps it
 PSD by construction) and a rank-r Gram low-rank part ``L* = G G^T`` rescaled
 to a target spectral norm.  Everything is a pure function of its seed.
+
+Sampling accumulates the Gram of standard-normal draws and colours it once
+with the Cholesky factor of ``sigma*``, which is formed from ``theta*``
+without inverting it.  Draws fill two alternating buffers: one worker thread
+draws the next chunk while the calling thread adds the current one to the
+Gram, so the result stays a pure function of the seed.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .linalg import cholesky_logdet, symmetrize
+from .linalg import NotPositiveDefiniteError, cholesky_logdet, symmetrize
 from .matio import MatrixParseError, read_matrix
 
-# Rows of standard-normal draws per chunk: bounds the draw buffer, and a fixed
-# chunk keeps the Gram's summation order (hence the exact result) stable.
-_SAMPLE_CHUNK = 8192
+# Rows of standard-normal draws per chunk.  Two chunk buffers bound the draw
+# memory at 2 * 4096 rows, and the fixed chunk keeps the Gram's summation
+# order (hence the exact result) stable.
+_SAMPLE_CHUNK = 4096
 
 
 class GenerationError(Exception):
@@ -104,33 +114,73 @@ def gen_model(p, r="auto", seed=0, params=None):
     return model
 
 
+def _sigma_factor(model):
+    """Lower Cholesky factor ``Lc`` of ``sigma* = theta*^-1``, from ``theta*``.
+
+    With ``J`` the reversal matrix and ``J theta* J = R R^T`` (``R`` lower),
+    ``sigma* = (J R^-T J)(J R^-T J)^T`` and ``J R^-T J`` is lower triangular
+    with a positive diagonal: one Cholesky and one triangular inverse replace
+    forming ``sigma*`` and factoring it.  Returned in Fortran order, the
+    layout BLAS reads without a copy.
+    """
+    R, info = dpotrf(model.theta_star[::-1, ::-1], lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"theta* is not positive definite (leading minor {info})"
+        )
+    R_inv, _ = dtrtri(R, lower=1, overwrite_c=1)
+    return np.asfortranarray(R_inv[::-1, ::-1].T)
+
+
 def sample_covariance(model, n, seed=0):
     """Empirical second-moment matrix of ``n`` draws from ``N(0, sigma*)``.
 
     A draw is ``x = Lc z`` with ``sigma* = Lc Lc^T`` and ``z`` standard
     normal, so ``sum x x^T = Lc (Z^T Z) Lc^T``: the standard-normal rows are
-    drawn in fixed-size chunks into one reused buffer, only their Gram is
-    accumulated (a SYRK per chunk), and one ``p^3`` congruence by ``Lc``
-    replaces colouring every draw (``n p^2``).  The draws are those of
-    colouring each chunk before accumulating, and the result differs from
-    that formula at roundoff only.  The exact floating-point result depends
-    only on ``(model, n, seed)``.
+    drawn in chunks of 4096, only their Gram is accumulated (a SYRK per
+    chunk), and one congruence by the triangular ``Lc`` (two TRMMs) replaces
+    colouring every draw (``n p^2``).  ``Lc`` comes from the Cholesky factor
+    of the reversed ``theta*`` (:func:`_sigma_factor`), so ``sigma*`` is
+    never formed.
+
+    With more than one chunk, a single worker thread draws chunk ``i + 1``
+    into one of two buffers while the calling thread adds chunk ``i``, in
+    the other, to the Gram; the generator releases the interpreter lock
+    while it fills, so the two overlap on a second core.  One thread draws
+    and one sums, each in a fixed order, so the exact floating-point result
+    depends only on ``(model, n, seed)``.  The worker is joined before the
+    function returns.  The draws are those of colouring each chunk before
+    accumulating, and the result differs from that formula at roundoff only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = model.p
-    Lc = np.linalg.cholesky(symmetrize(model.sigma_star))
+    Lc = _sigma_factor(model)
     rng = np.random.default_rng([seed, 0xC0F])
     W = np.zeros((p, p))
-    buf = np.empty((min(_SAMPLE_CHUNK, n), p))
-    done = 0
-    while done < n:
-        Z = buf[: min(_SAMPLE_CHUNK, n - done)]
-        rng.standard_normal(out=Z)
+    rows = [min(_SAMPLE_CHUNK, n - start) for start in range(0, n, _SAMPLE_CHUNK)]
+    bufs = [np.empty((rows[0], p)) for _ in rows[:2]]
+
+    def draw(i):  # returns nothing, so no future keeps a buffer alive
+        rng.standard_normal(out=bufs[i % 2][: rows[i]])
+
+    if len(rows) == 1:
+        draw(0)
+        Z = bufs[0]
         W += Z.T @ Z
-        done += Z.shape[0]
-    del buf, Z  # free the draws before the congruence's temporaries
-    return symmetrize(Lc @ (W / n) @ Lc.T)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(draw, 0)
+            for i in range(len(rows)):
+                pending.result()
+                if i + 1 < len(rows):
+                    # chunk i - 1's buffer is free: its sum finished last pass
+                    pending = pool.submit(draw, i + 1)
+                Z = bufs[i % 2][: rows[i]]
+                W += Z.T @ Z
+    del bufs, Z  # free the draws before the congruence's temporaries
+    LcW = dtrmm(1.0 / n, Lc, W, lower=1)
+    return symmetrize(dtrmm(1.0, Lc, LcW, side=1, lower=1, trans_a=1, overwrite_b=1))
 
 
 def load_dataset(path, skip_header=0):

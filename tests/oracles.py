@@ -4,9 +4,15 @@ These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
 finite differences, the Hessian oracle forms the Kronecker product
 explicitly, and the sampling oracle colours every draw before accumulating.
+The exception is ``allocating_sample_covariance``, which repeats the
+sampler's arithmetic without its buffers and thread, so that the two can be
+compared bit for bit.
 """
 
 import numpy as np
+from scipy.linalg import cholesky
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 
 def jacobi_evd(A, sweeps=100, tol=1e-14):
@@ -88,7 +94,8 @@ def loglog_slope(xs, ys):
 def reference_sample_covariance(model, n, seed=0):
     """Sample covariance by colouring each chunk of 8192 draws,
     ``X = Z Lc^T``, then accumulating ``X^T X``: the same draws as
-    ``datagen.sample_covariance`` (same generator, chunks and order)."""
+    ``datagen.sample_covariance`` (same generator and order; chunking does
+    not change the draws)."""
     Lc = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0)
     rng = np.random.default_rng([seed, 0xC0F])
     C = np.zeros((model.p, model.p))
@@ -103,16 +110,19 @@ def reference_sample_covariance(model, n, seed=0):
 
 
 def allocating_sample_covariance(model, n, seed=0):
-    """``datagen.sample_covariance`` with a fresh draw array per chunk: the
-    same draws, Gram and congruence, so the result must match bit for bit."""
-    Lc = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0)
+    """``datagen.sample_covariance`` with a fresh draw array per chunk and no
+    worker thread: the same factor of the reversed ``theta*``, draws, 4096-row
+    Gram blocks and triangular congruence, so the result must match bit for
+    bit."""
+    R = cholesky(model.theta_star[::-1, ::-1], lower=True)
+    Lc = dtrtri(R, lower=1)[0][::-1, ::-1].T
     rng = np.random.default_rng([seed, 0xC0F])
     W = np.zeros((model.p, model.p))
     done = 0
     while done < n:
-        m = min(8192, n - done)
+        m = min(4096, n - done)
         Z = rng.standard_normal((m, model.p))
         W += Z.T @ Z
         done += m
-    C = Lc @ (W / n) @ Lc.T
+    C = dtrmm(1.0, Lc, dtrmm(1.0 / n, Lc, W, lower=1), side=1, lower=1, trans_a=1)
     return (C + C.T) / 2.0

@@ -273,6 +273,31 @@ class TestFit:
             "error": "ValueError", "message": "--s is required for ep/ap solvers",
         }
 
+    @pytest.mark.parametrize(
+        "s_diag, c_diag, drop",
+        [
+            ([1.0] * 4, [1.0, 1.0, 1.0, -0.2], None),  # non-PSD --cov
+            ([1.0, 1.0, 1.0, -1.0], [1.0] * 4, None),  # non-PD --s
+            ([1.0] * 4, [1.0] * 4, "--s"),
+            ([1.0] * 4, [1.0] * 4, "--rank"),
+        ],
+        ids=["non-psd-cov", "non-pd-s", "no-s", "no-rank"],
+    )
+    def test_rejected_fit_leaves_no_output_directory(
+        self, tmp_path, capsys, s_diag, c_diag, drop
+    ):
+        write_matrix_binary(tmp_path / "S.mat", np.diag(s_diag))
+        write_matrix_binary(tmp_path / "C.mat", np.diag(c_diag))
+        out = tmp_path / "fit"
+        flags = {"--s": str(tmp_path / "S.mat"), "--rank": "1"}
+        flags.pop(drop, None)
+        args = ["fit", "--cov", str(tmp_path / "C.mat"), "--algo", "ep"]
+        for flag, value in flags.items():
+            args += [flag, value]
+        code, _, _ = run_cli(capsys, *args, "--out", str(out))
+        assert code == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_exact_match_is_zero(self, tmp_path, capsys, rng):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -124,19 +126,65 @@ class TestSampleCovariance:
         assert -0.65 <= slope <= -0.35
 
     def test_deterministic(self):
-        model = gen_model(10, 2, seed=5)
-        assert np.array_equal(
-            sample_covariance(model, 1000, seed=9),
-            sample_covariance(model, 1000, seed=9),
-        )
+        # n = 1000 is one chunk drawn inline; n = 20000 is five chunks,
+        # drawn by the worker thread
+        for p, n in ((10, 1000), (50, 20000)):
+            model = gen_model(p, "auto", seed=5)
+            assert np.array_equal(
+                sample_covariance(model, n, seed=9),
+                sample_covariance(model, n, seed=9),
+            )
+
+    def test_worker_thread_is_joined(self):
+        model = gen_model(50, "auto", seed=2)
+        before = threading.active_count()
+        sample_covariance(model, 20000, seed=3)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_draw_the_same_values(self):
+        # four callers, each with its own worker, on a short switch interval:
+        # a chunk summed before its draw finished, or drawn into the buffer
+        # being summed, would break bit-equality with the threadless oracle
+        p, n = 60, 3 * datagen._SAMPLE_CHUNK + 5
+        model = gen_model(p, "auto", seed=6)
+        expected = allocating_sample_covariance(model, n, seed=7)
+        results = [None] * 4
+
+        def call(k):
+            results[k] = sample_covariance(model, n, seed=7)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for C in results:
+            assert np.array_equal(C, expected)
+
+    @pytest.mark.parametrize("p", [12, 100, 300])
+    def test_factor_is_the_cholesky_factor_of_sigma(self, p):
+        model = gen_model(p, "auto", seed=p)
+        Lc = datagen._sigma_factor(model)
+        ref = np.linalg.cholesky(model.sigma_star)
+        assert np.abs(Lc - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(Lc, np.tril(Lc))
+        assert np.diag(Lc).min() > 0
 
     @pytest.mark.parametrize(
-        "p, n", [(12, 50), (100, 8192), (100, 8193), (300, 20000)]
+        "p, n",
+        [(12, 50), (100, 4096), (100, 4097), (100, 8192), (100, 8193), (300, 20000)],
     )
     def test_matches_colouring_each_draw(self, p, n):
-        # n = 8192 and 8193 sit on the chunk boundary (a last chunk of one
-        # row); agreement to roundoff shows the Gram route colours the same
-        # draws, each counted once.
+        # n = 4096 and 4097 sit on the chunk boundary (one chunk drawn
+        # inline, then a worker drawing a last chunk of one row), and 8193
+        # reuses the first buffer for its last row; agreement to roundoff
+        # shows the Gram route colours the same draws, each counted once.
         model = gen_model(p, "auto", seed=p + 1)
         C = sample_covariance(model, n, seed=n)
         ref = reference_sample_covariance(model, n, seed=n)
@@ -152,9 +200,10 @@ class TestSampleCovariance:
             allocating_sample_covariance(model, n, seed=n),
         )
 
-    def test_one_draw_buffer_is_live(self):
-        # three chunks at p=300: a second live chunk would add 19.7 MB to
-        # the peak, while the p x p matrices add 0.7 MB each
+    def test_draw_buffers_hold_at_most_8192_rows(self):
+        # five chunks at p=300: the two 4096-row buffers hold 19.7 MB, a
+        # third live chunk would add 9.8 MB, and the p x p matrices add
+        # 0.7 MB each
         p, n = 300, 20000
         model = gen_model(p, "auto", seed=4)
         tracemalloc.start()
@@ -163,8 +212,8 @@ class TestSampleCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        chunk = datagen._SAMPLE_CHUNK * p * 8
-        assert peak < 1.5 * chunk + 3 * p * p * 8
+        draw_rows = 2 * datagen._SAMPLE_CHUNK
+        assert peak < 1.5 * draw_rows * p * 8 + 3 * p * p * 8
 
 
 class TestLoadDataset:
