@@ -84,7 +84,6 @@ def cmd_fit(args):
     truth = read_matrix(args.truth) if args.truth else None
 
     if args.algo == "admm":
-        os.makedirs(args.out, exist_ok=True)
         admm_iters = args.max_iters
         tic = time.perf_counter()
         if args.l1 is not None and args.nuclear is not None:
@@ -101,6 +100,7 @@ def cmd_fit(args):
                 C, n_hint, truth=truth, max_iters=admm_iters
             )
         total = time.perf_counter() - tic
+        os.makedirs(args.out, exist_ok=True)
         write_matrix(os.path.join(args.out, "Lhat.mat"), L_hat)
         write_matrix(os.path.join(args.out, "Shat.mat"), S_hat)
         summary = {
@@ -134,8 +134,6 @@ def cmd_fit(args):
         ctx = ModelContext.create(S, C)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
-    # created only now, so a rejected input leaves no output directory
-    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     try:
         est, trace = fit_pgd(
@@ -145,8 +143,11 @@ def cmd_fit(args):
             true_nll_floor=args.true_nll_floor,
         )
     except DivergedError as exc:
+        os.makedirs(args.out, exist_ok=True)
         exc.trace.to_csv(trace_path)
         raise
+    # created just before the first write, so a rejected fit leaves none
+    os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "Lhat.mat"), est.dense())
     trace.to_csv(trace_path)
     per_iter = trace.seconds[1:] if len(trace) > 1 else trace.seconds

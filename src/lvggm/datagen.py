@@ -6,14 +6,17 @@ to a target spectral norm.  Everything is a pure function of its seed.
 
 Sampling accumulates the Gram of standard-normal draws and colours it once
 with the Cholesky factor of ``sigma*``, which is formed from ``theta*``
-without inverting it.  Draws fill two alternating buffers: one worker thread
-draws the next chunk while the calling thread adds the current one to the
-Gram, so the result stays a pure function of the seed.
+without inverting it.  When a core is spare, one worker thread draws the
+next chunk into one of two buffers while the calling thread adds the
+current one to the Gram; otherwise one buffer is drawn and summed in turn.
+The result is a pure function of the seed either way.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -132,6 +135,21 @@ def _sigma_factor(model):
     return np.asfortranarray(R_inv[::-1, ::-1].T)
 
 
+def _spare_core():
+    """Whether a draw thread can run beside the Gram on a core of its own.
+
+    Not in a process-pool worker (``lvggm bench --workers``), whose sibling
+    processes keep the cores busy, nor on one core: there the thread only
+    adds hand-offs (p=100, n=40000 on a 2-core Xeon: 11% slower than
+    inline with the other core busy, 8% slower on one core).
+    """
+    if multiprocessing.parent_process() is not None:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 def sample_covariance(model, n, seed=0):
     """Empirical second-moment matrix of ``n`` draws from ``N(0, sigma*)``.
 
@@ -143,14 +161,16 @@ def sample_covariance(model, n, seed=0):
     of the reversed ``theta*`` (:func:`_sigma_factor`), so ``sigma*`` is
     never formed.
 
-    With more than one chunk, a single worker thread draws chunk ``i + 1``
-    into one of two buffers while the calling thread adds chunk ``i``, in
-    the other, to the Gram; the generator releases the interpreter lock
-    while it fills, so the two overlap on a second core.  One thread draws
-    and one sums, each in a fixed order, so the exact floating-point result
-    depends only on ``(model, n, seed)``.  The worker is joined before the
-    function returns.  The draws are those of colouring each chunk before
-    accumulating, and the result differs from that formula at roundoff only.
+    When a core is spare (:func:`_spare_core`), a single worker thread
+    draws chunk ``i + 1`` into one of two buffers while the calling thread
+    adds chunk ``i``, in the other, to the Gram; the generator releases the
+    interpreter lock while it fills, so the two overlap.  Otherwise the
+    calling thread draws each chunk before adding it.  Either way the draws
+    and the sums run in the same fixed order, so the exact floating-point
+    result depends only on ``(model, n, seed)``.  The worker is joined
+    before the function returns.  The draws are those of colouring each
+    chunk before accumulating, and the result differs from that formula at
+    roundoff only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -159,16 +179,18 @@ def sample_covariance(model, n, seed=0):
     rng = np.random.default_rng([seed, 0xC0F])
     W = np.zeros((p, p))
     rows = [min(_SAMPLE_CHUNK, n - start) for start in range(0, n, _SAMPLE_CHUNK)]
-    bufs = [np.empty((rows[0], p)) for _ in rows[:2]]
+    overlap = _spare_core()
+    # drawn in place, each chunk needs a buffer only until it is summed
+    bufs = [np.empty((rows[0], p)) for _ in rows[: 2 if overlap else 1]]
 
     def draw(i):  # returns nothing, so no future keeps a buffer alive
-        rng.standard_normal(out=bufs[i % 2][: rows[i]])
+        rng.standard_normal(out=bufs[i % len(bufs)][: rows[i]])
 
-    if len(rows) == 1:
-        draw(0)
-        Z = bufs[0]
-        W += Z.T @ Z
-    else:
+    def add(i):
+        Z = bufs[i % len(bufs)][: rows[i]]
+        W[...] += Z.T @ Z
+
+    if overlap:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pending = pool.submit(draw, 0)
             for i in range(len(rows)):
@@ -176,9 +198,12 @@ def sample_covariance(model, n, seed=0):
                 if i + 1 < len(rows):
                     # chunk i - 1's buffer is free: its sum finished last pass
                     pending = pool.submit(draw, i + 1)
-                Z = bufs[i % 2][: rows[i]]
-                W += Z.T @ Z
-    del bufs, Z  # free the draws before the congruence's temporaries
+                add(i)
+    else:
+        for i in range(len(rows)):
+            draw(i)
+            add(i)
+    del bufs  # free the draws before the congruence's temporaries
     LcW = dtrmm(1.0 / n, Lc, W, lower=1)
     return symmetrize(dtrmm(1.0, Lc, LcW, side=1, lower=1, trans_a=1, overwrite_b=1))
 

@@ -274,17 +274,26 @@ class TestFit:
         }
 
     @pytest.mark.parametrize(
-        "s_diag, c_diag, drop",
+        "s_diag, c_diag, drop, extra",
         [
-            ([1.0] * 4, [1.0, 1.0, 1.0, -0.2], None),  # non-PSD --cov
-            ([1.0, 1.0, 1.0, -1.0], [1.0] * 4, None),  # non-PD --s
-            ([1.0] * 4, [1.0] * 4, "--s"),
-            ([1.0] * 4, [1.0] * 4, "--rank"),
+            ([1.0] * 4, [1.0, 1.0, 1.0, -0.2], None, []),  # non-PSD --cov
+            ([1.0, 1.0, 1.0, -1.0], [1.0] * 4, None, []),  # non-PD --s
+            ([1.0] * 4, [1.0] * 4, "--s", []),
+            ([1.0] * 4, [1.0] * 4, "--rank", []),
+            # rejected by the solver, after the inputs were read
+            ([1.0] * 4, [1.0] * 4, "--rank", ["--rank", "0"]),
+            ([1.0] * 4, [1.0] * 4, "--rank", ["--rank", "5"]),  # rank > p
+            ([1.0] * 4, [1.0] * 4, None, ["--max-iters", "0"]),
+            ([1.0] * 4, [1.0] * 4, None,
+             ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"]),
         ],
-        ids=["non-psd-cov", "non-pd-s", "no-s", "no-rank"],
+        ids=[
+            "non-psd-cov", "non-pd-s", "no-s", "no-rank",
+            "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0",
+        ],
     )
     def test_rejected_fit_leaves_no_output_directory(
-        self, tmp_path, capsys, s_diag, c_diag, drop
+        self, tmp_path, capsys, s_diag, c_diag, drop, extra
     ):
         write_matrix_binary(tmp_path / "S.mat", np.diag(s_diag))
         write_matrix_binary(tmp_path / "C.mat", np.diag(c_diag))
@@ -294,7 +303,7 @@ class TestFit:
         args = ["fit", "--cov", str(tmp_path / "C.mat"), "--algo", "ep"]
         for flag, value in flags.items():
             args += [flag, value]
-        code, _, _ = run_cli(capsys, *args, "--out", str(out))
+        code, _, _ = run_cli(capsys, *args, *extra, "--out", str(out))
         assert code == 1
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,8 +127,7 @@ class TestSampleCovariance:
         assert -0.65 <= slope <= -0.35
 
     def test_deterministic(self):
-        # n = 1000 is one chunk drawn inline; n = 20000 is five chunks,
-        # drawn by the worker thread
+        # n = 1000 is one chunk; n = 20000 is five chunks
         for p, n in ((10, 1000), (50, 20000)):
             model = gen_model(p, "auto", seed=5)
             assert np.array_equal(
@@ -135,13 +135,15 @@ class TestSampleCovariance:
                 sample_covariance(model, n, seed=9),
             )
 
-    def test_worker_thread_is_joined(self):
+    def test_worker_thread_is_joined(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_spare_core", lambda: True)
         model = gen_model(50, "auto", seed=2)
         before = threading.active_count()
         sample_covariance(model, 20000, seed=3)
         assert threading.active_count() == before
 
-    def test_concurrent_calls_draw_the_same_values(self):
+    def test_concurrent_calls_draw_the_same_values(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_spare_core", lambda: True)
         # four callers, each with its own worker, on a short switch interval:
         # a chunk summed before its draw finished, or drawn into the buffer
         # being summed, would break bit-equality with the threadless oracle
@@ -181,8 +183,8 @@ class TestSampleCovariance:
         [(12, 50), (100, 4096), (100, 4097), (100, 8192), (100, 8193), (300, 20000)],
     )
     def test_matches_colouring_each_draw(self, p, n):
-        # n = 4096 and 4097 sit on the chunk boundary (one chunk drawn
-        # inline, then a worker drawing a last chunk of one row), and 8193
+        # n = 4096 and 4097 sit on the chunk boundary (one chunk, then a
+        # last chunk of one row in the second buffer), and 8193
         # reuses the first buffer for its last row; agreement to roundoff
         # shows the Gram route colours the same draws, each counted once.
         model = gen_model(p, "auto", seed=p + 1)
@@ -200,10 +202,26 @@ class TestSampleCovariance:
             allocating_sample_covariance(model, n, seed=n),
         )
 
+    @pytest.mark.parametrize("spare", [True, False], ids=["thread", "inline"])
+    @pytest.mark.parametrize("p, n", [(12, 50), (100, 8193), (300, 20000)])
+    def test_either_draw_path_matches_the_oracle(self, monkeypatch, p, n, spare):
+        monkeypatch.setattr(datagen, "_spare_core", lambda: spare)
+        model = gen_model(p, "auto", seed=p + 1)
+        assert np.array_equal(
+            sample_covariance(model, n, seed=n),
+            allocating_sample_covariance(model, n, seed=n),
+        )
+
+    def test_pool_worker_draws_inline(self):
+        # sibling pool processes keep the cores busy, so a draw thread there
+        # would only add hand-offs
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(datagen._spare_core).result() is False
+
     def test_draw_buffers_hold_at_most_8192_rows(self):
-        # five chunks at p=300: the two 4096-row buffers hold 19.7 MB, a
-        # third live chunk would add 9.8 MB, and the p x p matrices add
-        # 0.7 MB each
+        # five chunks at p=300: the two 4096-row buffers hold 19.7 MB and
+        # the p x p matrices add 0.7 MB each (21.8 MB measured peak); a
+        # third live chunk would add 9.8 MB and exceed the 26.7 MB bound
         p, n = 300, 20000
         model = gen_model(p, "auto", seed=4)
         tracemalloc.start()
@@ -212,8 +230,7 @@ class TestSampleCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        draw_rows = 2 * datagen._SAMPLE_CHUNK
-        assert peak < 1.5 * draw_rows * p * 8 + 3 * p * p * 8
+        assert peak < 2.5 * datagen._SAMPLE_CHUNK * p * 8 + 3 * p * p * 8
 
 
 class TestLoadDataset:
