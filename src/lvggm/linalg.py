@@ -2,9 +2,9 @@
 
 Symmetric matrices are carried as plain ``(p, p)`` float64 ndarrays; every
 routine that constructs one symmetrizes as ``(A + A.T) / 2`` so that iterates
-stay exactly in the symmetric cone.  :func:`woodbury_core_eig` gives the
-Woodbury pieces of the inverse of ``S`` plus a low-rank update in eigenform
-``V diag(d) V.T``.
+stay exactly in the symmetric cone; :func:`sym_evd` reads only the lower
+triangle.  :func:`woodbury_core_eig` gives the Woodbury pieces of the
+inverse of ``S`` plus a low-rank update in eigenform ``V diag(d) V.T``.
 """
 
 from __future__ import annotations
@@ -63,15 +63,18 @@ class Spectrum:
 
 
 def sym_evd(A, k):
-    """The ``k`` algebraically largest eigenpairs of a symmetric matrix,
-    eigenvalues descending.
+    """The ``k`` algebraically largest eigenpairs, descending, of the
+    symmetric matrix whose lower triangle the finite ``A`` holds.
 
-    LAPACK's ``syevr`` driver computes and back-transforms only the
-    requested eigenvectors of the tridiagonal form, so ``k << p`` skips the
-    other ``p - k``; the ``O(p^3)`` tridiagonal reduction is paid either
-    way.  Results are deterministic for a fixed LAPACK backend.
+    ``A`` is not modified and its upper triangle is not read.  LAPACK's
+    ``syevr`` driver computes and back-transforms only the requested
+    eigenvectors of the tridiagonal form, so ``k << p`` skips the other
+    ``p - k``; the ``O(p^3)`` tridiagonal reduction is paid either way.
+    Results are deterministic for a fixed LAPACK backend.
     """
-    A = check_finite_symmetric(A)
+    A = np.asarray(A, dtype=np.float64)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
     p = A.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"eigenpair count k={k} out of range [1, {p}]")
@@ -154,9 +157,15 @@ class CholeskyFactor:
         return cho_solve((self._factor, True), b, check_finite=False)
 
     def subtract_inverse(self, A):
-        """``A - S^-1`` for a symmetric ``A``, symmetric on return."""
-        inv = self.inverse if self._band is None else self._inverse_uncached()
-        return symmetrize(A - inv)
+        """``A - S^-1`` for an exactly symmetric ``A``, with the bits of
+        ``symmetrize(A - S^-1)``; a diagonal ``S`` touches the diagonal only."""
+        if self._band is None:
+            return symmetrize(A - self.inverse)
+        if self.bandwidth:
+            return A - self._inverse_uncached()
+        out = A.copy()
+        out.flat[:: self.dim + 1] -= self._factor_solve(np.ones(self.dim))
+        return out
 
     def _inverse_uncached(self):
         return symmetrize(self._factor_solve(np.eye(self.dim)))
@@ -206,7 +215,10 @@ def cholesky_logdet(A):
         If ``A`` is not positive definite.  Solvers use this as the
         backtracking signal for steps that leave the PD cone.
     """
-    A = check_finite_symmetric(A)
+    return _factor_logdet(check_finite_symmetric(A))
+
+
+def _factor_logdet(A):  # cholesky_logdet of a checked A
     p = A.shape[0]
     # first nonzero column of each row; A is symmetric, so the largest
     # distance to the diagonal is the bandwidth

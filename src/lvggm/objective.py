@@ -22,11 +22,11 @@ banded (bandwidth ``b`` with ``32 b <= p``, a diagonal ``S`` included at
 ``b = 0``) and a GEMM against the cached dense inverse otherwise.  For
 eigenform input the gradient is returned as a :class:`GradientOperator`
 that applies this expression to a block of vectors in ``O(p^2 k)`` without
-forming the ``p x p`` matrix; callers that need the matrix (the exact
-projection's eigendecomposition) call :meth:`GradientOperator.dense`.  A
-caller that already holds ``S^-1 V`` and ``C V`` (AP carries them from one
-iterate to the next) passes them to :func:`gradient` and :func:`nll`, which
-then skip their ``O(p^2 r)`` products.  Only a dense ``L`` keeps a second
+forming the ``p x p`` matrix; EP builds its step matrix from ``residual0``
+and the Woodbury factors :attr:`GradientOperator.woodbury`.  A caller that
+already holds ``S^-1 V`` and ``C V`` (AP carries them from one iterate to
+the next) passes them to :func:`gradient` and :func:`nll`, which then skip
+their ``O(p^2 r)`` products.  Only a dense ``L`` keeps a second
 NLL route, a Cholesky factorization of ``S + L``: it is the reference the
 eigenform route is checked against.
 """
@@ -37,12 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,
+    _factor_logdet,
     check_finite_symmetric,
-    cholesky_logdet,
     symmetrize,
     woodbury_core_eig,
 )
@@ -86,16 +87,16 @@ class ModelContext:
             raise ValueError(
                 f"dimension mismatch: S_star {S_star.shape} vs C {C.shape}"
             )
-        S_chol, logdet_S = cholesky_logdet(S_star)  # raises if not PD
+        S_chol, logdet_S = _factor_logdet(S_star)  # raises if not PD
         if validate_psd:
-            # PSD up to tau: C + tau I has a Cholesky factor; the eigenvalue
-            # is computed only to report a rejection.
-            tau = 1e-8 * max(1.0, float(np.abs(C).max()))
-            try:
-                np.linalg.cholesky(C + tau * np.eye(C.shape[0]))
-            except np.linalg.LinAlgError:
+            # PSD up to tau: C + tau I (one copy, factored in place through its
+            # transpose) has a Cholesky factor; the eigenvalue only reports.
+            tau = 1e-8 * max(1.0, float(C.max()), -float(C.min()))
+            shifted = C.copy()
+            shifted.flat[:: C.shape[0] + 1] += tau
+            if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
                 lo = float(np.linalg.eigvalsh(C)[0])
-                raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})") from None
+                raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})")
         return cls(S_star=S_star, C=C, S_chol=S_chol, logdet_S=logdet_S)
 
 
@@ -224,6 +225,11 @@ class GradientOperator:
         if self._M.shape[1]:
             out += self.low_rank(X)
         return out
+
+    @property
+    def woodbury(self):
+        """``(M, K)`` of the term ``M K M^T``: ``p x 0`` and ``0 x 0`` at ``L = 0``."""
+        return self._M, self._K
 
     def low_rank(self, X):
         """The Woodbury term ``M K M^T X`` alone, at ``O(p r k)``."""

@@ -9,10 +9,11 @@ has no cap.  The step size and the iterate are locals of the loop, and each
 iteration is one row of the returned :class:`Trace`.  The solvers differ
 only in ``P``:
 
-* ``ep_lvm`` projects exactly onto the rank-r PSD cone with
-  :func:`psd_finalize`, from the ``r`` leading eigenpairs of the dense step
-  matrix; the eigensolver computes only those, but its tridiagonal
-  reduction keeps the per-iteration cost cubic.
+* ``ep_lvm`` projects exactly onto the rank-r PSD cone as
+  :func:`psd_finalize` does, from the ``r`` leading eigenpairs of a step
+  matrix built in one buffer from the gradient's Woodbury factors; the
+  eigensolver computes only those, but its tridiagonal reduction keeps the
+  per-iteration cost cubic.
 * ``ap_lvm`` replaces the exact projection with an approximate head
   projection of the gradient at rank ``2r``, onto a basis ``Z``, and takes
   the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
@@ -45,8 +46,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
-from .linalg import NotPositiveDefiniteError, effective_rank, sym_evd, symmetrize
+from .linalg import NotPositiveDefiniteError, check_finite_symmetric, effective_rank
+from .linalg import sym_evd, symmetrize
 from .objective import as_eigenform, gradient, nll
 from .projections import ProjectionConfig, compress_symmetric, head_project
 
@@ -251,21 +254,19 @@ def psd_finalize(L, r):
     """Project an estimate onto the rank-``r`` PSD cone: keep its ``r``
     largest eigenvalues and drop the negative ones.
 
-    This is the exact projection EP steps with.  A dense symmetric ``(p, p)``
-    ``L`` goes to :func:`~lvggm.linalg.sym_evd`, which computes only its
-    ``min(r, p)`` leading eigenpairs.  Any other form
-    :func:`~lvggm.objective.as_eigenform` takes is normalized by it first;
-    an eigenform is then only sorted and cut, in ``O(p r)``.
+    This is the exact projection EP steps with.  A dense ``(p, p)`` ``L``
+    is checked finite and symmetric, and :func:`~lvggm.linalg.sym_evd`
+    computes only its ``min(r, p)`` leading eigenpairs.  Any other form
+    :func:`~lvggm.objective.as_eigenform` takes is normalized by it.  The
+    eigenform is then sorted, cut and clamped in ``O(p r)``.
     """
     shape = () if isinstance(L, tuple) else np.shape(L)
     if len(shape) == 2 and shape[0] == shape[1]:
-        spec = sym_evd(L, min(r, shape[0]))
-        V, d = spec.eigenvectors, spec.eigenvalues
-    else:
-        V, d = as_eigenform(L)
-        order = np.argsort(-d, kind="stable")[:r]
-        V, d = V[:, order], d[order]
-    keep = d > 0.0
+        spec = sym_evd(check_finite_symmetric(L), min(r, shape[0]))
+        L = (spec.eigenvectors, spec.eigenvalues)
+    V, d = as_eigenform(L)
+    order = np.argsort(-d, kind="stable")[:r]
+    keep = order[d[order] > 0.0]
     return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep])
 
 
@@ -373,23 +374,35 @@ def _descend(ctx, cfg, truth, make_candidate):
 def ep_lvm(ctx, cfg, truth=None):
     """Exact-projection solver: ``L <- P_r^+(L - eta * grad F(L))``.
 
-    Starts from ``L = 0``.  ``P_r^+`` is :func:`psd_finalize` of the dense
-    step matrix, so every iterate is PSD with rank at most ``r``.  Returns
+    Starts from ``L = 0``.  ``P_r^+`` is :func:`psd_finalize`'s clamp of
+    the ``r`` leading eigenpairs of the step matrix :func:`_ep_step`, so
+    every iterate is PSD with rank at most ``r``.  Returns
     ``(LowRankEstimate, Trace)``.
     """
-    r = cfg.rank
+    A, r = np.empty((ctx.p, ctx.p), order="F"), cfg.rank
 
     def make_candidate(t, V, d, products):
-        G = gradient(ctx, (V, d)).dense()
-        base = (V * d) @ V.T
+        G = gradient(ctx, (V, d))
 
         def candidate(eta):
-            V_new, d_new = psd_finalize(symmetrize(base - eta * G), r)
-            return V_new, d_new, None
+            spec = sym_evd(_ep_step(ctx, V, d, G, eta, A), r)
+            return (*psd_finalize((spec.eigenvectors, spec.eigenvalues), r), None)
 
         return candidate, False
 
     return _descend(ctx, cfg, truth, make_candidate)
+
+
+def _ep_step(ctx, V, d, G, eta, out):
+    """EP's step ``V diag(d) V^T - eta G``, ``G = residual0 + M K M^T``, in
+    the Fortran-order buffer ``out``: ``-eta residual0`` (exactly symmetric,
+    so written through ``out.T``) plus ``[V, M] diag(d, -eta K) [V, M]^T``
+    by one GEMM in place.  Symmetric up to roundoff; read its lower triangle."""
+    np.multiply(ctx.residual0, -eta, out=out.T)
+    M, K = G.woodbury
+    left = np.hstack([V * d, M @ (-eta * K)])
+    dgemm(1.0, left, np.hstack([V, M]), 1.0, out, trans_b=1, overwrite_c=1)
+    return out
 
 
 def _extend_basis(V, Z):

@@ -4,15 +4,20 @@ These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
 finite differences, the Hessian oracle forms the Kronecker product
 explicitly, and the sampling oracle colours every draw before accumulating.
-The exception is ``allocating_sample_covariance``, which repeats the
+The exceptions are ``allocating_sample_covariance``, which repeats the
 sampler's arithmetic without its buffers and thread, so that the two can be
-compared bit for bit.
+compared bit for bit, and ``dense_step_ep``, which runs the solvers' own
+descent loop with the dense EP step, so that only the step differs.
 """
 
 import numpy as np
 from scipy.linalg import cholesky
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
+
+from lvggm import solvers
+from lvggm.linalg import symmetrize
+from lvggm.objective import gradient
 
 
 def jacobi_evd(A, sweeps=100, tol=1e-14):
@@ -126,3 +131,22 @@ def allocating_sample_covariance(model, n, seed=0):
         done += m
     C = dtrmm(1.0, Lc, dtrmm(1.0 / n, Lc, W, lower=1), side=1, lower=1, trans_a=1)
     return (C + C.T) / 2.0
+
+
+def dense_step_ep(ctx, cfg, truth=None):
+    """EP whose step forms the ``p x p`` gradient ``G`` and the iterate
+    ``L`` and projects ``symmetrize(L - eta G)`` with ``psd_finalize``,
+    through the solvers' own descent loop.  ``ep_lvm`` builds the same
+    matrix from the gradient's Woodbury factors in one buffer."""
+
+    def make_candidate(t, V, d, products):
+        G = gradient(ctx, (V, d)).dense()
+        base = (V * d) @ V.T
+
+        def candidate(eta):
+            V_new, d_new = solvers.psd_finalize(symmetrize(base - eta * G), cfg.rank)
+            return V_new, d_new, None
+
+        return candidate, False
+
+    return solvers._descend(ctx, cfg, truth, make_candidate)

@@ -69,6 +69,17 @@ class TestSymEvd:
         with pytest.raises(ValueError):
             sym_evd(A, 3)
 
+    def test_reads_only_the_lower_triangle_and_never_writes(self, rng):
+        A = random_symmetric(rng, 20)
+        want = sym_evd(A, 4)
+        junk = np.tril(A) + np.triu(rng.standard_normal((20, 20)), 1)
+        for M in (junk, np.asfortranarray(junk)):
+            before = M.copy()
+            spec = sym_evd(M, 4)
+            assert np.array_equal(M, before)
+            assert np.array_equal(spec.eigenvalues, want.eigenvalues)
+            assert np.array_equal(spec.eigenvectors, want.eigenvectors)
+
     @pytest.mark.parametrize("p, r", [(100, 5), (500, 10), (1000, 50)])
     def test_leading_pairs_match_full_decomposition(self, p, r):
         A = random_symmetric(np.random.default_rng(p), p)
@@ -183,6 +194,8 @@ class TestFactorRoutes:
         assert abs(logdet - np.linalg.slogdet(S)[1]) <= 1e-12 * abs(logdet)
         A = random_symmetric(rng, p)
         assert self._close(fac.subtract_inverse(A), A - inv)
+        # the bits of the dense formula on every route, diagonal included
+        assert np.array_equal(fac.subtract_inverse(A), symmetrize(A - fac.inverse))
         assert self._close(fac.inverse, inv)
         lam = np.linalg.eigvalsh(S)[0]
         assert abs(fac.min_eigenvalue - lam) <= 1e-12 * lam

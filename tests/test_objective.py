@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lvggm.linalg
+import lvggm.objective
 from lvggm.datagen import gen_model, sample_covariance
 from lvggm.linalg import (
     CholeskyFactor,
@@ -51,22 +53,38 @@ class TestModelContext:
 
     @pytest.mark.parametrize("scale", [0.5, 100.0])
     def test_psd_tolerance_boundary(self, scale):
-        # C = Q diag(lam) Q^T with lam_min = -2 tau (rejected, eigenvalue in
-        # the message) or -tau / 2 (accepted), tau = 1e-8 max(1, max|C|).
+        # C = Q diag(lam) Q^T with lam_min = -10 tau or -2 tau (rejected,
+        # eigenvalue in the message) or -tau / 2 or -tau / 10 (accepted),
+        # tau = 1e-8 max(1, max|C|).
         p = 30
         Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((p, p)))
         lam = scale * np.linspace(0.0, 1.0, p)
         tau = 1e-8 * max(1.0, float(np.abs((Q * lam) @ Q.T).max()))
-        for factor, rejected in ((-2.0, True), (-0.5, False)):
+        for factor, rejected in (
+            (-10.0, True), (-2.0, True), (-0.5, False), (-0.1, False),
+        ):
             lam[0] = factor * tau
             C = symmetrize((Q * lam) @ Q.T)
             if rejected:
-                with pytest.raises(ValueError, match="min eigenvalue") as err:
+                with pytest.raises(ValueError, match=r"^C is not PSD \(min eigenvalue") as err:
                     ModelContext.create(np.eye(p), C)
                 reported = float(str(err.value).split()[-1].rstrip(")"))
                 assert reported == pytest.approx(factor * tau, rel=1e-3)
             else:
                 ModelContext.create(np.eye(p), C)
+
+    def test_each_input_checked_once(self, rng, monkeypatch):
+        checked = []
+
+        def counting(A, name="matrix"):
+            checked.append(name)
+            return check(A, name)
+
+        check = lvggm.linalg.check_finite_symmetric
+        for module in (lvggm.linalg, lvggm.objective):
+            monkeypatch.setattr(module, "check_finite_symmetric", counting)
+        ModelContext.create(random_spd(rng, 12), np.eye(12))
+        assert sorted(checked) == ["C", "S_star"]
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):

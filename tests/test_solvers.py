@@ -8,7 +8,7 @@ import scipy.linalg
 
 from lvggm import objective, solvers
 from lvggm.datagen import gen_model, sample_covariance
-from lvggm.linalg import CholeskyFactor
+from lvggm.linalg import CholeskyFactor, symmetrize
 from lvggm.objective import GradientOperator, ModelContext, nll
 from lvggm.projections import ProjectionConfig
 from lvggm.solvers import (
@@ -25,8 +25,8 @@ from lvggm.solvers import (
     psd_finalize,
 )
 
-from .conftest import random_spd
-from .oracles import psd_clamp_truncate
+from .conftest import random_spd, random_symmetric
+from .oracles import dense_step_ep, psd_clamp_truncate
 
 
 def population_ctx(p, r, seed):
@@ -488,7 +488,92 @@ class TestHooks:
         assert shapes and set(shapes) == {((2,), (12, 2))}
 
 
+class TestEpStep:
+    """EP writes its step matrix ``L - eta G`` into one Fortran-order buffer
+    from ``residual0`` and the gradient's Woodbury factors; it must follow
+    the dense step ``psd_finalize(symmetrize(L - eta G))`` that forms ``G``
+    (:func:`tests.oracles.dense_step_ep`)."""
+
+    @pytest.mark.parametrize("dense_s", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_lower_triangle_is_the_dense_step(self, rng, dense_s, k):
+        p = 40
+        _, ctx = sampled_ctx(p, 3, 4000, seed=21)
+        if dense_s:  # the dense factor route
+            ctx = ModelContext.create(random_spd(rng, p), ctx.C)
+            assert ctx.S_chol.route == "dense"
+        V = np.linalg.qr(rng.standard_normal((p, 3)))[0][:, :k]  # k = 0: L = 0
+        d = rng.uniform(0.1, 2.0, k)
+        G = solvers.gradient(ctx, (V, d))
+        out = np.empty((p, p), order="F")
+        for eta in (1e-3, 0.5, 20.0):
+            assert solvers._ep_step(ctx, V, d, G, eta, out) is out
+            want = symmetrize((V * d) @ V.T - eta * G.dense())
+            dev = np.abs(np.tril(out) - np.tril(want)).max()
+            assert dev <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["noiseless-p30", "sampled-p60"])
+    def test_fit_follows_the_dense_step(self, case):
+        if case == "noiseless-p30":
+            model, ctx = population_ctx(30, 2, seed=7)
+            floor = nll(ctx, model.L_factor)
+            cfg = SolverConfig(
+                rank=2, nll_tolerance=0, true_nll_floor=floor + 1e-11 * abs(floor)
+            )
+        else:
+            model, ctx = sampled_ctx(60, 3, 6000, seed=17)
+            cfg = SolverConfig(rank=3)
+        _, got = ep_lvm(ctx, cfg, truth=model.L_factor)
+        _, want = dense_step_ep(ctx, cfg, truth=model.L_factor)
+        assert len(got) > 5 and got.status == want.status
+        assert got.halvings == want.halvings and got.total_halvings > 0
+        assert len(got) == len(want)
+        dev = np.abs(np.subtract(got.nll, want.nll)) / np.abs(want.nll)
+        assert dev.max() <= 1e-10
+
+    @pytest.mark.parametrize("fault", ["infinite-step", "nan-gradient"])
+    def test_non_finite_step_raises_as_the_dense_step(self, monkeypatch, fault):
+        for fit in (ep_lvm, dense_step_ep):
+            _, ctx = sampled_ctx(12, 2, 2000, seed=43)
+            if fault == "infinite-step":
+                monkeypatch.setattr(solvers, "auto_step_size", lambda ctx: np.inf)
+            else:
+                ctx.residual0[3, 5] = ctx.residual0[5, 3] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                fit(ctx, SolverConfig(rank=2))
+
+    def test_buffer_allocated_once_per_fit(self, monkeypatch):
+        seen = []
+
+        def recording(A, k):
+            seen.append(A)
+            return sym_evd(A, k)
+
+        sym_evd = solvers.sym_evd
+        monkeypatch.setattr(solvers, "sym_evd", recording)
+        _, ctx = sampled_ctx(12, 2, 2000, seed=43)
+        _, trace = fit_pgd("ep", ctx, 2, seed=1, max_iters=5)
+        assert len(seen) == len(trace) + trace.total_halvings
+        assert all(A is seen[0] for A in seen) and seen[0].flags.f_contiguous
+
+
 class TestPsdFinalize:
+    def test_dense_input_validated_and_never_modified(self, rng):
+        A = random_symmetric(rng, 10)
+        for M in (A, np.asfortranarray(A)):
+            before = M.copy()
+            psd_finalize(M, 3)
+            solvers.sym_evd(M, 3)
+            assert np.array_equal(M, before)
+        bad = A.copy()
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_finalize(bad, 3)
+        skew = A.copy()
+        skew[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_finalize(skew, 3)
+
     def test_psd_input_unchanged(self, rng):
         Q = np.linalg.qr(rng.standard_normal((10, 3)))[0]
         d = np.array([2.0, 1.0, 0.5])
