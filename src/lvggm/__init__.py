@@ -13,7 +13,6 @@ from .datagen import (
 from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,
-    Spectrum,
     cholesky_logdet,
     effective_rank,
     sym_evd,

@@ -163,8 +163,7 @@ def run_single(spec, p, ratio, algo, trial):
             row["rel_error"] = trace.rel_error[-1]
             row["iterations"] = len(trace)
             row["seconds"] = float(np.sum(trace.seconds))
-            per_iter = trace.seconds[1:] if len(trace) > 1 else trace.seconds
-            row["mean_iter_seconds"] = float(np.mean(per_iter))
+            row["mean_iter_seconds"] = trace.mean_iter_seconds
             row["rank"] = est.effective_rank()
         row["nll_gap"] = row["final_nll"] - true_nll
     except DivergedError as exc:

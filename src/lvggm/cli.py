@@ -150,13 +150,12 @@ def cmd_fit(args):
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "Lhat.mat"), est.dense())
     trace.to_csv(trace_path)
-    per_iter = trace.seconds[1:] if len(trace) > 1 else trace.seconds
     summary = {
         "algo": args.algo,
         "final_nll": trace.nll[-1],
         "iterations": len(trace),
         "total_seconds": float(np.sum(trace.seconds)),
-        "mean_iter_seconds": float(np.mean(per_iter)),
+        "mean_iter_seconds": trace.mean_iter_seconds,
         "output_rank": est.effective_rank(),
         "status": trace.status,
         "rho_hat": trace.rho_hat,

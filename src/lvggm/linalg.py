@@ -46,25 +46,10 @@ def check_finite_symmetric(A, name="matrix"):
     return A
 
 
-class Spectrum:
-    """Leading eigenpairs of a symmetric matrix, sorted descending.
-
-    Attributes
-    ----------
-    eigenvalues : (k,) ndarray, the ``k`` algebraically largest, descending
-    eigenvectors : (p, k) ndarray, orthonormal columns, ``A V = V diag(w)``
-    """
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-
-
 def sym_evd(A, k):
-    """The ``k`` algebraically largest eigenpairs, descending, of the
-    symmetric matrix whose lower triangle the finite ``A`` holds.
+    """Eigenform ``(V, w)`` of the ``k`` algebraically largest eigenpairs of
+    the symmetric matrix whose lower triangle the finite ``A`` holds: ``w``
+    descending and ``A V = V diag(w)`` with ``V`` column-orthonormal.
 
     ``A`` is not modified and its upper triangle is not read.  LAPACK's
     ``syevr`` driver computes and back-transforms only the requested
@@ -81,7 +66,7 @@ def sym_evd(A, k):
     w, V = scipy.linalg.eigh(
         A, subset_by_index=[p - k, p - 1], driver="evr", check_finite=False
     )
-    return Spectrum(w[::-1].copy(), V[:, ::-1].copy())
+    return V[:, ::-1].copy(), w[::-1].copy()
 
 
 def effective_rank(eigenvalues):
@@ -157,15 +142,14 @@ class CholeskyFactor:
         return cho_solve((self._factor, True), b, check_finite=False)
 
     def subtract_inverse(self, A):
-        """``A - S^-1`` for an exactly symmetric ``A``, with the bits of
-        ``symmetrize(A - S^-1)``; a diagonal ``S`` touches the diagonal only."""
-        if self._band is None:
-            return symmetrize(A - self.inverse)
-        if self.bandwidth:
-            return A - self._inverse_uncached()
-        out = A.copy()
-        out.flat[:: self.dim + 1] -= self._factor_solve(np.ones(self.dim))
-        return out
+        """``A - S^-1`` for an exactly symmetric ``A``; both operands are
+        exactly symmetric, so the difference is too.  A diagonal ``S``
+        touches the diagonal only, and the banded route keeps no inverse."""
+        if not self.bandwidth:
+            out = A.copy()
+            out.flat[:: self.dim + 1] -= self._factor_solve(np.ones(self.dim))
+            return out
+        return A - (self.inverse if self._band is None else self._inverse_uncached())
 
     def _inverse_uncached(self):
         return symmetrize(self._factor_solve(np.eye(self.dim)))

@@ -9,7 +9,8 @@ residual, and it captures at least ``c_H = 0.9`` of the best rank-r
 Frobenius energy.  :func:`head_project`, the solvers' head projection,
 takes one block-Krylov step (or runs Lanczos) and advertises no constant.
 Both backends apply a symmetric operator, such as the solvers' gradient,
-only to blocks or vectors and return its products on the basis they find.
+only to blocks or vectors and return its products on the basis they find;
+block-Krylov runs a non-symmetric ``A`` (as :func:`bk_svd` takes) as ``A A^T``.
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -138,18 +139,18 @@ def _complete_basis(Q, p, k, rng):
     return Q
 
 
-def _krylov_basis(A, block, depth, rng, symmetric):
-    """Orthonormal basis of the randomized block-Krylov space of ``A``.
+def _krylov_basis(A, block, depth, rng):
+    """Orthonormal basis of the randomized block-Krylov space of the
+    symmetric operator ``A``, and ``A`` on it.
 
     Blocks are orthogonalized progressively against the accumulated basis
     (two Gram-Schmidt passes, then CholeskyQR within the block), so the
     returned matrix is orthonormal without a final wide factorization.
 
-    Returns ``(Q, AQ)``.  For symmetric ``A``, ``AQ`` is ``A @ Q``: the loop
-    already forms ``A @ Q_j`` for every block but the last, so only that one
-    is multiplied here (``(depth + 2) * block`` columns of products in all,
-    against ``(2 depth + 2) * block`` when Rayleigh-Ritz recomputes them).
-    ``AQ`` is None for a non-symmetric ``A``.
+    Returns ``(Q, A @ Q)``.  The loop already forms ``A @ Q_j`` for every
+    block but the last, so only that one is multiplied here
+    (``(depth + 2) * block`` columns of products in all, against
+    ``(2 depth + 2) * block`` when Rayleigh-Ritz recomputes them).
     """
     first = A @ rng.standard_normal((A.shape[1], block))
     scale = float(np.linalg.norm(first, axis=0).max()) if first.size else 0.0
@@ -161,9 +162,8 @@ def _krylov_basis(A, block, depth, rng, symmetric):
     for _ in range(depth):
         if X.shape[1] == 0:
             break
-        X = A @ X if symmetric else A @ (A.T @ X)
-        if symmetric:
-            products.append(X)
+        X = A @ X
+        products.append(X)
         block_scale = float(np.linalg.norm(X, axis=0).max()) if X.size else 0.0
         for _ in range(2):
             X = X - Q @ (Q.T @ X)
@@ -174,11 +174,20 @@ def _krylov_basis(A, block, depth, rng, symmetric):
             break
         blocks.append(X)
         Q = np.hstack([Q, X])
-    if not symmetric:
-        return Q, None
     if len(products) < len(blocks):
         products.append(A @ blocks[-1])
     return Q, np.hstack(products)
+
+
+class _Gram:
+    """The symmetric operator ``X -> A (A^T X)`` of a square array ``A``:
+    its dominant eigenspace is the left singular subspace of ``A``."""
+
+    def __init__(self, A):
+        self._A, self.shape = A, A.shape
+
+    def __matmul__(self, X):
+        return self._A @ (self._A.T @ X)
 
 
 def _bk_subspace(A, r, depth, seed):
@@ -186,9 +195,9 @@ def _bk_subspace(A, r, depth, seed):
     block-Krylov steps.
 
     ``A`` is a square ndarray, or a symmetric linear operator with ``shape``
-    and ``@`` (such as the solvers' gradient operator).  For symmetric input
-    the returned subspace carries ``A @ basis``, combined from the Krylov
-    products.
+    and ``@`` (such as the solvers' gradient operator); a non-symmetric
+    array runs as ``A A^T``.  For symmetric input the returned subspace
+    carries ``A @ basis``, combined from the Krylov products.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -196,22 +205,22 @@ def _bk_subspace(A, r, depth, seed):
     if not 1 <= r <= p:
         raise ValueError(f"rank r={r} out of range [1, {p}]")
     symmetric = not isinstance(A, np.ndarray) or bool(np.array_equal(A, A.T))
+    op = A if symmetric else _Gram(A)
 
-    Q, AQ = _krylov_basis(A, r, depth, rng_for(seed, 101, 0), symmetric)
+    Q, AQ = _krylov_basis(op, r, depth, rng_for(seed, 101, 0))
     degraded = Q.shape[1] < r
     if degraded:
         # Input rank below r, so any start block breaks down: best effort,
         # pad deterministically.
         Q = _complete_basis(Q, p, r, rng_for(seed, 103))
-        AQ = A @ Q if symmetric else None
+        AQ = op @ Q
 
     # Rayleigh-Ritz on the Krylov basis; Q has at least r columns here
-    if symmetric:
-        w, E = np.linalg.eigh(symmetrize(Q.T @ AQ))
-        E = E[:, np.argsort(-np.abs(w), kind="stable")[:r]]
-        return Subspace(np.ascontiguousarray(Q @ E), degraded, AQ @ E)
-    U, _, _ = np.linalg.svd(Q.T @ A, full_matrices=False)
-    return Subspace(np.ascontiguousarray(Q @ U[:, :r]), degraded)
+    w, E = np.linalg.eigh(symmetrize(Q.T @ AQ))
+    E = E[:, np.argsort(-np.abs(w), kind="stable")[:r]]
+    return Subspace(
+        np.ascontiguousarray(Q @ E), degraded, AQ @ E if symmetric else None
+    )
 
 
 def bk_svd(A, r, cfg):

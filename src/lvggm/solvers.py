@@ -26,10 +26,12 @@ which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
 identity and makes error tracking against a known truth cheap.  AP never
 forms the ``p x p`` gradient: the head projection, block-Krylov or Lanczos,
 applies the gradient operator to blocks or vectors and returns ``G Z`` from
-its Krylov products.  AP also carries the accepted iterate's ``C V`` and
-``S^-1 V`` from one iteration to the next and each trial's from the products
-on ``[V, Z]``, so its only ``p x p`` products are the head projection's and
-one ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
+its Krylov products.  Every candidate returns its trial with the products
+``(C V, S^-1 V)``, which the NLL takes as they are and the next gradient
+takes ``S^-1 V`` from.  EP forms them directly, one product and one solve
+per trial; AP forms them from the products on ``[V, Z]``, so its only
+``p x p`` products are the head projection's and one ``S^-1 Z`` solve (a
+band solve for a banded or diagonal ``S``).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -150,6 +152,11 @@ class Trace:
     def total_halvings(self):
         return sum(self.halvings)
 
+    @property
+    def mean_iter_seconds(self):
+        """Mean seconds per iteration, without the first unless it is alone."""
+        return float(np.mean(self.seconds[1:] if len(self) > 1 else self.seconds))
+
     def append(self, it, nll_value, seconds, eta, halvings, rank, rel_error):
         self.iters.append(int(it))
         self.nll.append(float(nll_value))
@@ -262,8 +269,7 @@ def psd_finalize(L, r):
     """
     shape = () if isinstance(L, tuple) else np.shape(L)
     if len(shape) == 2 and shape[0] == shape[1]:
-        spec = sym_evd(check_finite_symmetric(L), min(r, shape[0]))
-        L = (spec.eigenvectors, spec.eigenvalues)
+        L = sym_evd(check_finite_symmetric(L), min(r, shape[0]))
     V, d = as_eigenform(L)
     order = np.argsort(-d, kind="stable")[:r]
     keep = order[d[order] > 0.0]
@@ -274,11 +280,11 @@ def _accept(ctx, candidate, current_nll, eta, trace):
     """Backtracking acceptance loop.
 
     ``candidate(eta)`` produces a trial eigenform ``(V, d)`` for the given
-    step size and its products ``(C V, S^-1 V)``, or None to have the NLL
-    form them.  A trial is rejected when ``S + L`` leaves the PD cone
-    (Cholesky failure) or the NLL increases beyond a roundoff slack; the
-    step then halves, at most ``_MAX_HALVINGS`` times, before a
-    :class:`DivergedError` carries ``trace`` finished as ``"diverged"``.
+    step size and its products ``(C V, S^-1 V)``.  A trial is rejected when
+    ``S + L`` leaves the PD cone (Cholesky failure) or the NLL increases
+    beyond a roundoff slack; the step then halves, at most
+    ``_MAX_HALVINGS`` times, before a :class:`DivergedError` carries
+    ``trace`` finished as ``"diverged"``.
     Returns ``(V, d, products, nll, eta, halvings, improved)`` with the
     accepted step size ``eta``.
     """
@@ -322,10 +328,10 @@ def _descend(ctx, cfg, truth, make_candidate):
     """The descent loop ``L <- P(L - eta * grad F(L))`` from ``L = 0``.
 
     ``make_candidate(t, V, d, products)`` sees iteration ``t``'s iterate and
-    the products its candidate returned (``(C V, S^-1 V)`` or None) and
-    returns ``(candidate, degraded)``: ``candidate(eta)`` gives the
-    projected step as an eigenform with its products (see :func:`_accept`),
-    and ``degraded`` flags an approximate projection that fell short.
+    the products ``(C V, S^-1 V)`` its candidate returned, and returns
+    ``(candidate, degraded)``: ``candidate(eta)`` gives the projected step
+    as an eigenform with its products (see :func:`_accept`), and
+    ``degraded`` flags an approximate projection that fell short.
     Returns ``(LowRankEstimate, Trace)``.
     """
     p = ctx.p
@@ -382,11 +388,11 @@ def ep_lvm(ctx, cfg, truth=None):
     A, r = np.empty((ctx.p, ctx.p), order="F"), cfg.rank
 
     def make_candidate(t, V, d, products):
-        G = gradient(ctx, (V, d))
+        G = gradient(ctx, (V, d), products[1])
 
         def candidate(eta):
-            spec = sym_evd(_ep_step(ctx, V, d, G, eta, A), r)
-            return (*psd_finalize((spec.eigenvectors, spec.eigenvalues), r), None)
+            V_new, d_new = psd_finalize(sym_evd(_ep_step(ctx, V, d, G, eta, A), r), r)
+            return V_new, d_new, (ctx.C @ V_new, ctx.S_chol.solve(V_new))
 
         return candidate, False
 

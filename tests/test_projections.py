@@ -272,9 +272,7 @@ class TestOperatorInput:
             (U @ U.T, 5, 3),  # rank 3 < block 5: blocks deflate
         )
         for A, block, depth in cases:
-            Q, AQ = _krylov_basis(
-                A, block, depth, np.random.default_rng(2), symmetric=True
-            )
+            Q, AQ = _krylov_basis(A, block, depth, np.random.default_rng(2))
             assert AQ.shape == Q.shape
             recomputed = A @ Q
             scale = np.abs(recomputed).max()

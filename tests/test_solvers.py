@@ -112,7 +112,7 @@ class TestEpLvm:
         sym_evd = solvers.sym_evd
         monkeypatch.setattr(solvers, "sym_evd", recording)
         est, trace = ep_lvm(ctx, SolverConfig(rank=2))
-        assert spectra and all(s.eigenvalues.max() < 0 for s in spectra)
+        assert spectra and all(w.max() < 0 for _, w in spectra)
         assert est.values.size == 0 and est.vectors.shape == (12, 0)
         assert trace.status == "stationary"
 
@@ -477,9 +477,9 @@ class TestHooks:
         shapes = []
 
         def recording(A, *args):
-            spec = sym_evd(A, *args)
-            shapes.append((spec.eigenvalues.shape, spec.eigenvectors.shape))
-            return spec
+            V, w = sym_evd(A, *args)
+            shapes.append((w.shape, V.shape))
+            return V, w
 
         sym_evd = solvers.sym_evd
         monkeypatch.setattr(solvers, "sym_evd", recording)
@@ -541,6 +541,24 @@ class TestEpStep:
                 ctx.residual0[3, 5] = ctx.residual0[5, 3] = np.nan
             with pytest.raises(ValueError, match="non-finite"):
                 fit(ctx, SolverConfig(rank=2))
+
+    def test_one_solve_per_trial_on_a_dense_s(self, rng, monkeypatch):
+        # a trial's S^-1 V serves its NLL and, once accepted, the next
+        # gradient, so no accepted iterate is solved against twice
+        _, ctx = sampled_ctx(40, 3, 4000, seed=21)
+        ctx = ModelContext.create(random_spd(rng, 40), ctx.C)
+        assert ctx.S_chol.route == "dense"
+        calls = []
+        solve = CholeskyFactor.solve
+
+        def counting(self, b):
+            calls.append(b.shape)
+            return solve(self, b)
+
+        monkeypatch.setattr(CholeskyFactor, "solve", counting)
+        _, trace = ep_lvm(ctx, SolverConfig(rank=3))
+        assert len(trace) > 5 and trace.total_halvings > 0
+        assert len(calls) == len(trace) + trace.total_halvings
 
     def test_buffer_allocated_once_per_fit(self, monkeypatch):
         seen = []
@@ -635,6 +653,14 @@ class TestTrace:
         assert lines[0] == "iter,nll,seconds,eta,halvings,rank,rel_error"
         assert lines[1].endswith(",")  # empty rel_error when truth absent
         assert lines[2].split(",")[-1] == "0.25"
+
+    def test_mean_iter_seconds_leaves_out_the_first_row(self):
+        trace = Trace()
+        trace.append(0, -1.5, 4.0, 0.5, 0, 2, float("nan"))
+        assert trace.mean_iter_seconds == 4.0  # the only row counts
+        trace.append(1, -1.6, 1.0, 0.5, 0, 2, float("nan"))
+        trace.append(2, -1.7, 2.0, 0.5, 0, 2, float("nan"))
+        assert trace.mean_iter_seconds == 1.5
 
     def test_solver_trace_well_formed(self):
         model, ctx = sampled_ctx(15, 2, 500, seed=37)
