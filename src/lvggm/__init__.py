@@ -22,11 +22,8 @@ from .matio import MatrixParseError, read_matrix, write_matrix
 from .objective import (
     GradientOperator,
     ModelContext,
-    RscRssBounds,
     gradient,
     nll,
-    projected_gradient_norm,
-    rsc_rss_bounds,
 )
 from .projections import (
     ProjectionConfig,

@@ -15,11 +15,13 @@ well above the true number of latent variables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import check_finite_symmetric, symmetrize
+from .solvers import Trace
 
 # Tolerance on the primal and dual residuals, relative to max(1, ||Theta||_F).
 _TOL = 1e-5
@@ -41,9 +43,14 @@ class AdmmConfig:
 
 @dataclass
 class AdmmTrace:
+    """Per-iteration primal residuals and seconds of one ADMM run."""
+
     primal_residual: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+
+    mean_iter_seconds = Trace.mean_iter_seconds
 
 
 def soft_threshold(x, tau):
@@ -89,6 +96,7 @@ def admm_lvglasso(C, cfg):
     trace = AdmmTrace()
     prev_sum = S + L
     for it in range(cfg.max_iters):
+        tic = time.perf_counter()
         theta = _logdet_prox(S + L - Y, C, rho)
 
         target_s = theta - L + Y
@@ -108,8 +116,9 @@ def admm_lvglasso(C, cfg):
         trace.iterations = it + 1
 
         scale = max(1.0, float(np.linalg.norm(theta, "fro")))
-        if primal <= _TOL * scale and dual <= _TOL * scale:
-            trace.converged = True
+        trace.converged = primal <= _TOL * scale and dual <= _TOL * scale
+        trace.seconds.append(time.perf_counter() - tic)
+        if trace.converged:
             break
     return S, L, trace
 

@@ -107,7 +107,7 @@ def cmd_fit(args):
             "algo": "admm",
             "iterations": trace.iterations,
             "total_seconds": total,
-            "mean_iter_seconds": total / max(trace.iterations, 1),
+            "mean_iter_seconds": trace.mean_iter_seconds,
             "output_rank": effective_rank(np.linalg.eigvalsh(symmetrize(L_hat))),
             "converged": trace.converged,
             "l1_weight": cfg.l1_weight,

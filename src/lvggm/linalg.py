@@ -199,10 +199,11 @@ def cholesky_logdet(A):
         If ``A`` is not positive definite.  Solvers use this as the
         backtracking signal for steps that leave the PD cone.
     """
-    return _factor_logdet(check_finite_symmetric(A))
+    fac = _factor(check_finite_symmetric(A))
+    return fac, fac.logdet
 
 
-def _factor_logdet(A):  # cholesky_logdet of a checked A
+def _factor(A):  # the factor cholesky_logdet returns, of a checked A
     p = A.shape[0]
     # first nonzero column of each row; A is symmetric, so the largest
     # distance to the diagonal is the bandwidth
@@ -218,7 +219,7 @@ def _factor_logdet(A):  # cholesky_logdet of a checked A
             fac = CholeskyFactor(cho_factor(A, lower=True)[0])
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return fac, fac.logdet
+    return fac
 
 
 def woodbury_core_eig(S_chol, V, d, M=None):

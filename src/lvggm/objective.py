@@ -42,7 +42,7 @@ from scipy.linalg.lapack import dpotrf
 from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,
-    _factor_logdet,
+    _factor,
     check_finite_symmetric,
     symmetrize,
     woodbury_core_eig,
@@ -56,7 +56,6 @@ class ModelContext:
     S_star: np.ndarray
     C: np.ndarray
     S_chol: CholeskyFactor
-    logdet_S: float
     _residual0: np.ndarray | None = field(default=None, repr=False)
     _trace_SC: float | None = field(default=None, repr=False)
 
@@ -87,7 +86,7 @@ class ModelContext:
             raise ValueError(
                 f"dimension mismatch: S_star {S_star.shape} vs C {C.shape}"
             )
-        S_chol, logdet_S = _factor_logdet(S_star)  # raises if not PD
+        S_chol = _factor(S_star)  # raises if not PD
         if validate_psd:
             # PSD up to tau: C + tau I (one copy, factored in place through its
             # transpose) has a Cholesky factor; the eigenvalue only reports.
@@ -97,7 +96,7 @@ class ModelContext:
             if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
                 lo = float(np.linalg.eigvalsh(C)[0])
                 raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})")
-        return cls(S_star=S_star, C=C, S_chol=S_chol, logdet_S=logdet_S)
+        return cls(S_star=S_star, C=C, S_chol=S_chol)
 
 
 def as_eigenform(L, p=None):
@@ -162,15 +161,13 @@ def _nll_eig(ctx, V, d, products=None):
     Cholesky route at ``O(p^2 r)`` cost, or ``O(p r^2)`` when ``products``
     gives ``(C V, S^-1 V)``.
     """
-    if V.shape[1] == 0:
-        return -ctx.logdet_S + ctx.trace_SC
     CV, M = (None, None) if products is None else products
     mu = _lemma_eigenvalues(ctx, V, d, M)
-    if mu[0] <= -1.0 + 1e-14:
+    if mu.size and mu[0] <= -1.0 + 1e-14:
         raise NotPositiveDefiniteError(
             f"S + L leaves the PD cone (shifted eigenvalue {mu[0]:.6e})"
         )
-    logdet = ctx.logdet_S + float(np.sum(np.log1p(mu)))
+    logdet = ctx.S_chol.logdet + float(np.sum(np.log1p(mu)))
     if CV is None:
         CV = ctx.C @ V
     trace_term = ctx.trace_SC + float(np.dot(d, np.sum(V * CV, axis=0)))
@@ -222,8 +219,7 @@ class GradientOperator:
 
     def __matmul__(self, X):
         out = self._residual0 @ X
-        if self._M.shape[1]:
-            out += self.low_rank(X)
+        out += self.low_rank(X)
         return out
 
     @property
@@ -233,14 +229,10 @@ class GradientOperator:
 
     def low_rank(self, X):
         """The Woodbury term ``M K M^T X`` alone, at ``O(p r k)``."""
-        if not self._M.shape[1]:
-            return np.zeros((self._M.shape[0], X.shape[1]))
         return self._M @ (self._K @ (self._M.T @ X))
 
     def dense(self):
         """The gradient as a ``p x p`` symmetric array."""
-        if not self._M.shape[1]:
-            return self._residual0.copy()
         return symmetrize(self._residual0 + (self._M @ self._K) @ self._M.T)
 
     def __array__(self, dtype=None, copy=None):
@@ -257,54 +249,7 @@ def gradient(ctx, L, M=None):
     precomputed ``M = S^-1 V``; any other input gives its dense symmetric
     matrix (a dense ``L`` is eigendecomposed first, at ``O(p^3)``).
     """
-    V, d = as_eigenform(L, ctx.p)
-    if V.shape[1] == 0:
-        G = GradientOperator(ctx.residual0, V, np.zeros((0, 0)))
-    else:
-        K, M = woodbury_core_eig(ctx.S_chol, V, d, M)
-        G = GradientOperator(ctx.residual0, M, K)
+    K, M = woodbury_core_eig(ctx.S_chol, *as_eigenform(L, ctx.p), M)
+    G = GradientOperator(ctx.residual0, M, K)
     return G if isinstance(L, tuple) else G.dense()
 
-
-@dataclass
-class RscRssBounds:
-    """Restricted strong convexity/smoothness bounds from the spectrum of
-    ``theta``: the objective Hessian is ``theta^-1 (x) theta^-1``, so its
-    eigenvalues lie in ``[1/lambda_max^2, 1/lambda_min^2]``."""
-
-    m_lower: float
-    M_upper: float
-    lambda_max_theta: float
-    lambda_min_theta: float
-
-
-def rsc_rss_bounds(theta):
-    """Curvature bounds ``m = 1/lambda_1(theta)^2``, ``M = 1/lambda_p(theta)^2``.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If ``theta`` is not positive definite.
-    """
-    theta = check_finite_symmetric(theta, "theta")
-    w = np.linalg.eigvalsh(theta)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= 0.0:
-        raise NotPositiveDefiniteError(f"theta has min eigenvalue {lo:.3e}")
-    return RscRssBounds(
-        m_lower=1.0 / hi**2,
-        M_upper=1.0 / lo**2,
-        lambda_max_theta=hi,
-        lambda_min_theta=lo,
-    )
-
-
-def projected_gradient_norm(ctx, L_star, subspace_rank):
-    """Upper-bound surrogate ``sqrt(3 r) * ||grad F(L*)||_2``.
-
-    Used for the empirical sampling-error scaling test: across sampled
-    covariances this quantity scales as ``sqrt(r p / n)``.
-    """
-    G = gradient(ctx, L_star)
-    spec_norm = float(np.abs(np.linalg.eigvalsh(G)).max())
-    return float(np.sqrt(3.0 * subspace_rank) * spec_norm)

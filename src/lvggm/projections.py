@@ -7,7 +7,7 @@ The approximate routes here are randomized block-Krylov
 guarantees: its rank-r residual is within ``c_T = 1.1`` of the best rank-r
 residual, and it captures at least ``c_H = 0.9`` of the best rank-r
 Frobenius energy.  :func:`head_project`, the solvers' head projection,
-takes one block-Krylov step (or runs Lanczos) and advertises no constant.
+takes one block-Krylov step (README gives its measured constant) or Lanczos.
 Both backends apply a symmetric operator, such as the solvers' gradient,
 only to blocks or vectors and return its products on the basis they find;
 block-Krylov runs a non-symmetric ``A`` (as :func:`bk_svd` takes) as ``A A^T``.
@@ -305,7 +305,7 @@ def lanczos_subspace(A, k, cfg):
 
 
 def head_project(A, k, cfg):
-    """``k``-dimensional head subspace ``V`` of ``A``, with no advertised
+    """``k``-dimensional head subspace ``V`` of ``A``, with no proved
     constant: ``||P_V A||_F >= c_H ||A_k||_F`` is :func:`bk_svd`'s bound.
 
     The block-Krylov backend takes one Krylov step at every size.  ``A`` is

@@ -154,8 +154,9 @@ class Trace:
 
     @property
     def mean_iter_seconds(self):
-        """Mean seconds per iteration, without the first unless it is alone."""
-        return float(np.mean(self.seconds[1:] if len(self) > 1 else self.seconds))
+        """Mean seconds per iteration, without the first unless it is alone
+        (:class:`~lvggm.baseline.AdmmTrace` shares this rule)."""
+        return float(np.mean(self.seconds[1:] or self.seconds))
 
     def append(self, it, nll_value, seconds, eta, halvings, rank, rel_error):
         self.iters.append(int(it))
@@ -345,7 +346,7 @@ def _descend(ctx, cfg, truth, make_candidate):
     V = np.zeros((p, 0))
     d = np.zeros(0)
     products = (V, V)  # C V and S^-1 V of L = 0
-    current_nll = nll(ctx, (V, d))
+    current_nll = nll(ctx, (V, d), products)
     status = "max-iters"
     for t in range(cfg.max_iters):
         tic = time.perf_counter()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import lvggm.bench
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -22,6 +24,19 @@ def random_spd(rng, p, shift=None):
     if shift is None:
         shift = 0.5
     return S + shift * np.eye(p)
+
+
+def fixed_admm_seconds(monkeypatch, module):
+    """Make every ADMM fit reached through ``module`` report 9 s for its
+    first iteration and 0.5 s for each later one."""
+    real = lvggm.bench.admm_lvglasso
+
+    def timed(C, cfg):
+        S_hat, L_hat, trace = real(C, cfg)
+        trace.seconds = [9.0] + [0.5] * (trace.iterations - 1)
+        return S_hat, L_hat, trace
+
+    monkeypatch.setattr(module, "admm_lvglasso", timed)
 
 
 @pytest.fixture

@@ -25,13 +25,12 @@ from lvggm.objective import (
     as_eigenform,
     gradient,
     nll,
-    projected_gradient_norm,
-    rsc_rss_bounds,
 )
 from lvggm.projections import ProjectionConfig, bk_svd
 from lvggm.solvers import (
     SolverConfig,
     ap_lvm,
+    auto_step_size,
     contraction_estimate,
     ep_lvm,
     psd_finalize,
@@ -291,7 +290,10 @@ def test_criterion_10_gradient_norm_scaling():
             for trial in range(20):
                 C = sample_covariance(model, n, seed=13 * n + trial)
                 ctx = ModelContext.create(model.S_star, C, validate_psd=False)
-                vals.append(projected_gradient_norm(ctx, model.L_factor, r))
+                # the surrogate sqrt(3 r) ||grad F(L*)||_2, from the solvers' gradient
+                G = gradient(ctx, model.L_factor)
+                spec_norm = float(np.abs(np.linalg.eigvalsh(G)).max())
+                vals.append(float(np.sqrt(3.0 * r) * spec_norm))
             medians.append(float(np.median(vals)))
         slope = loglog_slope(ns, medians)
         assert -0.65 <= slope <= -0.35, f"log-log slope {slope:.3f} outside band"
@@ -302,10 +304,16 @@ def test_criterion_11_rsc_rss_kronecker_oracle():
         for k in range(20):
             rng = np.random.default_rng([1111, k])
             theta = random_spd(rng, 5)
-            b = rsc_rss_bounds(theta)
+            w = np.linalg.eigvalsh(theta)
+            # the Hessian theta^-1 (x) theta^-1 has its spectrum in
+            # [1/lambda_max(theta)^2, 1/lambda_min(theta)^2]
+            m_lower, M_upper = 1.0 / float(w[-1]) ** 2, 1.0 / float(w[0]) ** 2
             lo, hi = kron_hessian_extremes(theta)
-            assert abs(b.m_lower - lo) < 1e-9, f"instance {k}: m deviates"
-            assert abs(b.M_upper - hi) < 1e-9, f"instance {k}: M deviates"
+            assert abs(m_lower - lo) < 1e-9, f"instance {k}: m deviates"
+            assert abs(M_upper - hi) < 1e-9, f"instance {k}: M deviates"
+            # the solvers' first step is 0.5 / M at L = 0, where S = theta
+            eta = auto_step_size(ModelContext.create(theta, np.eye(5)))
+            assert abs(0.5 / eta - hi) < 1e-9, f"instance {k}: step deviates"
 
 
 def test_criterion_12_improper_learning_contrast(table_p100):

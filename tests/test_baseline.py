@@ -59,6 +59,15 @@ class TestAdmmLvglasso:
         # L PSD by construction; combined estimate stays invertible
         assert np.linalg.eigvalsh(L_hat)[0] >= -1e-10
 
+    def test_trace_times_every_iteration(self):
+        model = gen_model(15, 2, seed=7)
+        C = sample_covariance(model, 3000, seed=8)
+        _, _, trace = admm_lvglasso(C, AdmmConfig(max_iters=30))
+        assert len(trace.seconds) == len(trace.primal_residual) == trace.iterations
+        assert all(s > 0.0 for s in trace.seconds)
+        # the PGD trace's rule: the first iteration is left out
+        assert trace.mean_iter_seconds == float(np.mean(trace.seconds[1:]))
+
     def test_rank_exceeds_target_and_error_no_better_than_ep(self):
         # qualitative ordering at small scale; the tuned comparison runs in
         # the acceptance suite

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import lvggm.bench
 from lvggm import solvers
 from lvggm.bench import BenchSpec, run_bench, run_single
 from lvggm.solvers import DivergedError
+
+from .conftest import fixed_admm_seconds
 
 
 class TestBenchSpec:
@@ -84,3 +87,14 @@ class TestWorkerPool:
                 for line in lines
             ]
         assert strip_timing(seq_results) == strip_timing(par_results)
+
+
+class TestAdmmRow:
+    def test_mean_iter_seconds_is_the_returned_fits_own(self, monkeypatch):
+        # the tuned cell runs a 3x3 grid of fits; its mean is the returned
+        # fit's seconds per iteration, not the grid's time over its iterations
+        fixed_admm_seconds(monkeypatch, lvggm.bench)
+        spec = BenchSpec(dims=[16], oversampling=[50], trials=1, algorithms=["admm"])
+        row = run_single(spec, 16, 50.0, "admm", 0)
+        assert row["status"] == "ok" and row["iterations"] > 1
+        assert row["mean_iter_seconds"] == 0.5

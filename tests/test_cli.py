@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lvggm.bench
+import lvggm.cli
 from lvggm import solvers
 from lvggm.bench import ADMM_L1_GRID
 from lvggm.cli import main
 from lvggm.datagen import gen_model
 from lvggm.linalg import NotPositiveDefiniteError
 from lvggm.matio import read_matrix, write_matrix_binary
+
+from .conftest import fixed_admm_seconds
 
 
 def run_cli(capsys, *args):
@@ -121,6 +125,25 @@ class TestFit:
         ratio = summary["l1_weight"] / base_l1
         assert any(ratio == pytest.approx(a) for a in ADMM_L1_GRID)
         assert "rel_error" not in summary
+
+    def test_admm_mean_iter_seconds_is_the_fits_own(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._population_instance(tmp_path, p=20, r=2, seed=13)
+        for module, weights in (
+            (lvggm.cli, ["--l1", "0.05", "--nuclear", "0.1"]),
+            (lvggm.bench, []),  # the tuned grid
+        ):
+            fixed_admm_seconds(monkeypatch, module)
+            out = tmp_path / f"fit{len(weights)}"
+            code, _, _ = run_cli(
+                capsys, "fit", "--cov", str(tmp_path / "C.mat"), "--algo", "admm",
+                "--n-samples", "10000", "--out", str(out), *weights,
+            )
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["iterations"] > 1
+            assert summary["mean_iter_seconds"] == 0.5
 
     def test_eval_matches_solver_internal_rel_error(self, tmp_path, capsys):
         # sampled covariance: the statistical-error regime the cross-check

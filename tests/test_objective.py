@@ -21,8 +21,6 @@ from lvggm.objective import (
     gradient,
     nll,
     pd_margin,
-    projected_gradient_norm,
-    rsc_rss_bounds,
 )
 from lvggm.solvers import auto_step_size
 
@@ -183,6 +181,20 @@ class TestGradientOperator:
             oracle = ctx.C - np.linalg.inv(S + (V * w) @ V.T)
             assert np.abs(gradient(ctx, (V, w)).dense() - oracle).max() < 1e-10
 
+    def test_empty_iterate_gives_the_bits_of_residual0(self, rng):
+        # L = 0 takes the general path: its Woodbury term is p x 0 by 0 x 0
+        S = random_spd(rng, 8)
+        for S in (np.diag(np.diag(S)), S):  # banded and dense routes
+            ctx = ModelContext.create(S, np.eye(8) + 0.1 * S)
+            V, d = np.zeros((8, 0)), np.zeros(0)
+            G = gradient(ctx, (V, d))
+            X = rng.standard_normal((8, 3))
+            assert np.array_equal(G.dense(), ctx.residual0)
+            assert np.array_equal(G @ X, ctx.residual0 @ X)
+            assert np.array_equal(G.low_rank(X), np.zeros((8, 3)))
+            expected = -ctx.S_chol.logdet + ctx.trace_SC
+            assert nll(ctx, (V, d)) == nll(ctx, (V, d), (V, V)) == expected
+
     def test_singular_update_raises(self):
         ctx = ModelContext.create(np.eye(5), np.eye(5))
         v = np.zeros((5, 1))
@@ -302,56 +314,51 @@ class TestPdMargin:
 
 
 class TestRscRssBounds:
-    def test_scaled_identity(self):
-        b = rsc_rss_bounds(2.0 * np.eye(4))
-        assert b.m_lower == pytest.approx(0.25, abs=1e-14)
-        assert b.M_upper == pytest.approx(0.25, abs=1e-14)
+    """The Hessian of F at ``L`` is ``theta^-1 (x) theta^-1`` with
+    ``theta = S + L``, so its curvature lies in
+    ``[1/lambda_max(theta)^2, 1/lambda_min(theta)^2]``; the solvers' first
+    step :func:`auto_step_size` is ``0.5 / M`` for ``M = 1/lambda_min(S)^2``."""
 
-    def test_identity(self):
-        b = rsc_rss_bounds(np.eye(3))
-        assert (b.m_lower, b.M_upper) == (pytest.approx(1.0), pytest.approx(1.0))
+    @staticmethod
+    def smoothness(theta):
+        return 1.0 / np.linalg.eigvalsh(symmetrize(theta))[0] ** 2
 
     def test_matches_kronecker_oracle(self, rng):
         theta = random_spd(rng, 5)
-        b = rsc_rss_bounds(theta)
+        w = np.linalg.eigvalsh(theta)
         lo, hi = kron_hessian_extremes(theta)
-        assert b.m_lower == pytest.approx(lo, abs=1e-9)
-        assert b.M_upper == pytest.approx(hi, abs=1e-9)
-
-    def test_ordering_and_identity_equality(self, rng):
-        for _ in range(10):
-            theta = random_spd(rng, 6)
-            b = rsc_rss_bounds(theta)
-            assert 0 < b.m_lower <= b.M_upper
-        b = rsc_rss_bounds(3.7 * np.eye(5))
-        assert b.m_lower == pytest.approx(b.M_upper, rel=1e-12)
-
-    def test_non_pd_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            rsc_rss_bounds(np.diag([1.0, -1.0]))
+        assert 1.0 / w[-1] ** 2 == pytest.approx(lo, abs=1e-9)
+        assert 1.0 / w[0] ** 2 == pytest.approx(hi, abs=1e-9)
+        eta = auto_step_size(ModelContext.create(theta, np.eye(5)))
+        assert 0.5 / eta == pytest.approx(hi, abs=1e-9)
 
     def test_smoothness_bound_along_psd_iterates(self, rng):
         # for PSD L, lambda_min(S + L) >= lambda_min(S)
         model, ctx = make_ctx(rng, 8, 2, n=400)
-        bound = 1.0 / np.linalg.eigvalsh(model.S_star)[0] ** 2
+        bound = 0.5 / auto_step_size(ctx)
         for scale in (0.0, 0.3, 1.0):
-            theta = symmetrize(model.S_star + scale * model.L_star)
-            assert rsc_rss_bounds(theta).M_upper <= bound + 1e-10
+            theta = model.S_star + scale * model.L_star
+            assert self.smoothness(theta) <= bound + 1e-10
 
     def test_smoothness_bound_along_ep_trajectory(self, rng):
         from lvggm.solvers import SolverConfig, ep_lvm
 
         model, ctx = make_ctx(rng, 15, 2, n=1500)
-        bound = 1.0 / np.linalg.eigvalsh(model.S_star)[0] ** 2
+        bound = 0.5 / auto_step_size(ctx)
         est, _ = ep_lvm(ctx, SolverConfig(rank=2, max_iters=60))
-        theta = symmetrize(model.S_star + est.dense())
-        assert rsc_rss_bounds(theta).M_upper <= bound + 1e-10
+        assert self.smoothness(model.S_star + est.dense()) <= bound + 1e-10
+
+
+def gradient_norm_surrogate(ctx, L_factor, r):
+    """``sqrt(3 r) ||grad F(L*)||_2``, from the gradient the solvers form."""
+    G = gradient(ctx, L_factor)
+    return float(np.sqrt(3.0 * r) * np.abs(np.linalg.eigvalsh(G)).max())
 
 
 class TestProjectedGradientNorm:
     def test_zero_at_population_covariance(self, rng):
         model, ctx = make_ctx(rng, 12, 2)
-        assert projected_gradient_norm(ctx, model.L_factor, 2) < 1e-8
+        assert gradient_norm_surrogate(ctx, model.L_factor, 2) < 1e-8
 
     def test_quadrupling_n_halves_the_norm(self, rng):
         p, r, n = 40, 3, 1500
@@ -362,7 +369,7 @@ class TestProjectedGradientNorm:
             for trial in range(20):
                 C = sample_covariance(model, factor * n, seed=1000 * factor + trial)
                 ctx = ModelContext.create(model.S_star, C, validate_psd=False)
-                vals.append(projected_gradient_norm(ctx, model.L_factor, r))
+                vals.append(gradient_norm_surrogate(ctx, model.L_factor, r))
             med[factor] = float(np.median(vals))
         ratio = med[1] / med[4]
         assert 1.6 <= ratio <= 2.4
@@ -377,7 +384,7 @@ class TestProjectedGradientNorm:
             for trial in range(20):
                 C = sample_covariance(model, n, seed=77 * n + trial)
                 ctx = ModelContext.create(model.S_star, C, validate_psd=False)
-                vals.append(projected_gradient_norm(ctx, model.L_factor, r))
+                vals.append(gradient_norm_surrogate(ctx, model.L_factor, r))
             medians.append(float(np.median(vals)))
         slope = loglog_slope(ns, medians)
         assert -0.65 <= slope <= -0.35

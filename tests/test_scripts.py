@@ -1,0 +1,68 @@
+"""Smoke runs of the experiment scripts at small sizes, in process."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from lvggm.datagen import gen_model
+from lvggm.matio import write_matrix
+from lvggm.solvers import PGD_ALGORITHMS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_table_comparison_prints_a_row_per_algorithm(monkeypatch, capsys):
+    out = run_script(
+        monkeypatch, capsys, "table_comparison.py",
+        "--p", 20, "--ratio", 50, "--trials", 1,
+    )
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[3:]}
+    assert set(rows) == {*PGD_ALGORITHMS, "admm"}
+    for algo, cells in rows.items():
+        assert len(cells) == 5, f"{algo}: {cells}"
+        assert all(np.isfinite(float(c)) for c in cells)
+
+
+def test_error_vs_oversampling_writes_one_median_per_cell(
+    monkeypatch, capsys, tmp_path
+):
+    out_dir = tmp_path / "sweep"
+    run_script(
+        monkeypatch, capsys, "error_vs_oversampling.py",
+        "--p", 20, "--ratios", 50, 100, "--trials", 1, "--out", out_dir,
+    )
+    results = (out_dir / "results.csv").read_text().splitlines()
+    medians = (out_dir / "medians.csv").read_text().splitlines()
+    assert len(results) == len(medians) == 1 + 2 * 2  # 2 ratios x ep, ap-bk
+    assert all(",ok," in row for row in results[1:])
+    assert all(row.split(",")[3] == "1" for row in medians[1:])
+
+
+def test_real_data_workflow_fits_every_pgd_algorithm(monkeypatch, capsys, tmp_path):
+    model = gen_model(30, 2, seed=4)
+    rng = np.random.default_rng(5)
+    X = rng.multivariate_normal(np.zeros(30), model.sigma_star, size=900)
+    samples = tmp_path / "samples.csv"
+    write_matrix(samples, X)
+    out_dir = tmp_path / "run"
+    run_script(
+        monkeypatch, capsys, "real_data_workflow.py",
+        "--samples", samples, "--out", out_dir, "--max-iters", 10,
+    )
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["n"], summary["p"]) == (900, 30)
+    assert (out_dir / "Shat.mat").exists()
+    for algo in PGD_ALGORITHMS:
+        assert np.isfinite(summary[algo]["final_nll"])
+        assert summary[algo]["output_rank"] <= summary["rank"]
+        assert (out_dir / f"trace_{algo}.csv").exists()
+        assert (out_dir / f"Lhat_{algo}.mat").exists()

@@ -258,6 +258,36 @@ class TestApLvm:
         assert trace.degraded_projections == 0
         assert trace.rel_error[-1] < trace.rel_error[0]
 
+    def test_head_captures_the_best_rank_r_energy(self, monkeypatch):
+        # one free desk-size fit (p=100, r=5, n=400p): each head Z of the
+        # rank-2r projection captures ||G Z||_F at least the best rank-r
+        # energy ||G_r||_F; against the best rank-2r energy it falls short,
+        # and the smallest ratio is reported
+        ratios = []
+
+        def recorded(G, k, cfg):
+            head = real(G, k, cfg)
+            w = np.sort(np.abs(np.linalg.eigvalsh(G.dense())))[::-1]
+            captured = np.linalg.norm(head.products)
+            ratios.append((
+                captured / np.sqrt(np.sum(w[: k // 2] ** 2)),
+                captured / np.sqrt(np.sum(w[:k] ** 2)),
+            ))
+            return head
+
+        real = solvers.head_project
+        monkeypatch.setattr(solvers, "head_project", recorded)
+        _, ctx = sampled_ctx(100, 5, 40000, seed=1)
+        _, trace = fit_pgd("ap-bk", ctx, 5, seed=1)
+        assert trace.status == "nll-window" and len(ratios) == len(trace) > 100
+        rank_r, rank_2r = np.array(ratios).T
+        assert rank_r.min() >= 1.0
+        assert rank_2r.max() <= 1.0 + 1e-12  # Ky Fan: no 2r columns capture more
+        print(
+            f"\n  {len(ratios)} heads: captured/best rank-r >= {rank_r.min():.3f},"
+            f" captured/best rank-2r >= {rank_2r.min():.3f}"
+        )
+
     def test_deterministic_replay(self):
         model, ctx = sampled_ctx(15, 2, 700, seed=31)
         cfg = SolverConfig(rank=2, max_iters=30, projection=ProjectionConfig(seed=9))
