@@ -80,17 +80,23 @@ def _rel_error_dense(est, ref):
 
 
 def cmd_fit(args):
+    weighted = args.l1 is not None and args.nuclear is not None
+    admm_flags = (args.l1, args.nuclear, args.rho)
+    if args.algo == "admm" and not weighted and admm_flags != (None,) * 3:
+        raise ValueError(
+            "admm takes --l1 and --nuclear together, and --rho only with both"
+        )
     C = read_matrix(args.cov)
     truth = read_matrix(args.truth) if args.truth else None
 
     if args.algo == "admm":
         admm_iters = args.max_iters
         tic = time.perf_counter()
-        if args.l1 is not None and args.nuclear is not None:
+        if weighted:
             cfg = AdmmConfig(
                 l1_weight=args.l1,
                 nuclear_weight=args.nuclear,
-                rho=args.rho,
+                rho=1.0 if args.rho is None else args.rho,
                 max_iters=admm_iters,
             )
             S_hat, L_hat, trace = admm_lvglasso(C, cfg)
@@ -180,6 +186,8 @@ def cmd_bench(args):
 
 
 def cmd_eval(args):
+    if (args.s is None) != (args.cov is None):
+        raise ValueError("eval takes --s and --cov together")
     est = read_matrix(args.estimate)
     report = {"effective_rank": effective_rank(np.linalg.eigvalsh(symmetrize(est)))}
     if args.reference:
@@ -192,10 +200,8 @@ def cmd_eval(args):
         report["spectral_error"] = float(
             np.abs(np.linalg.eigvalsh(symmetrize(est - ref))).max()
         )
-    if args.s and args.cov:
-        S = read_matrix(args.s)
-        C = read_matrix(args.cov)
-        ctx = ModelContext.create(S, C, validate_psd=False)
+    if args.s is not None:
+        ctx = ModelContext.create(read_matrix(args.s), read_matrix(args.cov))
         report["nll"] = nll(ctx, symmetrize(est))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -235,7 +241,8 @@ def build_parser():
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--l1", type=float, default=None, help="admm l1 weight")
     f.add_argument("--nuclear", type=float, default=None, help="admm nuclear weight")
-    f.add_argument("--rho", type=float, default=1.0, help="admm penalty")
+    f.add_argument("--rho", type=float, default=None,
+                   help="admm penalty, with --l1 and --nuclear (default 1.0)")
     f.add_argument("--n-samples", type=int, default=None,
                    help="sample count hint for admm weight scaling")
     f.add_argument("--out", required=True)

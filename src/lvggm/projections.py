@@ -11,6 +11,8 @@ takes one block-Krylov step (README gives its measured constant) or Lanczos.
 Both backends apply a symmetric operator, such as the solvers' gradient,
 only to blocks or vectors and return its products on the basis they find;
 block-Krylov runs a non-symmetric ``A`` (as :func:`bk_svd` takes) as ``A A^T``.
+A degraded head (a Krylov space short of the target) returns the Ritz
+vectors it found, fewer than asked for, and no random directions.
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -59,9 +61,11 @@ class ProjectionConfig:
 class Subspace:
     """Column-orthonormal basis returned by head/tail subspace routines.
 
-    ``products`` is ``A @ basis``, assembled from the Krylov products the
-    routine formed; it is None only for non-symmetric block-Krylov input
-    (as :func:`bk_svd` takes).
+    It has at most the requested number of columns; ``degraded`` flags a
+    shorter Krylov space or a Lanczos breakdown.  ``products`` is
+    ``A @ basis``, assembled from the Krylov products the routine formed; it
+    is None only for non-symmetric block-Krylov input (as :func:`bk_svd`
+    takes).
     """
 
     basis: np.ndarray
@@ -126,17 +130,12 @@ def _orthonormalize(K, floor=0.0):
     return np.ascontiguousarray(Q[:, :ncols])
 
 
-def _complete_basis(Q, p, k, rng):
-    """Pad ``Q`` to ``k`` orthonormal columns with random completions."""
-    while Q.shape[1] < k:
-        extra = rng.standard_normal((p, k - Q.shape[1]))
-        if Q.shape[1]:
-            extra -= Q @ (Q.T @ extra)
-        extra = _orthonormalize(extra)
-        if extra.shape[1] == 0:
-            raise RuntimeError("unable to complete orthonormal basis")
-        Q = np.hstack([Q, extra[:, : k - Q.shape[1]]])
-    return Q
+def _largest_eigs(M, k):
+    """Eigenpairs ``(w, E)`` of the small symmetric ``M`` with the ``k``
+    largest ``|w|`` (all of them if fewer), largest first, ties in order."""
+    w, E = np.linalg.eigh(M)
+    order = np.argsort(-np.abs(w), kind="stable")[:k]
+    return w[order], E[:, order]
 
 
 def _krylov_basis(A, block, depth, rng):
@@ -197,7 +196,8 @@ def _bk_subspace(A, r, depth, seed):
     ``A`` is a square ndarray, or a symmetric linear operator with ``shape``
     and ``@`` (such as the solvers' gradient operator); a non-symmetric
     array runs as ``A A^T``.  For symmetric input the returned subspace
-    carries ``A @ basis``, combined from the Krylov products.
+    carries ``A @ basis``, combined from the Krylov products.  A Krylov
+    basis short of ``r`` columns gives its Ritz basis, flagged as degraded.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -208,26 +208,18 @@ def _bk_subspace(A, r, depth, seed):
     op = A if symmetric else _Gram(A)
 
     Q, AQ = _krylov_basis(op, r, depth, rng_for(seed, 101, 0))
-    degraded = Q.shape[1] < r
-    if degraded:
-        # Input rank below r, so any start block breaks down: best effort,
-        # pad deterministically.
-        Q = _complete_basis(Q, p, r, rng_for(seed, 103))
-        AQ = op @ Q
-
-    # Rayleigh-Ritz on the Krylov basis; Q has at least r columns here
-    w, E = np.linalg.eigh(symmetrize(Q.T @ AQ))
-    E = E[:, np.argsort(-np.abs(w), kind="stable")[:r]]
+    # Rayleigh-Ritz on the Krylov basis
+    _, E = _largest_eigs(symmetrize(Q.T @ AQ), r)
     return Subspace(
-        np.ascontiguousarray(Q @ E), degraded, AQ @ E if symmetric else None
+        np.ascontiguousarray(Q @ E), Q.shape[1] < r, AQ @ E if symmetric else None
     )
 
 
 def bk_svd(A, r, cfg):
     """Randomized block-Krylov SVD: rank-``r`` subspace plus its projection.
 
-    Returns ``(Subspace Z, B)`` with ``Z`` a ``p x r`` column-orthonormal
-    basis approximating the top-``r`` left singular subspace and
+    Returns ``(Subspace Z, B)`` with ``Z`` a column-orthonormal basis of at
+    most ``r`` columns approximating the top-``r`` left singular subspace and
     ``B = Z @ Z.T @ A``.  It runs :func:`default_krylov_depth` Krylov
     steps, at which the tail bound ``||A - B||_F <= c_T ||A - A_r||_F``
     and the head bound ``||B||_F >= c_H ||A_r||_F`` (``c_T = 1.1``,
@@ -235,8 +227,8 @@ def bk_svd(A, r, cfg):
 
     If block orthogonalization comes up rank-deficient (Krylov breakdown),
     ``A`` has numerical rank below ``r`` and a fresh random block would span
-    the same range, so the basis is padded at once and the result flagged
-    as degraded.
+    the same range, so ``Z`` is the basis found, of that numerical rank, and
+    the result is flagged as degraded; ``B`` is still ``A`` up to roundoff.
     """
     A = np.asarray(A, dtype=np.float64)
     sub = _bk_subspace(A, r, default_krylov_depth(A.shape[0]), cfg.seed)
@@ -254,9 +246,8 @@ def lanczos_subspace(A, k, cfg):
     operator with ``shape`` and ``@``, which is only applied to vectors.  The
     subspace carries ``A @ basis``, combined from the products the iteration
     forms.  On breakdown (a residual norm at most ``1e-12 max(1, ||A v_1||)``
-    for the random start ``v_1``) the iteration terminates early and the
-    basis is padded with random orthonormal completions, flagging it as
-    degraded.
+    for the random start ``v_1``) the iteration stops after ``m`` steps and
+    the subspace, flagged as degraded, holds ``min(k, m)`` Ritz vectors.
     """
     if isinstance(A, np.ndarray):
         A = check_finite_symmetric(A)
@@ -294,19 +285,13 @@ def lanczos_subspace(A, k, cfg):
 
     m = len(alphas)
     T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    ritz, E = np.linalg.eigh(T)
-    E = E[:, np.argsort(-np.abs(ritz), kind="stable")[: min(k, m)]]
-    Z, AZ = V[:, :m] @ E, AV[:, :m] @ E
-    if Z.shape[1] < k:
-        Z = _complete_basis(Z, p, k, rng_for(cfg.seed, 223))
-        AZ = np.hstack([AZ, A @ Z[:, m:]])
-        degraded = True
-    return Subspace(Z, degraded, AZ)
+    _, E = _largest_eigs(T, k)
+    return Subspace(V[:, :m] @ E, degraded, AV[:, :m] @ E)
 
 
 def head_project(A, k, cfg):
-    """``k``-dimensional head subspace ``V`` of ``A``, with no proved
-    constant: ``||P_V A||_F >= c_H ||A_k||_F`` is :func:`bk_svd`'s bound.
+    """Head subspace ``V`` of ``A`` of at most ``k`` dimensions, with no
+    proved constant: ``||P_V A||_F >= c_H ||A_k||_F`` is :func:`bk_svd`'s.
 
     The block-Krylov backend takes one Krylov step at every size.  ``A`` is
     a square ndarray or a symmetric linear operator (``shape`` and ``@``),
@@ -330,6 +315,5 @@ def compress_symmetric(U, core, r):
     Returns ``(V, d)`` with ``V = U E`` ``p x r`` orthonormal, ``d`` the
     retained eigenvalues (largest magnitude first), for ``V diag(d) V^T``.
     """
-    w, E = np.linalg.eigh(core)
-    order = np.argsort(-np.abs(w), kind="stable")[:r]
-    return U @ E[:, order], w[order]
+    w, E = _largest_eigs(core, r)
+    return U @ E, w

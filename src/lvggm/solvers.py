@@ -474,7 +474,8 @@ def ap_lvm(ctx, cfg, truth=None):
     """Approximate-projection solver.
 
     Each iteration head-projects the gradient at rank ``2r`` (randomized
-    block-Krylov or Lanczos) onto a basis ``Z`` and takes the step on
+    block-Krylov or Lanczos) onto a basis ``Z``, which a degraded head
+    returns with the fewer columns it found, and takes the step on
     ``U = [V, Z_perp]``, an orthonormal basis of ``span[V, Z]``
     (:func:`_extend_basis`): the candidate is the rank-``r`` tail projection
     of ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,

@@ -174,8 +174,8 @@ class TestFit:
     ):
         # the doubling step overshoots and halves on this instance; the
         # gradient at L = 0 of a population instance has rank 2, below the
-        # head rank 4, so the first head projection is padded and counted as
-        # degraded
+        # head rank 4, so the first head projection returns its rank-2 basis
+        # and is counted as degraded
         self._population_instance(tmp_path)
         out = tmp_path / "fit"
         code, _, _ = run_cli(
@@ -193,7 +193,7 @@ class TestFit:
         assert summary["degraded_projections"] == 1
 
         # identity instance: the gradient at L=0 is zero, so the head
-        # projection is padded and counted as degraded
+        # projection finds no direction and is counted as degraded
         write_matrix_binary(tmp_path / "I.mat", np.eye(6))
         out = tmp_path / "fit-identity"
         run_cli(
@@ -309,10 +309,15 @@ class TestFit:
             ([1.0] * 4, [1.0] * 4, None, ["--max-iters", "0"]),
             ([1.0] * 4, [1.0] * 4, None,
              ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"]),
+            # ADMM flags that a tuned fit would otherwise ignore
+            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--l1", "0.5"]),
+            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--nuclear", "0.5"]),
+            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--rho", "2"]),
         ],
         ids=[
             "non-psd-cov", "non-pd-s", "no-s", "no-rank",
             "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0",
+            "admm-l1-alone", "admm-nuclear-alone", "admm-rho-without-weights",
         ],
     )
     def test_rejected_fit_leaves_no_output_directory(
@@ -355,14 +360,29 @@ class TestEval:
         )
         assert json.loads(stdout)["rel_error"] == pytest.approx(1.0)
 
-    def test_dim_mismatch_is_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"--reference": "b.mat"},
+            # the NLL takes --s and --cov together, and a PSD --cov as fit does
+            {"--s": "a.mat"},
+            {"--cov": "a.mat"},
+            {"--s": "a.mat", "--cov": "c.mat"},
+        ],
+        ids=["dim-mismatch", "s-without-cov", "cov-without-s", "non-psd-cov"],
+    )
+    def test_dim_mismatch_is_error(self, tmp_path, capsys, flags):
         write_matrix_binary(tmp_path / "a.mat", np.eye(3))
         write_matrix_binary(tmp_path / "b.mat", np.eye(4))
-        code, _, err = run_cli(
-            capsys, "eval", "--estimate", str(tmp_path / "a.mat"),
-            "--reference", str(tmp_path / "b.mat"),
+        write_matrix_binary(tmp_path / "c.mat", np.diag([1.0, 1.0, -0.2]))
+        args = []
+        for flag, name in flags.items():
+            args += [flag, str(tmp_path / name)]
+        code, stdout, err = run_cli(
+            capsys, "eval", "--estimate", str(tmp_path / "a.mat"), *args
         )
         assert code == 1
+        assert stdout == ""
         assert json.loads(err.strip())["error"] == "ValueError"
 
 

@@ -193,7 +193,7 @@ class TestApLvm:
 
     def test_degraded_projection_flag_propagates(self):
         # identity instance: the gradient at L=0 is exactly the zero matrix,
-        # so the head basis must be padded and flagged
+        # so the head finds no direction and is flagged
         ctx = ModelContext.create(np.eye(10), np.eye(10))
         _, trace = ap_lvm(ctx, SolverConfig(rank=2))
         assert trace.degraded_projections >= 1
@@ -205,7 +205,16 @@ class TestApLvm:
         )
         assert trace.degraded_projections == 0
 
-    def test_noiseless_recovery_block_krylov(self):
+    def test_noiseless_recovery_block_krylov(self, monkeypatch):
+        widths = []
+        head_project = solvers.head_project
+
+        def recording(A, k, cfg):
+            head = head_project(A, k, cfg)
+            widths.append(head.basis.shape[1])
+            return head
+
+        monkeypatch.setattr(solvers, "head_project", recording)
         model, ctx = population_ctx(30, 2, seed=7)
         cfg = SolverConfig(
             rank=2, max_iters=300, nll_tolerance=0,
@@ -214,6 +223,9 @@ class TestApLvm:
         _, trace = ap_lvm(ctx, cfg, truth=model.L_factor)
         assert trace.rel_error[-1] < 1e-3
         assert len(trace) <= 300
+        # the gradient at L = 0 has rank r = 2, so the first head returns
+        # those two directions, not 2r columns
+        assert widths[0] == 2
 
     def test_noiseless_recovery_lanczos(self):
         model, ctx = population_ctx(30, 2, seed=7)
