@@ -25,14 +25,7 @@ from .objective import (
     gradient,
     nll,
 )
-from .projections import (
-    ProjectionConfig,
-    Subspace,
-    bk_svd,
-    default_krylov_depth,
-    head_project,
-    lanczos_subspace,
-)
+from .projections import ProjectionConfig, Subspace, head_project
 from .solvers import (
     PGD_ALGORITHMS,
     DivergedError,

@@ -79,7 +79,17 @@ def _rel_error_dense(est, ref):
     return float(np.linalg.norm(est - ref, "fro")) / denom
 
 
+# flags of one solver family, which the other rejects
+_ADMM_FLAGS = ("l1", "nuclear", "rho", "n_samples")
+_PGD_FLAGS = ("s", "rank", "seed", "nll_tol", "true_nll_floor")
+
+
 def cmd_fit(args):
+    foreign = _PGD_FLAGS if args.algo == "admm" else _ADMM_FLAGS
+    given = [f"--{name.replace('_', '-')}" for name in foreign
+             if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{args.algo} does not take {', '.join(given)}")
     weighted = args.l1 is not None and args.nuclear is not None
     admm_flags = (args.l1, args.nuclear, args.rho)
     if args.algo == "admm" and not weighted and admm_flags != (None,) * 3:
@@ -141,12 +151,12 @@ def cmd_fit(args):
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"input S matrix is not PD: {exc}") from exc
     trace_path = os.path.join(args.out, "trace.csv")
+    knobs = {} if args.nll_tol is None else {"nll_tolerance": args.nll_tol}
     try:
         est, trace = fit_pgd(
-            args.algo, ctx, args.rank, args.seed, truth=truth,
-            max_iters=args.max_iters,
-            nll_tolerance=args.nll_tol,
-            true_nll_floor=args.true_nll_floor,
+            args.algo, ctx, args.rank, args.seed or 0, truth=truth,
+            max_iters=args.max_iters, true_nll_floor=args.true_nll_floor,
+            **knobs,
         )
     except DivergedError as exc:
         os.makedirs(args.out, exist_ok=True)
@@ -236,9 +246,9 @@ def build_parser():
     f.add_argument("--rank", type=int, default=None)
     f.add_argument("--truth", default=None)
     f.add_argument("--max-iters", type=int, default=600)
-    f.add_argument("--nll-tol", type=float, default=1e-7)
+    f.add_argument("--nll-tol", type=float, default=None, help="default 1e-7")
     f.add_argument("--true-nll-floor", type=float, default=None)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=int, default=None, help="default 0")
     f.add_argument("--l1", type=float, default=None, help="admm l1 weight")
     f.add_argument("--nuclear", type=float, default=None, help="admm nuclear weight")
     f.add_argument("--rho", type=float, default=None,

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
 finite differences, the Hessian oracle forms the Kronecker product
-explicitly, and the sampling oracle colours every draw before accumulating.
+explicitly, the sampling oracle colours every draw before accumulating, and
+the reference BK-SVD is plain numpy (block Gram-Schmidt and SVDs), sharing
+nothing with the library's block-Krylov head.
 The exceptions are ``allocating_sample_covariance``, which repeats the
 sampler's arithmetic without its buffers and thread, so that the two can be
 compared bit for bit, and ``dense_step_ep``, which runs the solvers' own
@@ -64,6 +66,40 @@ def psd_clamp_truncate(A, r):
     V = V[:, ::-1]
     w = np.maximum(w[:r], 0.0)
     return (V[:, :r] * w) @ V[:, :r].T
+
+
+def bk_svd(A, k, seed):
+    """Reference randomized block-Krylov SVD (Musco & Musco, NeurIPS 2015,
+    Algorithm 2), the paper's head/tail projection.
+
+    Builds the Krylov space ``[A W, (A A^T) A W, ..., (A A^T)^q A W]`` of a
+    Gaussian ``n x k`` start block ``W`` at depth ``q = max(7, ceil(log2 m))``
+    for an ``m x n`` array ``A``.  Each new block is orthogonalized against
+    the previous ones (two block Gram-Schmidt passes) and re-orthonormalized
+    by an SVD that drops directions below ``1e-10`` of the block's norm
+    before the projection, so a space that stops growing ends the iteration.
+    Returns ``(Z, Z Z^T A)``, ``Z`` the (at most ``k``) leading left
+    singular vectors of ``A`` restricted to that space.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    m, n = A.shape
+    depth = max(7, int(np.ceil(np.log2(max(m, 2)))))
+    X = A @ np.random.default_rng(seed).standard_normal((n, k))
+    blocks = []
+    for _ in range(depth + 1):
+        scale = np.linalg.norm(X, 2)
+        for _ in range(2):
+            for Q in blocks:
+                X = X - Q @ (Q.T @ X)
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        X = U[:, s > 1e-10 * scale]
+        if X.shape[1] == 0:
+            break
+        blocks.append(X)
+        X = A @ (A.T @ X)
+    Q = np.hstack(blocks)
+    Z = Q @ np.linalg.svd(Q.T @ A, full_matrices=False)[0][:, :k]
+    return Z, Z @ (Z.T @ A)
 
 
 def fd_factor_gradient(nll_fn, U, h=1e-5):

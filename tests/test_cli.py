@@ -16,6 +16,9 @@ from lvggm.matio import read_matrix, write_matrix_binary
 from .conftest import fixed_admm_seconds
 
 
+_ADMM_WEIGHTS = "admm takes --l1 and --nuclear together, and --rho only with both"
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -297,43 +300,73 @@ class TestFit:
         }
 
     @pytest.mark.parametrize(
-        "s_diag, c_diag, drop, extra",
+        "s_diag, c_diag, drop, extra, message",
         [
-            ([1.0] * 4, [1.0, 1.0, 1.0, -0.2], None, []),  # non-PSD --cov
-            ([1.0, 1.0, 1.0, -1.0], [1.0] * 4, None, []),  # non-PD --s
-            ([1.0] * 4, [1.0] * 4, "--s", []),
-            ([1.0] * 4, [1.0] * 4, "--rank", []),
+            ([1.0] * 4, [1.0, 1.0, 1.0, -0.2], (), [], None),  # non-PSD --cov
+            ([1.0, 1.0, 1.0, -1.0], [1.0] * 4, (), [], None),  # non-PD --s
+            ([1.0] * 4, [1.0] * 4, ("--s",), [], None),
+            ([1.0] * 4, [1.0] * 4, ("--rank",), [], None),
             # rejected by the solver, after the inputs were read
-            ([1.0] * 4, [1.0] * 4, "--rank", ["--rank", "0"]),
-            ([1.0] * 4, [1.0] * 4, "--rank", ["--rank", "5"]),  # rank > p
-            ([1.0] * 4, [1.0] * 4, None, ["--max-iters", "0"]),
-            ([1.0] * 4, [1.0] * 4, None,
-             ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"]),
+            ([1.0] * 4, [1.0] * 4, ("--rank",), ["--rank", "0"], None),
+            ([1.0] * 4, [1.0] * 4, ("--rank",), ["--rank", "5"], None),  # rank > p
+            ([1.0] * 4, [1.0] * 4, (), ["--max-iters", "0"], None),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
+             ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"],
+             "rho must be > 0"),
             # ADMM flags that a tuned fit would otherwise ignore
-            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--l1", "0.5"]),
-            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--nuclear", "0.5"]),
-            ([1.0] * 4, [1.0] * 4, None, ["--algo", "admm", "--rho", "2"]),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"), ["--algo", "admm", "--l1", "0.5"],
+             _ADMM_WEIGHTS),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
+             ["--algo", "admm", "--nuclear", "0.5"], _ADMM_WEIGHTS),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"), ["--algo", "admm", "--rho", "2"],
+             _ADMM_WEIGHTS),
+            # flags of the other solver family
+            ([1.0] * 4, [1.0] * 4, (), ["--l1", "0.5"], "ep does not take --l1"),
+            ([1.0] * 4, [1.0] * 4, ("--s",), ["--algo", "admm"],
+             "admm does not take --rank"),
         ],
         ids=[
             "non-psd-cov", "non-pd-s", "no-s", "no-rank",
             "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0",
             "admm-l1-alone", "admm-nuclear-alone", "admm-rho-without-weights",
+            "ep-with-l1", "admm-with-rank",
         ],
     )
     def test_rejected_fit_leaves_no_output_directory(
-        self, tmp_path, capsys, s_diag, c_diag, drop, extra
+        self, tmp_path, capsys, s_diag, c_diag, drop, extra, message
     ):
         write_matrix_binary(tmp_path / "S.mat", np.diag(s_diag))
         write_matrix_binary(tmp_path / "C.mat", np.diag(c_diag))
         out = tmp_path / "fit"
         flags = {"--s": str(tmp_path / "S.mat"), "--rank": "1"}
-        flags.pop(drop, None)
+        for flag in drop:
+            del flags[flag]
         args = ["fit", "--cov", str(tmp_path / "C.mat"), "--algo", "ep"]
         for flag, value in flags.items():
             args += [flag, value]
-        code, _, _ = run_cli(capsys, *args, *extra, "--out", str(out))
+        code, _, err = run_cli(capsys, *args, *extra, "--out", str(out))
         assert code == 1
         assert not out.exists()
+        if message is not None:
+            assert json.loads(err.strip())["message"] == message
+
+    @pytest.mark.parametrize(
+        "algo, extra",
+        [
+            ("ap-bk", ["--nuclear", "0.5", "--rho", "2", "--n-samples", "9"]),
+            ("admm", ["--seed", "3", "--nll-tol", "0", "--true-nll-floor", "1"]),
+        ],
+    )
+    def test_other_family_flags_are_named(self, tmp_path, capsys, algo, extra):
+        code, _, err = run_cli(
+            capsys, "fit", "--cov", str(tmp_path / "missing.mat"), "--algo", algo,
+            *extra, "--out", str(tmp_path / "fit"),
+        )
+        assert code == 1
+        named = ", ".join(flag for flag in extra if flag.startswith("--"))
+        assert json.loads(err.strip()) == {
+            "error": "ValueError", "message": f"{algo} does not take {named}",
+        }
 
 
 class TestEval:
