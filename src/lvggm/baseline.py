@@ -35,10 +35,13 @@ class AdmmConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.l1_weight < 0 or self.nuclear_weight < 0:
-            raise ValueError("penalty weights must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
+        # chained comparisons are false for NaN, so NaN is rejected too
+        if not (0 <= self.l1_weight < np.inf and 0 <= self.nuclear_weight < np.inf):
+            raise ValueError("penalty weights must be finite and >= 0")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass

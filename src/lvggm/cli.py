@@ -96,24 +96,25 @@ def cmd_fit(args):
         raise ValueError(
             "admm takes --l1 and --nuclear together, and --rho only with both"
         )
+    if args.n_samples is not None and args.n_samples < 1:
+        raise ValueError("--n-samples must be >= 1")
     C = read_matrix(args.cov)
     truth = read_matrix(args.truth) if args.truth else None
 
     if args.algo == "admm":
-        admm_iters = args.max_iters
         tic = time.perf_counter()
         if weighted:
             cfg = AdmmConfig(
                 l1_weight=args.l1,
                 nuclear_weight=args.nuclear,
                 rho=1.0 if args.rho is None else args.rho,
-                max_iters=admm_iters,
+                max_iters=args.max_iters,
             )
             S_hat, L_hat, trace = admm_lvglasso(C, cfg)
         else:
-            n_hint = args.n_samples if args.n_samples else C.shape[0]
+            n_hint = C.shape[0] if args.n_samples is None else args.n_samples
             S_hat, L_hat, trace, cfg = tune_admm(
-                C, n_hint, truth=truth, max_iters=admm_iters
+                C, n_hint, truth=truth, max_iters=args.max_iters
             )
         total = time.perf_counter() - tic
         os.makedirs(args.out, exist_ok=True)

@@ -53,8 +53,6 @@ class SyntheticModel:
 
     s_diag: np.ndarray
     L_factor: np.ndarray  # (p, r), L* = L_factor @ L_factor.T
-    seed: int
-    params: GenParams
 
     @property
     def p(self):
@@ -105,7 +103,7 @@ def gen_model(p, r="auto", seed=0, params=None):
     G = rng.standard_normal((p, r))
     top_sv = np.linalg.svd(G, compute_uv=False)[0]
     factor = G * (math.sqrt(params.spectral_norm) / top_sv)
-    model = SyntheticModel(s_diag=s_diag, L_factor=factor, seed=seed, params=params)
+    model = SyntheticModel(s_diag=s_diag, L_factor=factor)
     # L* is PSD, so lambda_min(theta*) >= min(s_diag): only a small diagonal
     # entry can violate the margin and needs the eigenvalue.
     if s_diag.min() < 0.5:

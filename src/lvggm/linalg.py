@@ -196,8 +196,7 @@ def cholesky_logdet(A):
     Raises
     ------
     NotPositiveDefiniteError
-        If ``A`` is not positive definite.  Solvers use this as the
-        backtracking signal for steps that leave the PD cone.
+        If ``A`` is not positive definite.
     """
     fac = _factor(check_finite_symmetric(A))
     return fac, fac.logdet

@@ -2,14 +2,14 @@
 
 The exact rank-r PSD projection is :func:`lvggm.solvers.psd_finalize`.
 :func:`head_project`, the solvers' head projection, approximates the
-dominant eigenspace of a symmetric matrix or operator by one randomized
-block-Krylov step (gap-independent; README gives its measured constant) or
-by Lanczos (convergence depends on spectral gaps).  Both backends apply the
-operator, such as the solvers' gradient, only to blocks or vectors and
-return its products on the basis they find.  A degraded head (a Krylov
-space short of the target) returns the Ritz vectors it found, fewer than
-asked for, and no random directions.  The paper's reference BK-SVD, at
-``max(7, ceil(log2 p))`` steps, whose constants ``c_T = 1.1`` and
+dominant eigenspace of a symmetric matrix or operator, such as the
+solvers' gradient, by one Rayleigh-Ritz step on a Krylov basis in its range
+and returns the operator's products on it.  One randomized block-Krylov
+step (gap-independent; README gives its measured constant) or Lanczos
+(convergence depends on spectral gaps) builds the basis.  A degraded head
+(a Krylov space short of the target) returns the Ritz vectors it found,
+fewer than asked for, and no random directions.  The paper's reference
+BK-SVD, at ``max(7, ceil(log2 p))`` steps, whose constants ``c_T = 1.1`` and
 ``c_H = 0.9`` acceptance criterion 4 checks, is a test oracle
 (``tests/oracles.py``), not library code.
 
@@ -30,11 +30,8 @@ _BACKENDS = ("block-krylov", "lanczos")
 
 @dataclass
 class ProjectionConfig:
-    """Seed and head-projection backend of the approximate projections.
-
-    The block-Krylov backend takes one Krylov step with a block of the
-    target rank of each call.
-    """
+    """Seed and basis builder (``block-krylov`` or ``lanczos``) of
+    :func:`head_project`."""
 
     seed: int = 0
     backend: str = "block-krylov"
@@ -46,11 +43,11 @@ class ProjectionConfig:
 
 @dataclass
 class Subspace:
-    """Column-orthonormal basis returned by head/tail subspace routines.
+    """Column-orthonormal head basis that :func:`head_project` returns.
 
     It has at most the requested number of columns; ``degraded`` flags a
-    shorter Krylov space or a Lanczos breakdown.  ``products`` is
-    ``A @ basis``, assembled from the Krylov products the routine formed.
+    Krylov space with fewer directions than that.  ``products`` is
+    ``A @ basis``, assembled from the Krylov products the backend formed.
     """
 
     basis: np.ndarray
@@ -155,53 +152,37 @@ def _krylov_basis(A, block, rng):
     return np.hstack([Q, X]), np.hstack([AQ, A @ X])
 
 
-def lanczos_subspace(A, k, cfg):
-    """Dominant ``k``-dimensional eigenspace approximation via Lanczos.
-
-    Single-vector Lanczos with full reorthogonalization over
-    ``min(p, max(2k, k + 30))`` steps; convergence depends on spectral gaps.
-    ``A`` is a symmetric ndarray or linear operator with ``shape`` and
-    ``@``, which is only applied to vectors; :func:`head_project` checks the
-    input.  The subspace carries ``A @ basis``, combined from the products
-    the iteration forms.  On breakdown (a residual norm at most
-    ``1e-12 max(1, ||A v_1||)`` for the random start ``v_1``) the iteration
-    stops after ``m`` steps and the subspace, flagged as degraded, holds
-    ``min(k, m)`` Ritz vectors.
+def _lanczos_basis(A, k, rng):
+    """``(Q, A @ Q, Q^T A Q)`` for an orthonormal basis ``Q`` of
+    ``span[A v, ..., A^m v]`` (``v`` Gaussian, ``m = min(p, max(2k, k+30))``)
+    by single-vector Lanczos with full reorthogonalization.  As in
+    :func:`_krylov_basis`, the space lies in range(A) and a new direction of
+    norm at most ``1e-10`` of the first one's ends it.  ``Q^T A Q`` comes
+    from the reorthogonalization coefficients and the new directions' norms
+    (on the subdiagonal), which is cheaper than the product.
     """
     p = A.shape[0]
     steps = min(p, max(2 * k, k + 30))
-    rng = rng_for(cfg.seed, 211)
-
-    V = np.zeros((p, steps))
-    AV = np.zeros((p, steps))
-    alphas = []
-    betas = []
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    V[:, 0] = v
-    degraded = False
-    for j in range(steps):
-        AV[:, j] = A @ V[:, j]
-        if j == 0:
-            tol = 1e-12 * max(1.0, float(np.linalg.norm(AV[:, 0])))
-        w = AV[:, j].copy()
-        alphas.append(float(V[:, j] @ w))
-        # full reorthogonalization, two passes
+    Q = np.zeros((p, steps))
+    AQ = np.zeros((p, steps))
+    H = np.zeros((steps, steps))
+    w = A @ rng.standard_normal(p)
+    beta = float(np.linalg.norm(w))
+    tol = 1e-10 * beta
+    m = 0
+    while m < steps and beta > tol:
+        if m:
+            H[m, m - 1] = beta
+        Q[:, m] = w / beta
+        w = A @ Q[:, m]
+        AQ[:, m] = w
         for _ in range(2):
-            w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
+            c = Q[:, : m + 1].T @ w
+            H[: m + 1, m] += c
+            w -= Q[:, : m + 1] @ c
+        m += 1
         beta = float(np.linalg.norm(w))
-        if j == steps - 1:
-            break
-        if beta <= tol:
-            degraded = True
-            break
-        betas.append(beta)
-        V[:, j + 1] = w / beta
-
-    m = len(alphas)
-    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    _, E = _largest_eigs(T, k)
-    return Subspace(V[:, :m] @ E, degraded, AV[:, :m] @ E)
+    return Q[:, :m], AQ[:, :m], H[:m, :m]
 
 
 def head_project(A, k, cfg):
@@ -210,19 +191,22 @@ def head_project(A, k, cfg):
 
     ``A`` is a symmetric ndarray, or a symmetric linear operator (``shape``
     and ``@``) which neither backend materializes.  A dense ``A`` that is not
-    finite and symmetric, or ``k`` outside ``[1, p]``, raises ValueError.  The block-Krylov backend
-    takes one Krylov step at every size; the subspace carries ``A @ basis``.
+    finite and symmetric, or ``k`` outside ``[1, p]``, raises ValueError.
+    One Rayleigh-Ritz step on either backend's basis gives the subspace; it
+    carries ``A @ basis`` and is degraded with fewer than ``k`` columns.
     """
     if isinstance(A, np.ndarray):
         A = check_finite_symmetric(A)
     p = A.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"subspace size k={k} out of range [1, {p}]")
+    rng = rng_for(cfg.seed, 101, 0)
     if cfg.backend == "lanczos":
-        return lanczos_subspace(A, k, cfg)
-    Q, AQ = _krylov_basis(A, k, rng_for(cfg.seed, 101, 0))
-    # Rayleigh-Ritz on the Krylov basis
-    _, E = _largest_eigs(symmetrize(Q.T @ AQ), k)
+        Q, AQ, H = _lanczos_basis(A, k, rng)
+    else:
+        Q, AQ = _krylov_basis(A, k, rng)
+        H = Q.T @ AQ
+    _, E = _largest_eigs(symmetrize(H), k)
     return Subspace(np.ascontiguousarray(Q @ E), Q.shape[1] < k, AQ @ E)
 
 

@@ -24,14 +24,14 @@ only in ``P``:
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
 identity and makes error tracking against a known truth cheap.  AP never
-forms the ``p x p`` gradient: the head projection, block-Krylov or Lanczos,
-applies the gradient operator to blocks or vectors and returns ``G Z`` from
-its Krylov products.  Every candidate returns its trial with the products
-``(C V, S^-1 V)``, which the NLL takes as they are and the next gradient
-takes ``S^-1 V`` from.  EP forms them directly, one product and one solve
-per trial; AP forms them from the products on ``[V, Z]``, so its only
-``p x p`` products are the head projection's and one ``S^-1 Z`` solve (a
-band solve for a banded or diagonal ``S``).
+forms the ``p x p`` gradient: the head projection's basis builders,
+block-Krylov or Lanczos, apply the gradient operator to blocks or vectors,
+and ``G Z`` comes from their Krylov products.  Every candidate returns its
+trial with the products ``(C V, S^-1 V)``, which the NLL takes as they are
+and the next gradient takes ``S^-1 V`` from.  EP forms them directly, one
+product and one solve per trial; AP forms them from the products on
+``[V, Z]``, so its only ``p x p`` products are the head projection's and
+one ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the

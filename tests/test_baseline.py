@@ -24,10 +24,12 @@ class TestProxOperators:
         assert soft_threshold(0.3, 0.5) == 0.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdmmConfig(l1_weight=-1.0)
-        with pytest.raises(ValueError):
-            AdmmConfig(rho=0.0)
+        for field, value in (
+            ("l1_weight", -1.0), ("l1_weight", np.nan), ("nuclear_weight", np.inf),
+            ("rho", 0.0), ("rho", np.nan), ("rho", np.inf), ("max_iters", 0),
+        ):
+            with pytest.raises(ValueError):
+                AdmmConfig(**{field: value})
 
 
 class TestAdmmLvglasso:

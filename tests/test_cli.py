@@ -312,7 +312,14 @@ class TestFit:
             ([1.0] * 4, [1.0] * 4, (), ["--max-iters", "0"], None),
             ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
              ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"],
-             "rho must be > 0"),
+             "rho must be finite and > 0"),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
+             ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "nan"],
+             "rho must be finite and > 0"),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
+             ["--algo", "admm", "--max-iters", "0"], "max_iters must be >= 1"),
+            ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
+             ["--algo", "admm", "--n-samples", "0"], "--n-samples must be >= 1"),
             # ADMM flags that a tuned fit would otherwise ignore
             ([1.0] * 4, [1.0] * 4, ("--s", "--rank"), ["--algo", "admm", "--l1", "0.5"],
              _ADMM_WEIGHTS),
@@ -327,7 +334,8 @@ class TestFit:
         ],
         ids=[
             "non-psd-cov", "non-pd-s", "no-s", "no-rank",
-            "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0",
+            "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0", "admm-rho-nan",
+            "admm-max-iters-0", "admm-n-samples-0",
             "admm-l1-alone", "admm-nuclear-alone", "admm-rho-without-weights",
             "ep-with-l1", "admm-with-rank",
         ],

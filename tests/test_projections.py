@@ -11,7 +11,6 @@ from lvggm.projections import (
     _krylov_basis,
     compress_symmetric,
     head_project,
-    lanczos_subspace,
 )
 from lvggm.solvers import psd_finalize
 
@@ -219,6 +218,23 @@ class TestHeadProject:
             sub = head_project(A, 6, ProjectionConfig(seed=2, backend=backend))
             assert np.abs(sub.basis.T @ sub.basis - np.eye(6)).max() <= 1e-8
 
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_width_and_flag_do_not_follow_scale(self, backend, k):
+        # a decaying spectrum, 1 down to 1e-8: deflation is relative to the
+        # operator's own scale, so scaling it changes neither the basis
+        # width nor the degraded flag
+        p = 60
+        Q = np.linalg.qr(np.random.default_rng(60).standard_normal((p, p)))[0]
+        A = (Q * np.logspace(0, -8, p)) @ Q.T
+        A = (A + A.T) / 2
+        cfg = ProjectionConfig(seed=7, backend=backend)
+        shapes = set()
+        for scale in (1e-9, 1e-3, 1.0, 1e3):
+            sub = head_project(scale * A, k, cfg)
+            shapes.add((sub.basis.shape[1], sub.degraded))
+        assert len(shapes) == 1
+
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_rejects_invalid_input(self, rng, backend):
         cfg = ProjectionConfig(seed=1, backend=backend)
@@ -267,15 +283,15 @@ class TestOperatorInput:
             assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
 
     def test_short_basis_carries_the_operator_on_the_basis(self, rng):
-        # rank 3 < k = 5: block-Krylov finds the range; Lanczos breaks down
-        # after four steps, the range and the start vector's null component
+        # rank 3 < k = 5: both backends build their space inside range(A),
+        # so each finds the range and no direction outside it
         U = rng.standard_normal((30, 3))
         A = U @ U.T
-        for backend, width in zip(_BACKENDS, (3, 4)):
+        for backend in _BACKENDS:
             sub = head_project(A, 5, ProjectionConfig(seed=1, backend=backend))
             assert sub.degraded
-            assert sub.basis.shape == (30, width)
-            assert np.abs(sub.basis.T @ sub.basis - np.eye(width)).max() <= 1e-10
+            assert sub.basis.shape == (30, 3)
+            assert np.abs(sub.basis.T @ sub.basis - np.eye(3)).max() <= 1e-10
             fresh = A @ sub.basis
             assert np.abs(sub.products - fresh).max() <= 1e-10 * np.abs(fresh).max()
             residual = A - sub.basis @ (sub.basis.T @ A)
@@ -298,16 +314,22 @@ class TestOperatorInput:
 
 
 class TestLanczosSubspace:
+    """The Lanczos backend of :func:`head_project`."""
+
+    @staticmethod
+    def _lanczos(A, k, seed):
+        return head_project(A, k, ProjectionConfig(seed=seed, backend="lanczos"))
+
     def test_dominant_eigenvector(self):
         A = np.diag([10.0] + [1.0] * 9)
-        sub = lanczos_subspace(A, 1, ProjectionConfig(seed=3))
+        sub = self._lanczos(A, 1, 3)
         angle_cos = abs(sub.basis[0, 0])
         assert 1.0 - angle_cos < 1e-6
 
     def test_identity_breakdown_returns_the_krylov_basis(self):
-        # the start vector is an eigenvector, so Lanczos stops after one step
-        # and returns it alone
-        sub = lanczos_subspace(np.eye(8), 2, ProjectionConfig(seed=4))
+        # A v is an eigenvector, so Lanczos stops after one direction and
+        # returns it alone
+        sub = self._lanczos(np.eye(8), 2, 4)
         assert sub.degraded
         assert sub.basis.shape == (8, 1)
         assert np.abs(sub.basis.T @ sub.basis - 1.0).max() <= 1e-12
@@ -318,7 +340,7 @@ class TestLanczosSubspace:
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
         w = np.concatenate([[40.0, 35.0, 30.0, 25.0], rng.uniform(0.1, 1.0, p - k)])
         A = (Q * w) @ Q.T
-        sub = lanczos_subspace((A + A.T) / 2, k, ProjectionConfig(seed=6))
+        sub = self._lanczos((A + A.T) / 2, k, 6)
         # principal angles against the exact dominant eigenspace
         exact = Q[:, :k]
         s = np.linalg.svd(exact.T @ sub.basis, compute_uv=False)
@@ -327,8 +349,8 @@ class TestLanczosSubspace:
 
     def test_deterministic(self, rng):
         A = random_spd(rng, 40)
-        s1 = lanczos_subspace(A, 3, ProjectionConfig(seed=8))
-        s2 = lanczos_subspace(A, 3, ProjectionConfig(seed=8))
+        s1 = self._lanczos(A, 3, 8)
+        s2 = self._lanczos(A, 3, 8)
         assert np.array_equal(s1.basis, s2.basis)
 
 
