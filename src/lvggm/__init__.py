@@ -2,14 +2,7 @@
 model precision matrix by non-convex projected gradient descent."""
 
 from .baseline import AdmmConfig, AdmmTrace, admm_lvglasso, soft_threshold, svt
-from .datagen import (
-    GenerationError,
-    GenParams,
-    SyntheticModel,
-    gen_model,
-    load_dataset,
-    sample_covariance,
-)
+from .datagen import SyntheticModel, gen_model, load_dataset, sample_covariance
 from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -56,12 +57,15 @@ class BenchSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.dims or any(int(p) < 2 for p in self.dims):
-            raise ValueError("dims must be non-empty with all p >= 2")
+        # a fractional size or trial count is rejected, not rounded down
+        if not self.dims or not all(
+            isinstance(p, numbers.Integral) and p >= 2 for p in self.dims
+        ):
+            raise ValueError("dims must be non-empty with all p integers >= 2")
         if not self.oversampling or any(float(x) <= 0 for x in self.oversampling):
             raise ValueError("oversampling ratios must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
         if not self.algorithms:
             raise ValueError("algorithm list must not be empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)

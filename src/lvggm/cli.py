@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import AdmmConfig, admm_lvglasso, admm_objective
 from .bench import ALGORITHMS, BenchSpec, run_bench, tune_admm
-from .datagen import GenParams, gen_model, sample_covariance
+from .datagen import DIAG_RANGE, SPECTRAL_NORM, gen_model, sample_covariance
 from .linalg import NotPositiveDefiniteError, effective_rank, symmetrize
 from .matio import read_matrix, write_matrix
 from .objective import ModelContext, nll, pd_margin
@@ -37,12 +37,7 @@ def _write_json(path, payload):
 
 
 def cmd_gen(args):
-    model = gen_model(
-        args.p,
-        "auto" if args.r is None else args.r,
-        seed=args.seed,
-        params=GenParams(tuple(args.diag_range), args.spectral_norm),
-    )
+    model = gen_model(args.p, "auto" if args.r is None else args.r, seed=args.seed)
     C = sample_covariance(model, args.n, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "S.mat"), model.S_star)
@@ -59,8 +54,8 @@ def cmd_gen(args):
             "r": model.r,
             "n": args.n,
             "seed": args.seed,
-            "diag_range": list(args.diag_range),
-            "spectral_norm": args.spectral_norm,
+            "diag_range": list(DIAG_RANGE),
+            "spectral_norm": SPECTRAL_NORM,
             "L_frobenius_norm": float(np.linalg.norm(model.L_star, "fro")),
             "L_spectral_norm": float(
                 np.abs(np.linalg.eigvalsh(model.L_star)).max()
@@ -235,8 +230,6 @@ def build_parser():
     g.add_argument("--r", type=int, default=None, help="default: ceil(0.05 p)")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--diag-range", type=float, nargs=2, default=(1.0, 2.0))
-    g.add_argument("--spectral-norm", type=float, default=1.0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 

@@ -1,8 +1,10 @@
 """Synthetic ground-truth models, Gaussian sampling, and dataset ingestion.
 
-The synthetic ensemble uses a diagonal positive sparse part (which keeps it
-PSD by construction) and a rank-r Gram low-rank part ``L* = G G^T`` rescaled
-to a target spectral norm.  Everything is a pure function of its seed.
+The synthetic ensemble is fixed: a diagonal sparse part ``S*`` with entries
+uniform in ``DIAG_RANGE = (1, 2)`` and a rank-r Gram low-rank part
+``L* = G G^T`` rescaled to spectral norm ``SPECTRAL_NORM = 1``.  ``L*`` is
+PSD, so ``lambda_min(theta*) >= min(s_diag) >= 1`` and every draw is
+positive definite.  Everything is a pure function of its seed.
 
 Sampling accumulates the Gram of standard-normal draws and colours it once
 with the Cholesky factor of ``sigma*``, which is formed from ``theta*``
@@ -32,24 +34,15 @@ from .matio import MatrixParseError, read_matrix
 # order (hence the exact result) stable.
 _SAMPLE_CHUNK = 4096
 
-
-class GenerationError(Exception):
-    """Synthetic model parameters produced an infeasible (non-PD) model."""
-
-
-@dataclass
-class GenParams:
-    """Ensemble knobs: diagonal entries of ``S*`` are uniform over
-    ``diag_range``; ``L*`` is rescaled so its spectral norm equals
-    ``spectral_norm``."""
-
-    diag_range: tuple = (1.0, 2.0)
-    spectral_norm: float = 1.0
+# The one synthetic ensemble (module docstring).
+DIAG_RANGE = (1.0, 2.0)
+SPECTRAL_NORM = 1.0
 
 
 @dataclass
 class SyntheticModel:
-    """Ground-truth instance ``theta* = S* + L*`` with ``sigma* = theta*^-1``."""
+    """Ground-truth instance ``theta* = S* + L*`` with ``sigma* = theta*^-1``;
+    :func:`gen_model` draws it from the ensemble."""
 
     s_diag: np.ndarray
     L_factor: np.ndarray  # (p, r), L* = L_factor @ L_factor.T
@@ -80,8 +73,8 @@ class SyntheticModel:
         return chol.inverse
 
 
-def gen_model(p, r="auto", seed=0, params=None):
-    """Draw a synthetic model; fully determined by ``(p, r, seed, params)``.
+def gen_model(p, r="auto", seed=0):
+    """Draw a model of the ensemble; fully determined by ``(p, r, seed)``.
 
     ``r="auto"`` resolves to ``ceil(0.05 * p)`` (5% latent variables).
     """
@@ -91,28 +84,11 @@ def gen_model(p, r="auto", seed=0, params=None):
         r = int(math.ceil(0.05 * p))
     if not 1 <= r < p:
         raise ValueError(f"rank r={r} out of range [1, {p})")
-    params = params or GenParams()
-    lo, hi = params.diag_range
-    if not (0 < lo <= hi) or params.spectral_norm <= 0:
-        raise GenerationError(
-            f"infeasible params: diag_range={params.diag_range}, "
-            f"spectral_norm={params.spectral_norm}"
-        )
     rng = np.random.default_rng([seed, 0xD47A])
-    s_diag = rng.uniform(lo, hi, size=p)
+    s_diag = rng.uniform(*DIAG_RANGE, size=p)
     G = rng.standard_normal((p, r))
     top_sv = np.linalg.svd(G, compute_uv=False)[0]
-    factor = G * (math.sqrt(params.spectral_norm) / top_sv)
-    model = SyntheticModel(s_diag=s_diag, L_factor=factor)
-    # L* is PSD, so lambda_min(theta*) >= min(s_diag): only a small diagonal
-    # entry can violate the margin and needs the eigenvalue.
-    if s_diag.min() < 0.5:
-        lam_min = float(np.linalg.eigvalsh(model.theta_star)[0])
-        if lam_min < 0.5:
-            raise GenerationError(
-                f"theta* PD margin {lam_min:.3e} below 0.5; adjust diag_range"
-            )
-    return model
+    return SyntheticModel(s_diag, G * (math.sqrt(SPECTRAL_NORM) / top_sv))
 
 
 def _sigma_factor(model):

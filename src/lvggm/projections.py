@@ -7,11 +7,11 @@ solvers' gradient, by one Rayleigh-Ritz step on a Krylov basis in its range
 and returns the operator's products on it.  One randomized block-Krylov
 step (gap-independent; README gives its measured constant) or Lanczos
 (convergence depends on spectral gaps) builds the basis.  A degraded head
-(a Krylov space short of the target) returns the Ritz vectors it found,
-fewer than asked for, and no random directions.  The paper's reference
-BK-SVD, at ``max(7, ceil(log2 p))`` steps, whose constants ``c_T = 1.1`` and
-``c_H = 0.9`` acceptance criterion 4 checks, is a test oracle
-(``tests/oracles.py``), not library code.
+(fewer Ritz directions with energy than the target) returns the Ritz
+vectors it kept, fewer than asked for, and no random directions.  The
+paper's reference BK-SVD, at ``max(7, ceil(log2 p))`` steps, whose
+constants ``c_T = 1.1`` and ``c_H = 0.9`` acceptance criterion 4 checks, is
+a test oracle (``tests/oracles.py``), not library code.
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -45,9 +45,10 @@ class ProjectionConfig:
 class Subspace:
     """Column-orthonormal head basis that :func:`head_project` returns.
 
-    It has at most the requested number of columns; ``degraded`` flags a
-    Krylov space with fewer directions than that.  ``products`` is
-    ``A @ basis``, assembled from the Krylov products the backend formed.
+    It has at most the requested number of columns; ``degraded`` flags
+    fewer than that, from a short Krylov space or from Ritz pairs dropped
+    for having no energy.  ``products`` is ``A @ basis``, assembled from the
+    Krylov products the backend formed.
     """
 
     basis: np.ndarray
@@ -192,8 +193,11 @@ def head_project(A, k, cfg):
     ``A`` is a symmetric ndarray, or a symmetric linear operator (``shape``
     and ``@``) which neither backend materializes.  A dense ``A`` that is not
     finite and symmetric, or ``k`` outside ``[1, p]``, raises ValueError.
-    One Rayleigh-Ritz step on either backend's basis gives the subspace; it
-    carries ``A @ basis`` and is degraded with fewer than ``k`` columns.
+    One Rayleigh-Ritz step on either backend's basis gives the subspace.  It
+    keeps the Ritz pairs with ``|theta| > 1e-10 |theta_max|``, since a
+    Krylov space can carry a direction at roundoff energy (Lanczos does on
+    low-rank gradients with clustered eigenvalues); it carries
+    ``A @ basis`` and is degraded with fewer than ``k`` columns.
     """
     if isinstance(A, np.ndarray):
         A = check_finite_symmetric(A)
@@ -206,8 +210,9 @@ def head_project(A, k, cfg):
     else:
         Q, AQ = _krylov_basis(A, k, rng)
         H = Q.T @ AQ
-    _, E = _largest_eigs(symmetrize(H), k)
-    return Subspace(np.ascontiguousarray(Q @ E), Q.shape[1] < k, AQ @ E)
+    w, E = _largest_eigs(symmetrize(H), k)
+    E = E[:, np.abs(w) > 1e-10 * np.abs(w).max(initial=0.0)]
+    return Subspace(np.ascontiguousarray(Q @ E), E.shape[1] < k, AQ @ E)
 
 
 def compress_symmetric(U, core, r):

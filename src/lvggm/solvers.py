@@ -103,6 +103,13 @@ class SolverConfig:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        # chained comparisons are false for NaN, so NaN is rejected too; a
+        # tolerance of 0 turns the NLL window off
+        if not 0 <= self.nll_tolerance < np.inf:
+            raise ValueError("nll_tolerance must be finite and >= 0")
+        floor = self.true_nll_floor
+        if floor is not None and not np.isfinite(floor):
+            raise ValueError("true_nll_floor must be finite")
 
 
 class LowRankEstimate(NamedTuple):

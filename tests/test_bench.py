@@ -31,6 +31,18 @@ class TestBenchSpec:
         with pytest.raises(ValueError, match=f"unknown bench spec fields: .*'{name}'"):
             BenchSpec.from_json(path)
 
+    # a fractional size or trial count must not be rounded down or crash later
+    @pytest.mark.parametrize(
+        "field, value", [("dims", [20.7]), ("dims", [16, 20.0]), ("trials", 1.5)]
+    )
+    def test_from_json_rejects_non_integers(self, tmp_path, field, value):
+        payload = {"dims": [16], "oversampling": [10], "algorithms": ["ep"]}
+        payload[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BenchSpec.from_json(path)
+
 
 class TestRunSingle:
     def test_failure_becomes_status_row(self, monkeypatch, tmp_path):

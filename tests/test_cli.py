@@ -17,6 +17,7 @@ from .conftest import fixed_admm_seconds
 
 
 _ADMM_WEIGHTS = "admm takes --l1 and --nuclear together, and --rho only with both"
+_NLL_TOL = "nll_tolerance must be finite and >= 0"
 
 
 def run_cli(capsys, *args):
@@ -310,6 +311,14 @@ class TestFit:
             ([1.0] * 4, [1.0] * 4, ("--rank",), ["--rank", "0"], None),
             ([1.0] * 4, [1.0] * 4, ("--rank",), ["--rank", "5"], None),  # rank > p
             ([1.0] * 4, [1.0] * 4, (), ["--max-iters", "0"], None),
+            # stop settings that would turn a stop off or trip it at once
+            ([1.0] * 4, [1.0] * 4, (), ["--nll-tol", "nan"], _NLL_TOL),
+            ([1.0] * 4, [1.0] * 4, (), ["--nll-tol", "-1"], _NLL_TOL),
+            ([1.0] * 4, [1.0] * 4, (), ["--nll-tol", "inf"], _NLL_TOL),
+            ([1.0] * 4, [1.0] * 4, (), ["--algo", "ap-bk", "--true-nll-floor", "inf"],
+             "true_nll_floor must be finite"),
+            ([1.0] * 4, [1.0] * 4, (), ["--true-nll-floor", "nan"],
+             "true_nll_floor must be finite"),
             ([1.0] * 4, [1.0] * 4, ("--s", "--rank"),
              ["--algo", "admm", "--l1", "0.1", "--nuclear", "0.1", "--rho", "0"],
              "rho must be finite and > 0"),
@@ -334,7 +343,9 @@ class TestFit:
         ],
         ids=[
             "non-psd-cov", "non-pd-s", "no-s", "no-rank",
-            "rank-0", "rank-above-p", "max-iters-0", "admm-rho-0", "admm-rho-nan",
+            "rank-0", "rank-above-p", "max-iters-0",
+            "nll-tol-nan", "nll-tol-negative", "nll-tol-inf", "floor-inf", "floor-nan",
+            "admm-rho-0", "admm-rho-nan",
             "admm-max-iters-0", "admm-n-samples-0",
             "admm-l1-alone", "admm-nuclear-alone", "admm-rho-without-weights",
             "ep-with-l1", "admm-with-rank",

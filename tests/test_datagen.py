@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from lvggm import datagen
-from lvggm.datagen import (
-    GenerationError,
-    GenParams,
-    gen_model,
-    load_dataset,
-    sample_covariance,
-)
+from lvggm.datagen import gen_model, load_dataset, sample_covariance
 from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 
 from .oracles import (
@@ -36,14 +30,16 @@ class TestGenModel:
             # rank exactly r by eigenvalue count
             w = np.linalg.eigvalsh(model.L_star)
             assert np.sum(w > 1e-8 * w[-1]) == 3
-            # diagonal sparse part with positive entries
-            assert model.s_diag.min() > 0
+            # diagonal sparse part with entries in [1, 2)
+            assert 1.0 <= model.s_diag.min() and model.s_diag.max() < 2.0
             assert np.abs(model.S_star - np.diag(model.s_diag)).max() == 0
+            # L* is PSD, so theta* keeps the diagonal's margin
+            assert np.linalg.eigvalsh(model.theta_star)[0] >= 1.0
 
     def test_spectral_norm_scaling(self):
-        model = gen_model(30, 2, seed=9, params=GenParams(spectral_norm=2.5))
+        model = gen_model(30, 2, seed=9)
         top = np.linalg.eigvalsh(model.L_star)[-1]
-        assert top == pytest.approx(2.5, rel=1e-10)
+        assert top == pytest.approx(1.0, rel=1e-10)
 
     def test_bitwise_reproducible(self):
         a = gen_model(25, 2, seed=42)
@@ -55,39 +51,6 @@ class TestGenModel:
         model = gen_model(35, 3, seed=4)
         prod = model.sigma_star @ model.theta_star
         assert np.abs(prod - np.eye(35)).max() < 1e-8
-
-    def test_infeasible_params_raise(self):
-        with pytest.raises(GenerationError):
-            gen_model(10, 2, seed=0, params=GenParams(diag_range=(-1.0, 2.0)))
-        with pytest.raises(GenerationError):
-            gen_model(10, 2, seed=0, params=GenParams(spectral_norm=-1.0))
-
-    def test_pd_margin_decision_matches_smallest_eigenvalue(self, monkeypatch):
-        # diag_range=(0.4, 2.0) passes the range check, so the margin test
-        # decides; record each model so a rejected one can be inspected too.
-        built = []
-        model_cls = datagen.SyntheticModel
-
-        def recording(**fields):
-            built.append(model_cls(**fields))
-            return built[-1]
-
-        monkeypatch.setattr(datagen, "SyntheticModel", recording)
-        outcomes = set()
-        for spectral_norm in (1.0, 4.0):
-            params = GenParams(diag_range=(0.4, 2.0), spectral_norm=spectral_norm)
-            for seed in range(20):
-                try:
-                    gen_model(10, 2, seed=seed, params=params)
-                    raised = False
-                except GenerationError:
-                    raised = True
-                model = built[-1]
-                lam_min = np.linalg.eigvalsh(model.theta_star)[0]
-                assert raised == (lam_min < 0.5), (spectral_norm, seed)
-                outcomes.add((raised, bool(model.s_diag.min() < 0.5)))
-        # rejected, accepted without the eigenvalue, accepted after it
-        assert outcomes == {(True, True), (False, False), (False, True)}
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,23 @@ class TestOperatorInput:
             residual = A - sub.basis @ (sub.basis.T @ A)
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(A)
 
+    def test_noiseless_gradient_gives_no_zero_energy_direction(self):
+        # the exact gradient at L = 0 of a noiseless instance with a
+        # tridiagonal S has rank r = 3; a Lanczos space with clustered Ritz
+        # values can carry a fourth direction at roundoff energy, which the
+        # Ritz rule drops for both backends
+        model = gen_model(60, 3, seed=0)
+        s = model.s_diag
+        off = 0.2 * np.sqrt(s[:-1] * s[1:])
+        S = np.diag(s) + np.diag(off, 1) + np.diag(off, -1)
+        C = np.linalg.inv(S + model.L_star)
+        ctx = ModelContext.create(S, (C + C.T) / 2)
+        G = gradient(ctx, (np.zeros((60, 0)), np.zeros(0)))
+        for backend in _BACKENDS:
+            sub = head_project(G, 6, ProjectionConfig(seed=1, backend=backend))
+            assert sub.degraded
+            assert sub.basis.shape == (60, 3), backend
+
     def test_reused_products_equal_recomputed(self, rng):
         U = rng.standard_normal((40, 3))
         cases = (
