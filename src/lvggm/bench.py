@@ -57,15 +57,19 @@ class BenchSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        # a fractional size or trial count is rejected, not rounded down
-        if not self.dims or not all(
-            isinstance(p, numbers.Integral) and p >= 2 for p in self.dims
-        ):
+        # nothing is rounded down, and no bool or string passes for a number
+        is_int = lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool)
+        if not self.dims or not all(is_int(p) and p >= 2 for p in self.dims):
             raise ValueError("dims must be non-empty with all p integers >= 2")
-        if not self.oversampling or any(float(x) <= 0 for x in self.oversampling):
-            raise ValueError("oversampling ratios must be positive")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+        if not self.oversampling or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
+            for x in self.oversampling
+        ):
+            raise ValueError("oversampling must be non-empty with finite ratios > 0")
+        if not is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
+        if not is_int(self.master_seed):
+            raise ValueError("master_seed must be an integer")
         if not self.algorithms:
             raise ValueError("algorithm list must not be empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -188,9 +192,12 @@ def run_bench(spec, out_dir, workers=None):
 
     Rows are collected order-independently, then sorted, so results are
     reproducible for a fixed spec and master seed (timing columns exempt).
-    ``workers`` above 1 runs the cells in a process pool of that size;
-    otherwise they run sequentially.
+    ``workers`` above 1 runs the cells in a process pool of that size; 1
+    or None runs them sequentially, and a count below 1 raises ValueError
+    before ``out_dir`` is created.
     """
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
     cells = [
         (spec, int(p), float(ratio), algo, trial)

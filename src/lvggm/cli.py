@@ -256,7 +256,7 @@ def build_parser():
     b.add_argument("--spec", required=True, help="bench spec JSON")
     b.add_argument("--out", required=True)
     b.add_argument("--workers", type=int, default=1,
-                   help="process-pool size; 1 runs trials sequentially")
+                   help="process-pool size, >= 1; 1 runs trials sequentially")
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("eval", help="evaluate an estimate")

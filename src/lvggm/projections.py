@@ -8,10 +8,12 @@ and returns the operator's products on it.  One randomized block-Krylov
 step (gap-independent; README gives its measured constant) or Lanczos
 (convergence depends on spectral gaps) builds the basis.  A degraded head
 (fewer Ritz directions with energy than the target) returns the Ritz
-vectors it kept, fewer than asked for, and no random directions.  The
-paper's reference BK-SVD, at ``max(7, ceil(log2 p))`` steps, whose
-constants ``c_T = 1.1`` and ``c_H = 0.9`` acceptance criterion 4 checks, is
-a test oracle (``tests/oracles.py``), not library code.
+vectors it kept, fewer than asked for, and no random directions.
+:func:`extend_basis` extends an orthonormal basis for the block-Krylov head
+(floor ``1e-10`` of each block's scale) and for AP's step (absolute floor
+``solvers._DEFLATION_TOL``).  The paper's reference BK-SVD, at
+``max(7, ceil(log2 p))`` steps, whose constants ``c_T = 1.1`` and ``c_H = 0.9``
+acceptance criterion 4 checks, is a test oracle (``tests/oracles.py``).
 
 All randomness flows through explicit seeds; no global RNG state is touched.
 """
@@ -65,52 +67,54 @@ def rng_for(seed, *salts):
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, salts)])
 
 
-def _orthonormalize(K, floor=0.0):
-    """Column-orthonormal basis of ``K`` with rank trimming.
+def extend_basis(Q, X, floor):
+    """``(Y, H, T)`` with ``Y = (X - Q H) T`` orthonormal and orthogonal to
+    the orthonormal ``Q`` (which may have no columns), and ``[Q, Y]``
+    spanning ``[Q, X]`` up to ``floor``.
 
-    ``floor`` is an absolute column-norm threshold below which columns are
-    treated as numerically zero (deflation); callers that know the problem
-    scale pass it to avoid normalizing roundoff residue into junk directions.
-
-    Fast path: CholeskyQR2, which runs at GEMM speed.  CholeskyQR squares
-    the conditioning, so the roundoff directions of a rank-deficient block
-    give first-pass pivots near ``sqrt(eps)``, not ``eps``.  A block whose
-    first-pass pivots fall below ``1e-7`` of the largest, whose Gram matrix
-    is not numerically PD or whose result fails an orthonormality check
-    falls back to pivoted QR, which trims columns with pivots below
-    ``1e-10`` of the first.
+    Two block Gram-Schmidt passes give ``X - Q H``; its columns of norm at
+    most ``floor`` are dropped (``T`` has zero rows for them), not
+    normalized into junk directions.  CholeskyQR2 orthonormalizes the rest
+    at GEMM speed.  It squares the conditioning, so roundoff directions give
+    first-pass pivots near ``sqrt(eps)``: a first-pass pivot below ``1e-7``,
+    or an absolute one (pivot times column norm) at most ``floor``, a Gram
+    matrix that is not numerically PD or a result that fails an
+    orthonormality check falls back to pivoted QR, which keeps the leading
+    pivots above ``max(floor, 1e-10 * first)``.
     """
-    K = np.asarray(K, dtype=np.float64)
-    norms = np.linalg.norm(K, axis=0)
-    keep = norms > max(floor, 1e-300)
-    if not np.any(keep):
-        return K[:, :0]
-    K = K[:, keep] / norms[keep]
+    H = 0.0
+    for _ in range(2):
+        C = Q.T @ X
+        X, H = X - Q @ C, H + C
+    norms = np.linalg.norm(X, axis=0)
+    keep = np.flatnonzero(norms > max(floor, 1e-300))
+    T = np.zeros((X.shape[1], keep.size))
+    if not keep.size:
+        return X[:, :0], H, T
+    X, norms = X[:, keep], norms[keep]
     try:
-        Q = K
+        Y, Tk = X / norms, np.diag(1.0 / norms)
         for sweep in range(2):
             # CholeskyQR via explicit triangular inverse: GEMM-bound, which
             # is much faster than TRSM on small-core BLAS builds; the pivot
-            # test and the orthonormality check guard the conditioning loss.
-            R = np.linalg.cholesky(Q.T @ Q)
+            # tests and the orthonormality check guard the conditioning loss.
+            R = np.linalg.cholesky(Y.T @ Y)
             # the columns have unit norm, so the largest pivot is R[0, 0] = 1
-            if sweep == 0 and R.diagonal().min() < 1e-7:
+            pivots = R.diagonal()
+            if sweep == 0 and (pivots.min() < 1e-7 or (pivots * norms).min() <= floor):
                 raise np.linalg.LinAlgError("block is numerically rank-deficient")
-            Rinv, info = scipy.linalg.lapack.dtrtri(R, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("triangular inverse failed")
-            Q = Q @ Rinv.T
-        err = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()
-        if err <= 1e-8:
-            return np.ascontiguousarray(Q)
+            Rinv = scipy.linalg.lapack.dtrtri(R, lower=1)[0]
+            Y, Tk = Y @ Rinv.T, Tk @ Rinv.T
+        if np.abs(Y.T @ Y - np.eye(Y.shape[1])).max() <= 1e-8:
+            T[keep] = Tk
+            return np.ascontiguousarray(Y), H, T
     except np.linalg.LinAlgError:
         pass
-    Q, R, _ = scipy.linalg.qr(K, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return K[:, :0]
-    ncols = int(np.sum(diag > 1e-10 * diag[0]))
-    return np.ascontiguousarray(Q[:, :ncols])
+    Y, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    m = int(np.cumprod(np.abs(R.diagonal()) > max(floor, 1e-10 * abs(R[0, 0]))).sum())
+    T = T[:, :m]
+    T[keep[piv[:m]]] = scipy.linalg.lapack.dtrtri(R[:m, :m])[0]
+    return np.ascontiguousarray(Y[:, :m]), H, T
 
 
 def _largest_eigs(M, k):
@@ -128,29 +132,22 @@ def _krylov_basis(A, block, rng):
 
     One Krylov step at every size: a small depth already gives
     gap-independent bounds (Musco & Musco, NeurIPS 2015), and AP fits at
-    depth 1 were no slower end to end at any size tried.  The second block
-    is orthogonalized against the first (two Gram-Schmidt passes, then
-    CholeskyQR within the block), so the returned matrix is orthonormal
-    without a final wide factorization.
+    depth 1 were no slower end to end at any size tried.  Each block joins
+    the basis through :func:`extend_basis`, which drops residue of norm at
+    most ``1e-10`` of the block's largest column as roundoff, so no final
+    wide factorization is needed.
 
-    Returns ``(Q, A @ Q)``.  The step already forms ``A`` on the first
-    block, so only the second one is multiplied here (three blocks of
-    products in all, against four when Rayleigh-Ritz recomputes them).
+    Returns ``(Q, A @ Q)``.  ``A`` is applied to three blocks, ``W`` and
+    each block's new directions, against four when Rayleigh-Ritz recomputes
+    ``A @ Q``.
     """
-    first = A @ rng.standard_normal((A.shape[1], block))
-    scale = float(np.linalg.norm(first, axis=0).max()) if first.size else 0.0
-    Q = _orthonormalize(first, floor=1e-10 * scale)
-    AQ = A @ Q
-    block_scale = float(np.linalg.norm(AQ, axis=0).max()) if AQ.size else 0.0
-    X = AQ
+    Q = AQ = np.zeros((A.shape[0], 0))
+    K = A @ rng.standard_normal((A.shape[1], block))
     for _ in range(2):
-        X = X - Q @ (Q.T @ X)
-    # deflate residue that is pure roundoff relative to the pre-projection
-    # block scale; otherwise it would be normalized into junk directions
-    X = _orthonormalize(X, floor=1e-10 * block_scale)
-    if X.shape[1] == 0:
-        return Q, AQ
-    return np.hstack([Q, X]), np.hstack([AQ, A @ X])
+        X = extend_basis(Q, K, 1e-10 * np.linalg.norm(K, axis=0).max(initial=0.0))[0]
+        K = A @ X
+        Q, AQ = np.hstack([Q, X]), np.hstack([AQ, K])
+    return Q, AQ
 
 
 def _lanczos_basis(A, k, rng):

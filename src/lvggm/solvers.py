@@ -19,19 +19,20 @@ only in ``P``:
   the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
   followed by an approximate tail projection of the step at rank ``r``;
   iterates may carry small negative eigenvalues and are not PSD-finalized
-  unless requested.
+  unless requested.  :func:`~lvggm.projections.extend_basis` builds the
+  step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds the
+  block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
-identity and makes error tracking against a known truth cheap.  AP never
-forms the ``p x p`` gradient: the head projection's basis builders,
-block-Krylov or Lanczos, apply the gradient operator to blocks or vectors,
-and ``G Z`` comes from their Krylov products.  Every candidate returns its
-trial with the products ``(C V, S^-1 V)``, which the NLL takes as they are
-and the next gradient takes ``S^-1 V`` from.  EP forms them directly, one
-product and one solve per trial; AP forms them from the products on
-``[V, Z]``, so its only ``p x p`` products are the head projection's and
-one ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
+identity and error tracking against a known truth cheap.  Every candidate
+returns its trial with the products ``(C V, S^-1 V)``, which the NLL takes
+as they are and the next gradient takes ``S^-1 V`` from.  EP forms them
+directly, one product and one solve per trial.  AP never forms the ``p x p``
+gradient and forms them from the products on ``[V, Z]``: its only ``p x p``
+products are the head's basis builder's, which apply the gradient operator
+(``G Z`` comes from them), and one ``S^-1 Z`` solve (a band solve for a
+banded or diagonal ``S``).
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -47,13 +48,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dgemm
 
 from .linalg import NotPositiveDefiniteError, check_finite_symmetric, effective_rank
 from .linalg import sym_evd, symmetrize
 from .objective import as_eigenform, gradient, nll
-from .projections import ProjectionConfig, compress_symmetric, head_project
+from .projections import ProjectionConfig, compress_symmetric, extend_basis
+from .projections import head_project
 
 _SEED_MASK = 2**64 - 1
 
@@ -419,34 +420,6 @@ def _ep_step(ctx, V, d, G, eta, out):
     return out
 
 
-def _extend_basis(V, Z):
-    """Orthonormal ``U = [V, Z_perp]`` spanning ``[V, Z]``, and ``B`` with
-    ``U = [V, Z] @ B``.
-
-    ``Z_perp`` is ``Z`` orthogonalized against ``V`` by two block
-    Gram-Schmidt passes and then within itself by a column-pivoted QR that
-    deflates residual columns of norm below ``_DEFLATION_TOL``.  ``Z_perp``
-    is formed from the same coefficients that ``B`` carries, so products
-    ``Y [V, Z]`` of the caller give ``Y U`` as ``Y [V, Z] @ B``.
-    """
-    k, q = V.shape[1], Z.shape[1]
-    X = Z
-    P = np.zeros((k, q))
-    for _ in range(2):
-        H = V.T @ X
-        X = X - V @ H
-        P += H
-    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True, check_finite=False)
-    m = int(np.cumprod(np.abs(np.diag(R)) > _DEFLATION_TOL).sum())
-    sel = piv[:m]
-    R_inv = scipy.linalg.lapack.dtrtri(R[:m, :m])[0] if m else np.zeros((0, 0))
-    B = np.zeros((k + q, k + m))
-    B[:k, :k] = np.eye(k)
-    B[:k, k:] = -P[:, sel] @ R_inv
-    B[k + sel, k:] = R_inv
-    return np.hstack([V, X[:, sel] @ R_inv]), B
-
-
 def _ap_candidate(ctx, cfg, t, V, d, products):
     """AP's ``make_candidate`` for :func:`_descend` (see :func:`ap_lvm`)."""
     CV, M = products
@@ -458,14 +431,16 @@ def _ap_candidate(ctx, cfg, t, V, d, products):
     Z = head.basis
     GZ = head.products
     SZ = ctx.S_chol.solve(Z)
-    # products of W = [V, Z]; U = W @ B
+    # products of W = [V, Z]; U = [V, Y] = W @ B with Y = (Z - V H) T
     W = np.hstack([V, Z])
     GW = np.hstack([CV - M + G.low_rank(V), GZ])
     CW = np.hstack([CV, GZ + SZ - G.low_rank(Z)])
     SW = np.hstack([M, SZ])
-    U, B = _extend_basis(V, Z)
-    UGU = symmetrize(B.T @ (W.T @ GW) @ B)
+    Y, H, T = extend_basis(V, Z, _DEFLATION_TOL)
+    U = np.hstack([V, Y])
     k = d.size
+    B = np.block([[np.eye(k), -H @ T], [np.zeros((Z.shape[1], k)), T]])
+    UGU = symmetrize(B.T @ (W.T @ GW) @ B)
 
     def candidate(eta):
         core = -eta * UGU
@@ -483,16 +458,17 @@ def ap_lvm(ctx, cfg, truth=None):
     Each iteration head-projects the gradient at rank ``2r`` (randomized
     block-Krylov or Lanczos) onto a basis ``Z``, which a degraded head
     returns with the fewer columns it found, and takes the step on
-    ``U = [V, Z_perp]``, an orthonormal basis of ``span[V, Z]``
-    (:func:`_extend_basis`): the candidate is the rank-``r`` tail projection
-    of ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,
+    ``U = [V, Y]``, an orthonormal basis of ``span[V, Z]``:
+    :func:`~lvggm.projections.extend_basis` gives ``Y = (Z - V H) T`` and
+    drops the head directions within ``_DEFLATION_TOL`` of ``span V``, as the
+    block-Krylov head drops its own at ``1e-10`` of each block's scale.  The
+    candidate is the rank-``r`` tail projection of
+    ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,
     that is ``T_r(L - eta P_U G P_U)``.  The two-sided projection onto a
     subspace that contains ``Z`` captures at least ``Z``'s energy, so it is
-    a head projection in its own right.  Because the step matrix is explicitly
-    rank ``<= 3r``, the tail projection is evaluated as the exact
-    compression of its factored form (the Krylov space of a rank-``m``
-    matrix lies inside its range, so the randomized tail resolves to this
-    compression).
+    a head projection in its own right.  The step matrix is explicitly rank
+    ``<= 3r``, so the tail projection is :func:`compress_symmetric` of its
+    factored form.
 
     Outside the head projection the only ``p x p`` product is one
     ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).

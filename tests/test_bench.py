@@ -21,6 +21,12 @@ class TestBenchSpec:
             BenchSpec(dims=[16], oversampling=[10], trials=0, algorithms=["ep"])
         with pytest.raises(ValueError):
             BenchSpec(dims=[16], oversampling=[10], algorithms=["gd"])
+        # a ratio is a finite number above 0, and NaN fails no `<= 0` test
+        for bad in ([float("nan")], [float("inf")], [True], [0]):
+            with pytest.raises(ValueError, match="^oversampling must"):
+                BenchSpec(dims=[16], oversampling=bad, algorithms=["ep"])
+        with pytest.raises(ValueError, match="^master_seed must"):
+            BenchSpec(dims=[16], oversampling=[10], master_seed=np.float64(2.0))
 
     # an old spec naming a removed field must fail by name, not be ignored
     @pytest.mark.parametrize("name", ["bogus", "rank"])
@@ -31,9 +37,16 @@ class TestBenchSpec:
         with pytest.raises(ValueError, match=f"unknown bench spec fields: .*'{name}'"):
             BenchSpec.from_json(path)
 
-    # a fractional size or trial count must not be rounded down or crash later
+    # a fractional size, trial count or seed must not be rounded down, and a
+    # string, bool or NaN must not pass for a number only to fail every cell
     @pytest.mark.parametrize(
-        "field, value", [("dims", [20.7]), ("dims", [16, 20.0]), ("trials", 1.5)]
+        "field, value",
+        [
+            ("dims", [20.7]), ("dims", [16, 20.0]), ("trials", 1.5),
+            ("master_seed", 1.5), ("master_seed", "3"), ("master_seed", True),
+            ("oversampling", ["10"]), ("oversampling", [10, float("nan")]),
+            ("oversampling", [True]),
+        ],
     )
     def test_from_json_rejects_non_integers(self, tmp_path, field, value):
         payload = {"dims": [16], "oversampling": [10], "algorithms": ["ep"]}
@@ -99,6 +112,13 @@ class TestWorkerPool:
                 for line in lines
             ]
         assert strip_timing(seq_results) == strip_timing(par_results)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, tmp_path, workers):
+        spec = BenchSpec(dims=[16], oversampling=[10], trials=1)
+        with pytest.raises(ValueError, match="^workers must be >= 1"):
+            run_bench(spec, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
 
 class TestAdmmRow:

@@ -479,6 +479,18 @@ class TestBench:
             kept2 = [c for i, c in enumerate(r2.split(",")) if i not in drop]
             assert kept1 == kept2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_rejected(self, tmp_path, capsys, workers):
+        spec = self._spec(tmp_path)
+        out = tmp_path / "bench"
+        code, _, err = run_cli(
+            capsys, "bench", "--spec", str(spec), "--workers", workers,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err.strip())["error"] == "ValueError"
+        assert not out.exists()
+
     def test_empty_algorithms_rejected(self, tmp_path, capsys):
         spec = self._spec(tmp_path, algorithms=[])
         code, _, err = run_cli(

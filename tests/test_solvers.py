@@ -10,7 +10,7 @@ from lvggm import objective, solvers
 from lvggm.datagen import gen_model, sample_covariance
 from lvggm.linalg import CholeskyFactor, symmetrize
 from lvggm.objective import GradientOperator, ModelContext, nll
-from lvggm.projections import ProjectionConfig
+from lvggm.projections import ProjectionConfig, extend_basis
 from lvggm.solvers import (
     DivergedError,
     InsufficientDataError,
@@ -382,20 +382,34 @@ class TestApStep:
         assert np.abs(M_new - np.linalg.solve(ctx.S_star, V_new)).max() <= 1e-10
         assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
 
-    def test_basis_deflates_head_directions_in_the_iterate_span(self, rng):
+    @pytest.mark.parametrize("case", ["head-near-iterate", "dependent-pair", "no-iterate"])
+    def test_basis_deflates_head_directions_in_the_iterate_span(self, rng, case):
         p = 30
         V = np.linalg.qr(rng.standard_normal((p, 3)))[0]
-        # the first two head directions lie in span V up to 1e-6, the third
-        # up to 1e-3: only the first two are dropped
         E = np.linalg.qr(rng.standard_normal((p, 6)))[0]
-        Z = np.hstack(
-            [V[:, :2] + 1e-6 * E[:, :2], V[:, 2:] + 1e-3 * E[:, 2:3], E[:, 3:]]
-        )
-        U, B = solvers._extend_basis(V, Z)
-        assert U.shape == (p, 3 + 4)
-        assert np.array_equal(U[:, :3], V)
-        assert np.abs(U.T @ U - np.eye(7)).max() <= 1e-10
-        assert np.abs(np.hstack([V, Z]) @ B - U).max() <= 1e-12
+        if case == "head-near-iterate":
+            # the first two head directions lie in span V up to 1e-6, the
+            # third up to 1e-3: only the first two are dropped
+            Z = np.hstack(
+                [V[:, :2] + 1e-6 * E[:, :2], V[:, 2:] + 1e-3 * E[:, 2:3], E[:, 3:]]
+            )
+            cols = 3 + 4
+        elif case == "dependent-pair":
+            # two directions far from span V but within 1e-6 of each other:
+            # CholeskyQR's relative pivot (1e-6) passes, its absolute pivot
+            # does not, and the pivoted QR fallback keeps one of them
+            Z = np.hstack([E[:, :1], E[:, :1] + 1e-6 * E[:, 1:2], E[:, 2:]])
+            cols = 3 + 5
+        else:
+            V = V[:, :0]
+            Z = E
+            cols = 6
+        Y, H, T = extend_basis(V, Z, solvers._DEFLATION_TOL)
+        U = np.hstack([V, Y])
+        assert U.shape == (p, cols)
+        assert np.abs(U.T @ U - np.eye(cols)).max() <= 1e-10
+        # [V, Z] B = U with B = [[I, -H T], [0, T]]
+        assert np.abs((Z - V @ H) @ T - Y).max() <= 1e-12
         residual = Z - U @ (U.T @ Z)
         assert np.linalg.norm(residual, axis=0).max() <= 2e-6
 
