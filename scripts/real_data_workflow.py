@@ -66,7 +66,7 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "Shat.mat"), S_hat)
-    ctx = ModelContext.create(S_hat, C, validate_psd=False)
+    ctx = ModelContext.create(S_hat, C)
 
     summary = {"n": n, "p": p, "rank": rank, "l1": l1, "nuclear": nuc}
     for algo in PGD_ALGORITHMS:

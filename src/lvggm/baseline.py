@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import check_finite_symmetric, symmetrize
-from .solvers import Trace
+from .solvers import Trace, is_integer
 
 # Tolerance on the primal and dual residuals, relative to max(1, ||Theta||_F).
 _TOL = 1e-5
@@ -40,6 +40,8 @@ class AdmmConfig:
             raise ValueError("penalty weights must be finite and >= 0")
         if not 0 < self.rho < np.inf:
             raise ValueError("rho must be finite and > 0")
+        if not is_integer(self.max_iters):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -51,8 +53,8 @@ class AdmmTrace:
     primal_residual: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
 
+    iterations = property(lambda self: len(self.seconds))
     mean_iter_seconds = Trace.mean_iter_seconds
 
 
@@ -98,7 +100,7 @@ def admm_lvglasso(C, cfg):
     Y = np.zeros((p, p))
     trace = AdmmTrace()
     prev_sum = S + L
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         tic = time.perf_counter()
         theta = _logdet_prox(S + L - Y, C, rho)
 
@@ -116,7 +118,6 @@ def admm_lvglasso(C, cfg):
         dual = rho * float(np.linalg.norm(cur_sum - prev_sum, "fro"))
         prev_sum = cur_sum
         trace.primal_residual.append(primal)
-        trace.iterations = it + 1
 
         scale = max(1.0, float(np.linalg.norm(theta, "fro")))
         trace.converged = primal <= _TOL * scale and dual <= _TOL * scale

@@ -25,7 +25,8 @@ from .baseline import AdmmConfig, admm_lvglasso, admm_objective
 from .datagen import gen_model, sample_covariance
 from .linalg import effective_rank, symmetrize
 from .objective import ModelContext, nll
-from .solvers import PGD_ALGORITHMS, DivergedError, derived_seed, fit_pgd
+from .projections import derived_seed
+from .solvers import PGD_ALGORITHMS, DivergedError, fit_pgd, is_integer
 
 ALGORITHMS = (*PGD_ALGORITHMS, "admm")
 
@@ -58,23 +59,27 @@ class BenchSpec:
 
     def __post_init__(self):
         # nothing is rounded down, and no bool or string passes for a number
-        is_int = lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool)
-        if not self.dims or not all(is_int(p) and p >= 2 for p in self.dims):
+        if not self.dims or not all(is_integer(p) and p >= 2 for p in self.dims):
             raise ValueError("dims must be non-empty with all p integers >= 2")
         if not self.oversampling or not all(
             isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
             for x in self.oversampling
         ):
             raise ValueError("oversampling must be non-empty with finite ratios > 0")
-        if not is_int(self.trials) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
-        if not is_int(self.master_seed):
+        if not is_integer(self.master_seed):
             raise ValueError("master_seed must be an integer")
         if not self.algorithms:
             raise ValueError("algorithm list must not be empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        # a repeated entry runs its cells twice; 10 and 10.0 repeat
+        for name in ("dims", "oversampling", "algorithms"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat an entry")
 
     @classmethod
     def from_json(cls, path):
@@ -147,7 +152,7 @@ def run_single(spec, p, ratio, algo, trial):
         C = sample_covariance(
             model, n, seed=derived_seed(spec.master_seed, 2, p, n, trial)
         )
-        ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+        ctx = ModelContext.create(model.S_star, C)
         true_nll = nll(ctx, model.L_factor)
         row["true_nll"] = true_nll
         L_true = model.L_star

@@ -46,7 +46,7 @@ def cmd_gen(args):
     # population covariance; feeding it back through `fit --cov` gives the
     # noiseless-recovery setting
     write_matrix(os.path.join(args.out, "Sigmatrue.mat"), model.sigma_star)
-    ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+    ctx = ModelContext.create(model.S_star, C)
     _write_json(
         os.path.join(args.out, "model.json"),
         {

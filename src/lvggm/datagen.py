@@ -4,7 +4,8 @@ The synthetic ensemble is fixed: a diagonal sparse part ``S*`` with entries
 uniform in ``DIAG_RANGE = (1, 2)`` and a rank-r Gram low-rank part
 ``L* = G G^T`` rescaled to spectral norm ``SPECTRAL_NORM = 1``.  ``L*`` is
 PSD, so ``lambda_min(theta*) >= min(s_diag) >= 1`` and every draw is
-positive definite.  Everything is a pure function of its seed.
+positive definite.  Everything is a pure function of its seed (modulo
+``2**64``, as :func:`~lvggm.projections.rng_for` takes every seed).
 
 Sampling accumulates the Gram of standard-normal draws and colours it once
 with the Cholesky factor of ``sigma*``, which is formed from ``theta*``
@@ -28,6 +29,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .linalg import NotPositiveDefiniteError, cholesky_logdet, symmetrize
 from .matio import MatrixParseError, read_matrix
+from .projections import rng_for
 
 # Rows of standard-normal draws per chunk.  Two chunk buffers bound the draw
 # memory at 2 * 4096 rows, and the fixed chunk keeps the Gram's summation
@@ -84,7 +86,7 @@ def gen_model(p, r="auto", seed=0):
         r = int(math.ceil(0.05 * p))
     if not 1 <= r < p:
         raise ValueError(f"rank r={r} out of range [1, {p})")
-    rng = np.random.default_rng([seed, 0xD47A])
+    rng = rng_for(seed, 0xD47A)
     s_diag = rng.uniform(*DIAG_RANGE, size=p)
     G = rng.standard_normal((p, r))
     top_sv = np.linalg.svd(G, compute_uv=False)[0]
@@ -150,7 +152,7 @@ def sample_covariance(model, n, seed=0):
         raise ValueError("n must be >= 1")
     p = model.p
     Lc = _sigma_factor(model)
-    rng = np.random.default_rng([seed, 0xC0F])
+    rng = rng_for(seed, 0xC0F)
     W = np.zeros((p, p))
     rows = [min(_SAMPLE_CHUNK, n - start) for start in range(0, n, _SAMPLE_CHUNK)]
     overlap = _spare_core()

@@ -9,6 +9,8 @@ inverse of ``S`` plus a low-rank update in eigenform ``V diag(d) V.T``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -106,8 +108,6 @@ class CholeskyFactor:
     def __init__(self, factor, band=None):
         self._factor = factor
         self._band = band  # lower band form of S on the banded route
-        self._inverse = None
-        self._min_eigenvalue = None
 
     @property
     def route(self):
@@ -154,36 +154,30 @@ class CholeskyFactor:
     def _inverse_uncached(self):
         return symmetrize(self._factor_solve(np.eye(self.dim)))
 
-    @property
+    @functools.cached_property
     def inverse(self):
         """Dense inverse of the factored matrix (computed once, cached)."""
-        if self._inverse is None:
-            self._inverse = self._inverse_uncached()
-        return self._inverse
+        return self._inverse_uncached()
 
     @property
     def logdet(self):
         diag = self._factor[0] if self._band is not None else np.diag(self._factor)
         return 2.0 * float(np.sum(np.log(diag)))
 
-    @property
+    @functools.cached_property
     def min_eigenvalue(self):
         """Smallest eigenvalue of the factored matrix (computed once, cached).
 
         The banded route takes it from LAPACK's band eigensolver, the dense
         route from the matrix rebuilt from its factor.
         """
-        if self._min_eigenvalue is None:
-            if self._band is not None:
-                lam = scipy.linalg.eigvals_banded(
-                    self._band, lower=True, select="i", select_range=(0, 0),
-                    check_finite=False,
-                )[0]
-            else:
-                T = np.tril(self._factor)
-                lam = np.linalg.eigvalsh(T @ T.T)[0]
-            self._min_eigenvalue = float(lam)
-        return self._min_eigenvalue
+        if self._band is not None:
+            return float(scipy.linalg.eigvals_banded(
+                self._band, lower=True, select="i", select_range=(0, 0),
+                check_finite=False,
+            )[0])
+        T = np.tril(self._factor)
+        return float(np.linalg.eigvalsh(T @ T.T)[0])
 
 
 def cholesky_logdet(A):

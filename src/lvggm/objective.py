@@ -33,7 +33,8 @@ eigenform route is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -56,29 +57,23 @@ class ModelContext:
     S_star: np.ndarray
     C: np.ndarray
     S_chol: CholeskyFactor
-    _residual0: np.ndarray | None = field(default=None, repr=False)
-    _trace_SC: float | None = field(default=None, repr=False)
 
     @property
     def p(self):
         return self.S_star.shape[0]
 
-    @property
+    @functools.cached_property
     def residual0(self):
-        """Gradient at ``L = 0``: ``C - S^-1`` (cached; constant per fit)."""
-        if self._residual0 is None:
-            self._residual0 = self.S_chol.subtract_inverse(self.C)
-        return self._residual0
+        """Gradient at ``L = 0``: ``C - S^-1`` (built on first read, then cached)."""
+        return self.S_chol.subtract_inverse(self.C)
 
-    @property
+    @functools.cached_property
     def trace_SC(self):
-        """Cached ``<S, C>`` term of the objective."""
-        if self._trace_SC is None:
-            self._trace_SC = float(np.sum(self.S_star * self.C))
-        return self._trace_SC
+        """``<S, C>`` term of the objective."""
+        return float(np.sum(self.S_star * self.C))
 
     @classmethod
-    def create(cls, S_star, C, validate_psd=True):
+    def create(cls, S_star, C):
         """Build a context, validating that ``S*`` is PD and ``C`` symmetric PSD."""
         S_star = check_finite_symmetric(S_star, "S_star")
         C = check_finite_symmetric(C, "C")
@@ -87,15 +82,14 @@ class ModelContext:
                 f"dimension mismatch: S_star {S_star.shape} vs C {C.shape}"
             )
         S_chol = _factor(S_star)  # raises if not PD
-        if validate_psd:
-            # PSD up to tau: C + tau I (one copy, factored in place through its
-            # transpose) has a Cholesky factor; the eigenvalue only reports.
-            tau = 1e-8 * max(1.0, float(C.max()), -float(C.min()))
-            shifted = C.copy()
-            shifted.flat[:: C.shape[0] + 1] += tau
-            if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
-                lo = float(np.linalg.eigvalsh(C)[0])
-                raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})")
+        # PSD up to tau: C + tau I (one copy, factored in place through its
+        # transpose) has a Cholesky factor; the eigenvalue only reports.
+        tau = 1e-8 * max(1.0, float(C.max()), -float(C.min()))
+        shifted = C.copy()
+        shifted.flat[:: C.shape[0] + 1] += tau
+        if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
+            lo = float(np.linalg.eigvalsh(C)[0])
+            raise ValueError(f"C is not PSD (min eigenvalue {lo:.3e})")
         return cls(S_star=S_star, C=C, S_chol=S_chol)
 
 

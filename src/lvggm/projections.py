@@ -15,11 +15,13 @@ vectors it kept, fewer than asked for, and no random directions.
 ``max(7, ceil(log2 p))`` steps, whose constants ``c_T = 1.1`` and ``c_H = 0.9``
 acceptance criterion 4 checks, is a test oracle (``tests/oracles.py``).
 
-All randomness flows through explicit seeds; no global RNG state is touched.
+All randomness flows through explicit integer seeds, taken modulo ``2**64``
+(so a negative seed names a stream too); no global RNG state is touched.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ import scipy.linalg
 from .linalg import check_finite_symmetric, symmetrize
 
 _BACKENDS = ("block-krylov", "lanczos")
+_SEED_MASK = 2**64 - 1
 
 
 @dataclass
@@ -61,10 +64,16 @@ class Subspace:
 def rng_for(seed, *salts):
     """Independent deterministic stream for (seed, salts).
 
-    Per-use salting keeps randomized projections independent across solver
-    iterations while preserving replay from a single master seed.
+    Per-use salting keeps the model, the samples and each iteration's
+    projection independent while preserving replay from one master seed.
     """
-    return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, salts)])
+    return np.random.default_rng([operator.index(seed) & _SEED_MASK, *map(int, salts)])
+
+
+def derived_seed(seed, *salts):
+    """Integer seed derived from ``seed`` and integer ``salts``."""
+    ss = np.random.SeedSequence([operator.index(seed) & _SEED_MASK, *map(int, salts)])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def extend_basis(Q, X, floor):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,10 +54,8 @@ from scipy.linalg.blas import dgemm
 from .linalg import NotPositiveDefiniteError, check_finite_symmetric, effective_rank
 from .linalg import sym_evd, symmetrize
 from .objective import as_eigenform, gradient, nll
-from .projections import ProjectionConfig, compress_symmetric, extend_basis
-from .projections import head_project
-
-_SEED_MASK = 2**64 - 1
+from .projections import ProjectionConfig, compress_symmetric, derived_seed
+from .projections import extend_basis, head_project
 
 # AP drops a head direction whose residual against the iterate's basis is
 # below this norm: it lies in that span up to the tolerance, and normalizing
@@ -89,6 +88,11 @@ class InsufficientDataError(Exception):
     """Trace too short for the requested diagnostic."""
 
 
+def is_integer(x):
+    """Whether ``x`` is an integer that is not a bool (``True`` is no 1)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class SolverConfig:
     """Solver knobs; the step always starts at :func:`auto_step_size`."""
@@ -100,10 +104,10 @@ class SolverConfig:
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name in ("rank", "max_iters"):
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         # chained comparisons are false for NaN, so NaN is rejected too; a
         # tolerance of 0 turns the NLL window off
         if not 0 <= self.nll_tolerance < np.inf:
@@ -133,14 +137,13 @@ class LowRankEstimate(NamedTuple):
 
 @dataclass
 class Trace:
-    """Per-iteration solver diagnostics, one row per iteration.
+    """Per-iteration solver diagnostics; row ``i`` is iteration ``i``.
 
     ``rel_error`` entries are NaN when no ground truth was supplied.
     ``rho_hat`` is the fitted per-iteration contraction factor, when the
     trace is long enough to estimate one.
     """
 
-    iters: list = field(default_factory=list)
     nll: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     eta: list = field(default_factory=list)
@@ -154,7 +157,7 @@ class Trace:
     CSV_HEADER = "iter,nll,seconds,eta,halvings,rank,rel_error"
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.nll)
 
     @property
     def total_halvings(self):
@@ -166,8 +169,7 @@ class Trace:
         (:class:`~lvggm.baseline.AdmmTrace` shares this rule)."""
         return float(np.mean(self.seconds[1:] or self.seconds))
 
-    def append(self, it, nll_value, seconds, eta, halvings, rank, rel_error):
-        self.iters.append(int(it))
+    def append(self, nll_value, seconds, eta, halvings, rank, rel_error):
         self.nll.append(float(nll_value))
         self.seconds.append(float(seconds))
         self.eta.append(float(eta))
@@ -186,11 +188,11 @@ class Trace:
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            for i in range(len(self.iters)):
+            for i in range(len(self)):
                 rel = self.rel_error[i]
                 rel_str = "" if np.isnan(rel) else f"{rel:.17g}"
                 fh.write(
-                    f"{self.iters[i]},{self.nll[i]:.17g},{self.seconds[i]:.9f},"
+                    f"{i},{self.nll[i]:.17g},{self.seconds[i]:.9f},"
                     f"{self.eta[i]:.17g},{self.halvings[i]},{self.rank[i]},{rel_str}\n"
                 )
 
@@ -217,12 +219,6 @@ def auto_step_size(ctx):
     factor, by its route: one banded eigenvalue or a dense ``eigvalsh``.
     """
     return 0.5 * ctx.S_chol.min_eigenvalue**2
-
-
-def derived_seed(seed, *salts):
-    """Integer seed derived from ``seed`` and integer ``salts``."""
-    ss = np.random.SeedSequence([int(seed) & _SEED_MASK, *map(int, salts)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _fit_contraction(errors):
@@ -370,9 +366,7 @@ def _descend(ctx, cfg, truth, make_candidate):
             float("nan") if truth is None
             else _eig_distance(V_new, d_new, *truth) / truth_norm
         )
-        trace.append(
-            t, new_nll, seconds, eta, halvings, effective_rank(d_new), rel_error
-        )
+        trace.append(new_nll, seconds, eta, halvings, effective_rank(d_new), rel_error)
         V, d, current_nll = V_new, d_new, new_nll
         stop = _stop_status(cfg, trace.nll, moved, scale)
         if stop:

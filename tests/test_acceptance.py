@@ -115,7 +115,7 @@ def test_criterion_01_gradient_matches_finite_differences():
             r = int(rng.integers(1, 4))
             model = gen_model(p, min(r, p - 1), seed=int(master.integers(2**31)))
             C = sample_covariance(model, 50 * p, seed=k)
-            ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+            ctx = ModelContext.create(model.S_star, C)
             U = model.L_factor * 0.8
             analytic = 2.0 * gradient(ctx, U) @ U
             fd = fd_factor_gradient(lambda X: nll(ctx, X), U, h=1e-5)
@@ -176,9 +176,9 @@ def test_criterion_04_bk_svd_guarantees():
 def test_criterion_05_noiseless_recovery(noiseless_p30):
     with criterion(5, "noiseless recovery: EP<1e-4 (200 it), AP<1e-3 (300 it)"):
         ep_trace, ap_trace = noiseless_p30
-        assert len(ep_trace.iters) <= 200
+        assert len(ep_trace) <= 200
         assert ep_trace.rel_error[-1] < 1e-4, f"EP error {ep_trace.rel_error[-1]:.3e}"
-        assert len(ap_trace.iters) <= 300
+        assert len(ap_trace) <= 300
         assert ap_trace.rel_error[-1] < 1e-3, f"AP error {ap_trace.rel_error[-1]:.3e}"
 
 
@@ -242,7 +242,7 @@ from lvggm.solvers import SolverConfig, ap_lvm, ep_lvm
 p, r = 1000, 50
 model = gen_model(p, r, seed=909)
 C = sample_covariance(model, 50 * p, seed=910)
-ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+ctx = ModelContext.create(model.S_star, C)
 _, ep_trace = ep_lvm(ctx, SolverConfig(rank=r, max_iters=8, nll_tolerance=0))
 _, ap_trace = ap_lvm(
     ctx,
@@ -290,7 +290,7 @@ def test_criterion_10_gradient_norm_scaling():
             vals = []
             for trial in range(20):
                 C = sample_covariance(model, n, seed=13 * n + trial)
-                ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+                ctx = ModelContext.create(model.S_star, C)
                 # the surrogate sqrt(3 r) ||grad F(L*)||_2, from the solvers' gradient
                 G = gradient(ctx, model.L_factor)
                 spec_norm = float(np.abs(np.linalg.eigvalsh(G)).max())

@@ -27,6 +27,7 @@ class TestProxOperators:
         for field, value in (
             ("l1_weight", -1.0), ("l1_weight", np.nan), ("nuclear_weight", np.inf),
             ("rho", 0.0), ("rho", np.nan), ("rho", np.inf), ("max_iters", 0),
+            ("max_iters", 2.5), ("max_iters", True),
         ):
             with pytest.raises(ValueError):
                 AdmmConfig(**{field: value})
@@ -76,7 +77,7 @@ class TestAdmmLvglasso:
         p, r, n = 60, 3, 6000
         model = gen_model(p, r, seed=9)
         C = sample_covariance(model, n, seed=10)
-        ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+        ctx = ModelContext.create(model.S_star, C)
         tn = nll(ctx, model.L_factor)
         _, tr = ep_lvm(ctx, SolverConfig(rank=r, true_nll_floor=tn), truth=model.L_factor)
 

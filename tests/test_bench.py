@@ -27,6 +27,15 @@ class TestBenchSpec:
                 BenchSpec(dims=[16], oversampling=bad, algorithms=["ep"])
         with pytest.raises(ValueError, match="^master_seed must"):
             BenchSpec(dims=[16], oversampling=[10], master_seed=np.float64(2.0))
+        # a repeated entry would run its cells twice
+        for name, values in (
+            ("dims", [16, 16]), ("oversampling", [10, 10.0]),
+            ("algorithms", ["ep", "ap-bk", "ep"]),
+        ):
+            spec = {"dims": [16], "oversampling": [10], "algorithms": ["ep"]}
+            spec[name] = values
+            with pytest.raises(ValueError, match=f"^{name} must not repeat"):
+                BenchSpec(**spec)
 
     # an old spec naming a removed field must fail by name, not be ignored
     @pytest.mark.parametrize("name", ["bogus", "rank"])

@@ -58,6 +58,15 @@ class TestGen:
         for name in ("S.mat", "Ltrue.mat", "C.mat", "Sigmatrue.mat"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_negative_seed_runs(self, tmp_path, capsys):
+        # `fit --seed -1` runs, and so does `gen`: seeds are taken modulo 2**64
+        for seed in ("-1", str(2**64 - 1)):
+            code, _, _ = run_cli(capsys, "gen", "--p", "15", "--r", "2", "--n", "300",
+                                 "--seed", seed, "--out", str(tmp_path / seed))
+            assert code == 0
+        a, b = (tmp_path / seed / "C.mat" for seed in ("-1", str(2**64 - 1)))
+        assert a.read_bytes() == b.read_bytes()
+
     def test_true_nll_consistent_with_eval(self, tmp_path, capsys):
         out = tmp_path / "inst"
         run_cli(capsys, "gen", "--p", "18", "--r", "2", "--n", "360",

@@ -47,6 +47,18 @@ class TestGenModel:
         assert np.array_equal(a.s_diag, b.s_diag)
         assert np.array_equal(a.L_factor, b.L_factor)
 
+    def test_seed_taken_modulo_2_64(self):
+        # the rule of every seed: -1 names the stream of 2**64 - 1
+        a = gen_model(20, seed=-1)
+        b = gen_model(20, seed=2**64 - 1)
+        assert np.array_equal(a.s_diag, b.s_diag)
+        assert np.array_equal(a.L_factor, b.L_factor)
+        assert np.array_equal(
+            sample_covariance(a, 50, seed=-1), sample_covariance(b, 50, seed=2**64 - 1)
+        )
+        with pytest.raises(TypeError):  # a fraction is not rounded down
+            gen_model(20, seed=1.5)
+
     def test_sigma_theta_product_is_identity(self):
         model = gen_model(35, 3, seed=4)
         prod = model.sigma_star @ model.theta_star

@@ -88,6 +88,23 @@ class TestModelContext:
         with pytest.raises(ValueError):
             ModelContext.create(np.eye(3), np.eye(4))
 
+    def test_residual0_is_built_once_on_first_read(self, rng, monkeypatch):
+        # the benchmark times S^-1 apart from building the context, and the
+        # solvers read (and a test writes NaN into) one array per context
+        calls = []
+        subtract = CholeskyFactor.subtract_inverse
+
+        def counting(self, A):
+            calls.append(None)
+            return subtract(self, A)
+
+        monkeypatch.setattr(CholeskyFactor, "subtract_inverse", counting)
+        ctx = ModelContext.create(random_spd(rng, 12), np.eye(12))
+        assert [f.name for f in dataclasses.fields(ctx)] == ["S_star", "C", "S_chol"]
+        assert calls == []
+        first = ctx.residual0
+        assert ctx.residual0 is first and len(calls) == 1
+
 
 class TestNll:
     def test_identity_instance(self):
@@ -368,7 +385,7 @@ class TestProjectedGradientNorm:
             vals = []
             for trial in range(20):
                 C = sample_covariance(model, factor * n, seed=1000 * factor + trial)
-                ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+                ctx = ModelContext.create(model.S_star, C)
                 vals.append(gradient_norm_surrogate(ctx, model.L_factor, r))
             med[factor] = float(np.median(vals))
         ratio = med[1] / med[4]
@@ -383,7 +400,7 @@ class TestProjectedGradientNorm:
             vals = []
             for trial in range(20):
                 C = sample_covariance(model, n, seed=77 * n + trial)
-                ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+                ctx = ModelContext.create(model.S_star, C)
                 vals.append(gradient_norm_surrogate(ctx, model.L_factor, r))
             medians.append(float(np.median(vals)))
         slope = loglog_slope(ns, medians)

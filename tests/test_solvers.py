@@ -37,7 +37,7 @@ def population_ctx(p, r, seed):
 def sampled_ctx(p, r, n, seed):
     model = gen_model(p, r, seed=seed)
     C = sample_covariance(model, n, seed=seed + 1)
-    return model, ModelContext.create(model.S_star, C, validate_psd=False)
+    return model, ModelContext.create(model.S_star, C)
 
 
 class TestAutoStepSize:
@@ -158,7 +158,7 @@ class TestEpLvm:
             for trial in range(5):
                 model = gen_model(p, r, seed=100 + trial)
                 C = sample_covariance(model, ratio * p, seed=7000 + 13 * ratio + trial)
-                ctx = ModelContext.create(model.S_star, C, validate_psd=False)
+                ctx = ModelContext.create(model.S_star, C)
                 tn = nll(ctx, model.L_factor)
                 _, tr = ep_lvm(
                     ctx, SolverConfig(rank=r, true_nll_floor=tn), truth=model.L_factor
@@ -180,6 +180,19 @@ class TestEpLvm:
         ctx = ModelContext.create(np.eye(3), np.eye(3))
         with pytest.raises(ValueError):
             ep_lvm(ctx, SolverConfig(rank=4))
+
+    # a bool must not fit rank 1, and a fraction must not fail mid-fit
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rank", True), ("rank", 2.5), ("max_iters", 3.5), ("max_iters", False)],
+    )
+    def test_non_integer_settings_rejected(self, field, value):
+        knobs = {"rank": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SolverConfig(**knobs)
+        ctx = ModelContext.create(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fit_pgd("ap-bk", ctx, **knobs)
 
 
 class TestApLvm:
@@ -479,7 +492,7 @@ class TestStepRule:
         for algo in solvers.PGD_ALGORITHMS:
             _, trace = fit_pgd(algo, ctx, 5, seed=2)
             assert trace.status == "nll-window", algo
-            assert trace.iters[-1] < SolverConfig(rank=5).max_iters - 1, algo
+            assert len(trace) < SolverConfig(rank=5).max_iters, algo
 
 
 class TestHooks:
@@ -701,27 +714,28 @@ class TestContractionEstimate:
 class TestTrace:
     def test_csv_schema(self, tmp_path):
         trace = Trace()
-        trace.append(0, -1.5, 0.01, 0.5, 0, 2, float("nan"))
-        trace.append(1, -1.6, 0.01, 0.5, 1, 2, 0.25)
+        trace.append(-1.5, 0.01, 0.5, 0, 2, float("nan"))
+        trace.append(-1.6, 0.01, 0.5, 1, 2, 0.25)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iter,nll,seconds,eta,halvings,rank,rel_error"
         assert lines[1].endswith(",")  # empty rel_error when truth absent
         assert lines[2].split(",")[-1] == "0.25"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]  # row index
 
     def test_mean_iter_seconds_leaves_out_the_first_row(self):
         trace = Trace()
-        trace.append(0, -1.5, 4.0, 0.5, 0, 2, float("nan"))
+        trace.append(-1.5, 4.0, 0.5, 0, 2, float("nan"))
         assert trace.mean_iter_seconds == 4.0  # the only row counts
-        trace.append(1, -1.6, 1.0, 0.5, 0, 2, float("nan"))
-        trace.append(2, -1.7, 2.0, 0.5, 0, 2, float("nan"))
+        trace.append(-1.6, 1.0, 0.5, 0, 2, float("nan"))
+        trace.append(-1.7, 2.0, 0.5, 0, 2, float("nan"))
         assert trace.mean_iter_seconds == 1.5
 
     def test_solver_trace_well_formed(self):
         model, ctx = sampled_ctx(15, 2, 500, seed=37)
         _, trace = ep_lvm(ctx, SolverConfig(rank=2, max_iters=25))
-        assert len(trace.nll) == len(trace.seconds) == len(trace.iters)
+        assert len(trace) == len(trace.nll) == len(trace.seconds)
         assert all(s >= 0 for s in trace.seconds)
         assert all(np.isnan(x) for x in trace.rel_error)  # no truth given
 
@@ -731,5 +745,5 @@ class TestTrace:
         monkeypatch.setattr(solvers, "auto_step_size", lambda ctx: 50.0)
         _, trace = ep_lvm(ctx, SolverConfig(rank=2, max_iters=8, nll_tolerance=0))
         assert trace.status == "max-iters"
-        assert len(trace) == 8 and trace.iters == list(range(8))
+        assert len(trace) == 8 and len(trace.nll) == len(trace.halvings) == 8
         assert trace.total_halvings == sum(trace.halvings) > 0
