@@ -70,8 +70,11 @@ class BenchSpec:
             raise ValueError("trials must be an integer >= 1")
         if not is_integer(self.master_seed):
             raise ValueError("master_seed must be an integer")
-        if not self.algorithms:
-            raise ValueError("algorithm list must not be empty")
+        # a bare string would be read letter by letter
+        names = self.algorithms
+        if not (isinstance(names, list) and names
+                and all(isinstance(a, str) for a in names)):
+            raise ValueError("algorithms must be a non-empty list of names")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

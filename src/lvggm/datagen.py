@@ -7,20 +7,14 @@ PSD, so ``lambda_min(theta*) >= min(s_diag) >= 1`` and every draw is
 positive definite.  Everything is a pure function of its seed (modulo
 ``2**64``, as :func:`~lvggm.projections.rng_for` takes every seed).
 
-Sampling accumulates the Gram of standard-normal draws and colours it once
-with the Cholesky factor of ``sigma*``, which is formed from ``theta*``
-without inverting it.  When a core is spare, one worker thread draws the
-next chunk into one of two buffers while the calling thread adds the
-current one to the Gram; otherwise one buffer is drawn and summed in turn.
-The result is a pure function of the seed either way.
+Sampling draws the sample covariance's Wishart law exactly from Bartlett's
+factor, coloured by the Cholesky factor of ``sigma*``, which is formed from
+``theta*`` without inverting it; its cost does not depend on ``n``.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +24,6 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from .linalg import NotPositiveDefiniteError, cholesky_logdet, symmetrize
 from .matio import MatrixParseError, read_matrix
 from .projections import rng_for
-
-# Rows of standard-normal draws per chunk.  Two chunk buffers bound the draw
-# memory at 2 * 4096 rows, and the fixed chunk keeps the Gram's summation
-# order (hence the exact result) stable.
-_SAMPLE_CHUNK = 4096
 
 # The one synthetic ensemble (module docstring).
 DIAG_RANGE = (1.0, 2.0)
@@ -111,77 +100,31 @@ def _sigma_factor(model):
     return np.asfortranarray(R_inv[::-1, ::-1].T)
 
 
-def _spare_core():
-    """Whether a draw thread can run beside the Gram on a core of its own.
-
-    Not in a process-pool worker (``lvggm bench --workers``), whose sibling
-    processes keep the cores busy, nor on one core: there the thread only
-    adds hand-offs (p=100, n=40000 on a 2-core Xeon: 11% slower than
-    inline with the other core busy, 8% slower on one core).
-    """
-    if multiprocessing.parent_process() is not None:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
 def sample_covariance(model, n, seed=0):
     """Empirical second-moment matrix of ``n`` draws from ``N(0, sigma*)``.
 
-    A draw is ``x = Lc z`` with ``sigma* = Lc Lc^T`` and ``z`` standard
-    normal, so ``sum x x^T = Lc (Z^T Z) Lc^T``: the standard-normal rows are
-    drawn in chunks of 4096, only their Gram is accumulated (a SYRK per
-    chunk), and one congruence by the triangular ``Lc`` (two TRMMs) replaces
-    colouring every draw (``n p^2``).  ``Lc`` comes from the Cholesky factor
-    of the reversed ``theta*`` (:func:`_sigma_factor`), so ``sigma*`` is
-    never formed.
-
-    When a core is spare (:func:`_spare_core`), a single worker thread
-    draws chunk ``i + 1`` into one of two buffers while the calling thread
-    adds chunk ``i``, in the other, to the Gram; the generator releases the
-    interpreter lock while it fills, so the two overlap.  Otherwise the
-    calling thread draws each chunk before adding it.  Either way the draws
-    and the sums run in the same fixed order, so the exact floating-point
-    result depends only on ``(model, n, seed)``.  The worker is joined
-    before the function returns.  The draws are those of colouring each
-    chunk before accumulating, and the result differs from that formula at
-    roundoff only.
+    The sum of the draws' outer products is Wishart(``sigma*``, n), and it
+    is drawn exactly without drawing the samples (Bartlett 1933; Odell &
+    Feiveson, JASA 1966): ``C = (Lc A)(Lc A)^T / n`` with
+    ``sigma* = Lc Lc^T`` (:func:`_sigma_factor`) and ``A`` the ``p x m``
+    lower-trapezoidal Bartlett factor, ``m = min(n, p)``.  ``A`` holds
+    ``sqrt(chi2(n - i))`` at diagonal entry ``i`` and standard normals below
+    the diagonal.  For ``n < p`` it is the transposed R of a Gaussian QR, and
+    ``C`` has rank ``n``.  From the ``(seed, 0xC0F)`` stream the ``m``
+    chi-square variates come first, then ``p * m`` normals fill ``A`` column
+    by column, of which the strictly lower part is kept.  One TRMM and one
+    GEMM cost ``O(p^3)`` whatever ``n`` is, in about three ``p x p`` arrays.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = model.p
-    Lc = _sigma_factor(model)
+    m = min(n, p)
     rng = rng_for(seed, 0xC0F)
-    W = np.zeros((p, p))
-    rows = [min(_SAMPLE_CHUNK, n - start) for start in range(0, n, _SAMPLE_CHUNK)]
-    overlap = _spare_core()
-    # drawn in place, each chunk needs a buffer only until it is summed
-    bufs = [np.empty((rows[0], p)) for _ in rows[: 2 if overlap else 1]]
-
-    def draw(i):  # returns nothing, so no future keeps a buffer alive
-        rng.standard_normal(out=bufs[i % len(bufs)][: rows[i]])
-
-    def add(i):
-        Z = bufs[i % len(bufs)][: rows[i]]
-        W[...] += Z.T @ Z
-
-    if overlap:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(draw, 0)
-            for i in range(len(rows)):
-                pending.result()
-                if i + 1 < len(rows):
-                    # chunk i - 1's buffer is free: its sum finished last pass
-                    pending = pool.submit(draw, i + 1)
-                add(i)
-    else:
-        for i in range(len(rows)):
-            draw(i)
-            add(i)
-    del bufs  # free the draws before the congruence's temporaries
-    LcW = dtrmm(1.0 / n, Lc, W, lower=1)
-    return symmetrize(dtrmm(1.0, Lc, LcW, side=1, lower=1, trans_a=1, overwrite_b=1))
+    chi = np.sqrt(rng.chisquare(n - np.arange(m)))
+    A = np.triu(rng.standard_normal((m, p)), 1).T  # Fortran order, for BLAS
+    np.fill_diagonal(A, chi)
+    B = dtrmm(1.0, _sigma_factor(model), A, lower=1, overwrite_b=1)
+    return symmetrize((B / n) @ B.T)
 
 
 def load_dataset(path, skip_header=0):

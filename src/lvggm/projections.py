@@ -221,17 +221,31 @@ def head_project(A, k, cfg):
     return Subspace(np.ascontiguousarray(Q @ E), E.shape[1] < k, AQ @ E)
 
 
+def psd_truncate(V, d, r):
+    """Rank-``r`` PSD cut of the eigenform ``(V, d)``: the ``r``
+    algebraically largest eigenpairs, largest first (ties in order), less
+    the non-positive ones.  Returns ``(V', d')``."""
+    order = np.argsort(-d, kind="stable")[:r]
+    keep = order[d[order] > 0.0]
+    return V[:, keep], d[keep]
+
+
 def compress_symmetric(U, core, r):
-    """Exact rank-``r`` tail projection of ``U @ core @ U.T``.
+    """Exact projection of ``U @ core @ U.T`` onto the rank-``r`` PSD cone.
 
     ``U`` is ``p x m`` column-orthonormal with ``m`` small, and ``core`` is
     ``m x m`` symmetric.  Because the Krylov space of a rank-m matrix is
     contained in its range, a randomized tail projection of such a matrix
     resolves to this exact compression, one eigensolve of ``core``; solvers
-    use it to keep the per-iteration cost at ``O(p m^2)``.
+    use it to keep the per-iteration cost at ``O(p m^2)``.  It cuts and
+    clamps the eigenpairs of ``core`` with :func:`psd_truncate`, as
+    :func:`lvggm.solvers.psd_finalize` does, so AP's tail projects onto the
+    set EP's exact projection does.
 
-    Returns ``(V, d)`` with ``V = U E`` ``p x r`` orthonormal, ``d`` the
-    retained eigenvalues (largest magnitude first), for ``V diag(d) V^T``.
+    Returns ``(V, d)`` with ``V = U E`` ``p x k`` orthonormal, ``k <= r``,
+    and ``d`` the kept positive eigenvalues, largest first, for
+    ``V diag(d) V^T``.
     """
-    w, E = _largest_eigs(core, r)
+    w, E = np.linalg.eigh(core)
+    E, w = psd_truncate(E, w, r)
     return U @ E, w

@@ -17,11 +17,10 @@ only in ``P``:
 * ``ap_lvm`` replaces the exact projection with an approximate head
   projection of the gradient at rank ``2r``, onto a basis ``Z``, and takes
   the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
-  followed by an approximate tail projection of the step at rank ``r``;
-  iterates may carry small negative eigenvalues and are not PSD-finalized
-  unless requested.  :func:`~lvggm.projections.extend_basis` builds the
-  step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds the
-  block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
+  followed by a tail projection of the step onto the rank-``r`` PSD cone,
+  the set EP projects onto.  :func:`~lvggm.projections.extend_basis`
+  builds the step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds
+  the block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
@@ -55,7 +54,7 @@ from .linalg import NotPositiveDefiniteError, check_finite_symmetric, effective_
 from .linalg import sym_evd, symmetrize
 from .objective import as_eigenform, gradient, nll
 from .projections import ProjectionConfig, compress_symmetric, derived_seed
-from .projections import extend_basis, head_project
+from .projections import extend_basis, head_project, psd_truncate
 
 # AP drops a head direction whose residual against the iterate's basis is
 # below this norm: it lies in that span up to the tolerance, and normalizing
@@ -270,15 +269,14 @@ def psd_finalize(L, r):
     is checked finite and symmetric, and :func:`~lvggm.linalg.sym_evd`
     computes only its ``min(r, p)`` leading eigenpairs.  Any other form
     :func:`~lvggm.objective.as_eigenform` takes is normalized by it.  The
-    eigenform is then sorted, cut and clamped in ``O(p r)``.
+    eigenform is then sorted, cut and clamped in ``O(p r)`` by
+    :func:`~lvggm.projections.psd_truncate`, as AP's tail is.
     """
     shape = () if isinstance(L, tuple) else np.shape(L)
     if len(shape) == 2 and shape[0] == shape[1]:
         L = sym_evd(check_finite_symmetric(L), min(r, shape[0]))
-    V, d = as_eigenform(L)
-    order = np.argsort(-d, kind="stable")[:r]
-    keep = order[d[order] > 0.0]
-    return LowRankEstimate(np.ascontiguousarray(V[:, keep]), d[keep])
+    V, d = psd_truncate(*as_eigenform(L), r)
+    return LowRankEstimate(np.ascontiguousarray(V), d)
 
 
 def _accept(ctx, candidate, current_nll, eta, trace):
@@ -456,7 +454,7 @@ def ap_lvm(ctx, cfg, truth=None):
     :func:`~lvggm.projections.extend_basis` gives ``Y = (Z - V H) T`` and
     drops the head directions within ``_DEFLATION_TOL`` of ``span V``, as the
     block-Krylov head drops its own at ``1e-10`` of each block's scale.  The
-    candidate is the rank-``r`` tail projection of
+    candidate is the rank-``r`` PSD tail projection of
     ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,
     that is ``T_r(L - eta P_U G P_U)``.  The two-sided projection onto a
     subspace that contains ``Z`` captures at least ``Z``'s energy, so it is
@@ -471,8 +469,9 @@ def ap_lvm(ctx, cfg, truth=None):
     ``G V = C V - M + M K M^T V``; ``C Z = G Z + S^-1 Z - M K M^T Z``; and
     each trial ``V_new = U E`` gets ``C V_new`` and ``S^-1 V_new`` from the
     products on ``[V, Z]``, which the NLL and the next gradient take as they
-    are.  Iterates may carry small negative eigenvalues; the returned
-    estimate is not PSD-finalized.
+    are.  The tail keeps only positive eigenvalues, as EP's projection
+    does, so an iterate may have fewer than ``r`` columns; the next head
+    fills them.
     """
     return _descend(ctx, cfg, truth, functools.partial(_ap_candidate, ctx, cfg))
 

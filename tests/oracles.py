@@ -3,19 +3,16 @@
 These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
 finite differences, the Hessian oracle forms the Kronecker product
-explicitly, the sampling oracle colours every draw before accumulating, and
-the reference BK-SVD is plain numpy (block Gram-Schmidt and SVDs), sharing
-nothing with the library's block-Krylov head.
-The exceptions are ``allocating_sample_covariance``, which repeats the
-sampler's arithmetic without its buffers and thread, so that the two can be
-compared bit for bit, and ``dense_step_ep``, which runs the solvers' own
-descent loop with the dense EP step, so that only the step differs.
+explicitly, the sampling oracle rebuilds Bartlett's factor with
+``np.tril`` and colours it by ``np.linalg.cholesky`` of ``sigma*`` (not the
+library's factor of the reversed ``theta*``), and the reference BK-SVD is
+plain numpy (block Gram-Schmidt and SVDs), sharing nothing with the
+library's block-Krylov head.
+The exception is ``dense_step_ep``, which runs the solvers' own descent loop
+with the dense EP step, so that only the step differs.
 """
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
 
 from lvggm import solvers
 from lvggm.linalg import symmetrize
@@ -132,41 +129,21 @@ def loglog_slope(xs, ys):
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def reference_sample_covariance(model, n, seed=0):
-    """Sample covariance by colouring each chunk of 8192 draws,
-    ``X = Z Lc^T``, then accumulating ``X^T X``: the same draws as
-    ``datagen.sample_covariance`` (same generator and order; chunking does
-    not change the draws)."""
-    Lc = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0)
-    rng = np.random.default_rng([seed, 0xC0F])
-    C = np.zeros((model.p, model.p))
-    done = 0
-    while done < n:
-        m = min(8192, n - done)
-        X = rng.standard_normal((m, model.p)) @ Lc.T
-        C += X.T @ X
-        done += m
-    C /= n
-    return (C + C.T) / 2.0
+def bartlett_sample_covariance(model, n, seed=0):
+    """Wishart(``sigma*``, n) / n from Bartlett's factor, in plain numpy.
 
-
-def allocating_sample_covariance(model, n, seed=0):
-    """``datagen.sample_covariance`` with a fresh draw array per chunk and no
-    worker thread: the same factor of the reversed ``theta*``, draws, 4096-row
-    Gram blocks and triangular congruence, so the result must match bit for
-    bit."""
-    R = cholesky(model.theta_star[::-1, ::-1], lower=True)
-    Lc = dtrtri(R, lower=1)[0][::-1, ::-1].T
+    Reads the stream of ``datagen.sample_covariance`` in its documented
+    order: ``m = min(n, p)`` chi-square variates with ``n - i`` degrees of
+    freedom, then ``p * m`` normals filling a ``p x m`` array column by
+    column, whose strictly lower part is kept below the chi roots."""
+    p = model.p
+    m = min(n, p)
     rng = np.random.default_rng([seed, 0xC0F])
-    W = np.zeros((model.p, model.p))
-    done = 0
-    while done < n:
-        m = min(4096, n - done)
-        Z = rng.standard_normal((m, model.p))
-        W += Z.T @ Z
-        done += m
-    C = dtrmm(1.0, Lc, dtrmm(1.0 / n, Lc, W, lower=1), side=1, lower=1, trans_a=1)
-    return (C + C.T) / 2.0
+    chi = np.sqrt(rng.chisquare(n - np.arange(m)))
+    A = np.tril(rng.standard_normal(p * m).reshape((p, m), order="F"), -1)
+    A[np.arange(m), np.arange(m)] = chi
+    X = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0) @ A
+    return X @ X.T / n
 
 
 def dense_step_ep(ctx, cfg, truth=None):

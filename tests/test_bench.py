@@ -6,6 +6,7 @@ import pytest
 import lvggm.bench
 from lvggm import solvers
 from lvggm.bench import BenchSpec, run_bench, run_single
+from lvggm.cli import main
 from lvggm.solvers import DivergedError
 
 from .conftest import fixed_admm_seconds
@@ -64,6 +65,18 @@ class TestBenchSpec:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{field} must"):
             BenchSpec.from_json(path)
+
+    # a bare name would be read letter by letter, and a nested list is not
+    # a name; both fail by the field's name, so `lvggm bench` exits 1
+    @pytest.mark.parametrize("value", ["ep", [["ep"]]])
+    def test_algorithms_must_be_a_list_of_names(self, tmp_path, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": [16], "oversampling": [10],
+                                    "algorithms": value}))
+        with pytest.raises(ValueError, match="^algorithms must"):
+            BenchSpec.from_json(path)
+        assert main(["bench", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunSingle:

@@ -1,20 +1,14 @@
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.stats import wishart
 
 from lvggm import datagen
 from lvggm.datagen import gen_model, load_dataset, sample_covariance
 from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 
-from .oracles import (
-    allocating_sample_covariance,
-    loglog_slope,
-    reference_sample_covariance,
-)
+from .oracles import bartlett_sample_covariance, loglog_slope
 
 
 class TestGenModel:
@@ -102,47 +96,13 @@ class TestSampleCovariance:
         assert -0.65 <= slope <= -0.35
 
     def test_deterministic(self):
-        # n = 1000 is one chunk; n = 20000 is five chunks
+        # n = 1000 < 50 * p at p = 50, and n = 20000 draws no more normals
         for p, n in ((10, 1000), (50, 20000)):
             model = gen_model(p, "auto", seed=5)
             assert np.array_equal(
                 sample_covariance(model, n, seed=9),
                 sample_covariance(model, n, seed=9),
             )
-
-    def test_worker_thread_is_joined(self, monkeypatch):
-        monkeypatch.setattr(datagen, "_spare_core", lambda: True)
-        model = gen_model(50, "auto", seed=2)
-        before = threading.active_count()
-        sample_covariance(model, 20000, seed=3)
-        assert threading.active_count() == before
-
-    def test_concurrent_calls_draw_the_same_values(self, monkeypatch):
-        monkeypatch.setattr(datagen, "_spare_core", lambda: True)
-        # four callers, each with its own worker, on a short switch interval:
-        # a chunk summed before its draw finished, or drawn into the buffer
-        # being summed, would break bit-equality with the threadless oracle
-        p, n = 60, 3 * datagen._SAMPLE_CHUNK + 5
-        model = gen_model(p, "auto", seed=6)
-        expected = allocating_sample_covariance(model, n, seed=7)
-        results = [None] * 4
-
-        def call(k):
-            results[k] = sample_covariance(model, n, seed=7)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        for C in results:
-            assert np.array_equal(C, expected)
 
     @pytest.mark.parametrize("p", [12, 100, 300])
     def test_factor_is_the_cholesky_factor_of_sigma(self, p):
@@ -153,51 +113,40 @@ class TestSampleCovariance:
         assert np.array_equal(Lc, np.tril(Lc))
         assert np.diag(Lc).min() > 0
 
-    @pytest.mark.parametrize(
-        "p, n",
-        [(12, 50), (100, 4096), (100, 4097), (100, 8192), (100, 8193), (300, 20000)],
-    )
-    def test_matches_colouring_each_draw(self, p, n):
-        # n = 4096 and 4097 sit on the chunk boundary (one chunk, then a
-        # last chunk of one row in the second buffer), and 8193
-        # reuses the first buffer for its last row; agreement to roundoff
-        # shows the Gram route colours the same draws, each counted once.
+    @pytest.mark.parametrize("p, n", [(12, 50), (12, 5), (100, 40000), (300, 20000)])
+    def test_matches_the_bartlett_rebuild(self, p, n):
         model = gen_model(p, "auto", seed=p + 1)
         C = sample_covariance(model, n, seed=n)
-        ref = reference_sample_covariance(model, n, seed=n)
+        ref = bartlett_sample_covariance(model, n, seed=n)
         assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(C, C.T)
-        assert np.array_equal(C, sample_covariance(model, n, seed=n))
 
-    @pytest.mark.parametrize("p, n", [(12, 50), (100, 8193), (300, 20000)])
-    def test_reused_buffer_draws_the_same_values(self, p, n):
-        model = gen_model(p, "auto", seed=p + 1)
-        assert np.array_equal(
-            sample_covariance(model, n, seed=n),
-            allocating_sample_covariance(model, n, seed=n),
-        )
+    def test_moments_are_those_of_the_wishart_law(self):
+        # 20000 draws at p = 6, n = 20: every entry's mean within 4 standard
+        # errors of sigma*, and every variance within 5% of the Wishart
+        # variance (sigma_ij^2 + sigma_ii sigma_jj) / n, about 4 standard
+        # errors of a sample variance here
+        model = gen_model(6, 1, seed=11)
+        n, draws = 20, 20000
+        law = wishart(df=n, scale=model.sigma_star / n)
+        Cs = np.array([sample_covariance(model, n, seed=s) for s in range(draws)])
+        z = (Cs.mean(axis=0) - law.mean()) / np.sqrt(law.var() / draws)
+        assert np.abs(z).max() < 4.0
+        ratio = Cs.var(axis=0, ddof=1) / law.var()
+        assert 0.95 < ratio.min() and ratio.max() < 1.05
 
-    @pytest.mark.parametrize("spare", [True, False], ids=["thread", "inline"])
-    @pytest.mark.parametrize("p, n", [(12, 50), (100, 8193), (300, 20000)])
-    def test_either_draw_path_matches_the_oracle(self, monkeypatch, p, n, spare):
-        monkeypatch.setattr(datagen, "_spare_core", lambda: spare)
-        model = gen_model(p, "auto", seed=p + 1)
-        assert np.array_equal(
-            sample_covariance(model, n, seed=n),
-            allocating_sample_covariance(model, n, seed=n),
-        )
+    def test_fewer_draws_than_variables_give_rank_n(self):
+        model = gen_model(12, 2, seed=3)
+        for n in (1, 5, 11):
+            C = sample_covariance(model, n, seed=n)
+            w = np.linalg.eigvalsh(C)
+            assert w[0] >= -1e-12 * w[-1]
+            assert np.linalg.matrix_rank(C) == n
 
-    def test_pool_worker_draws_inline(self):
-        # sibling pool processes keep the cores busy, so a draw thread there
-        # would only add hand-offs
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(datagen._spare_core).result() is False
-
-    def test_draw_buffers_hold_at_most_8192_rows(self):
-        # five chunks at p=300: the two 4096-row buffers hold 19.7 MB and
-        # the p x p matrices add 0.7 MB each (21.8 MB measured peak); a
-        # third live chunk would add 9.8 MB and exceed the 26.7 MB bound
-        p, n = 300, 20000
+    @pytest.mark.parametrize("n", [20000, 10**6])
+    def test_memory_does_not_grow_with_n(self, n):
+        # the factor, its coloured copy and C: about three p x p arrays
+        p = 300
         model = gen_model(p, "auto", seed=4)
         tracemalloc.start()
         try:
@@ -205,7 +154,11 @@ class TestSampleCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * datagen._SAMPLE_CHUNK * p * 8 + 3 * p * p * 8
+        assert peak < 5 * p * p * 8
+
+    def test_n_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_covariance(gen_model(5, 1, seed=0), 0)
 
 
 class TestLoadDataset:

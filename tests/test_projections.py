@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +14,7 @@ from lvggm.projections import (
     ProjectionConfig,
     _krylov_basis,
     compress_symmetric,
+    derived_seed,
     head_project,
 )
 from lvggm.solvers import psd_finalize
@@ -18,6 +23,21 @@ from .conftest import random_spd, random_symmetric
 from .oracles import bk_svd, psd_clamp_truncate
 
 _BACKENDS = ("block-krylov", "lanczos")
+
+
+class TestDerivedSeed:
+    def test_benchmark_copy_derives_the_same_seeds(self, monkeypatch):
+        # perfbench keeps its own copy of derived_seed; its instances follow
+        # the library's streams only while the two agree
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while the file runs
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for seed in (0, -1, 2**64 - 1, 9):
+            for salts in ((), (1,), (3, 0), (0xC0F, 7, 2)):
+                assert workloads.derived_seed(seed, *salts) == derived_seed(seed, *salts)
 
 
 class TestProjectionConfig:
@@ -377,9 +397,19 @@ class TestCompressSymmetric:
         U = np.linalg.qr(rng.standard_normal((p, m)))[0]
         core = random_symmetric(rng, m)
         V, d = compress_symmetric(U, core, r)
-        dense = U @ core @ U.T
-        w, E = np.linalg.eigh((dense + dense.T) / 2)
-        order = np.argsort(-np.abs(w))[:r]
-        oracle = (E[:, order] * w[order]) @ E[:, order].T
+        # the projection onto the rank-r PSD cone, as EP's psd_finalize
+        oracle = psd_clamp_truncate(U @ core @ U.T, r)
         assert np.abs((V * d) @ V.T - oracle).max() < 1e-10
-        assert np.abs(V.T @ V - np.eye(r)).max() < 1e-8
+        assert np.abs(V.T @ V - np.eye(d.size)).max() < 1e-8
+
+    def test_drops_non_positive_eigenvalues(self, rng):
+        # two positive eigenvalues and larger negative ones: the tail
+        # keeps the two, not the r largest magnitudes
+        p, m, r = 30, 6, 4
+        U = np.linalg.qr(rng.standard_normal((p, m)))[0]
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        core = (Q * [3.0, 0.5, -0.2, -1.0, -5.0, -9.0]) @ Q.T
+        V, d = compress_symmetric(U, core, r)
+        assert np.allclose(d, [3.0, 0.5], rtol=0, atol=1e-12)
+        assert V.shape == (p, 2)
+        assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
