@@ -26,9 +26,11 @@ forming the ``p x p`` matrix; EP builds its step matrix from ``residual0``
 and the Woodbury factors :attr:`GradientOperator.woodbury`.  A caller that
 already holds ``S^-1 V`` and ``C V`` (AP carries them from one iterate to
 the next) passes them to :func:`gradient` and :func:`nll`, which then skip
-their ``O(p^2 r)`` products.  Only a dense ``L`` keeps a second
-NLL route, a Cholesky factorization of ``S + L``: it is the reference the
-eigenform route is checked against.
+their ``O(p^2 r)`` products.  EP's secant step takes
+``<L1 - L0, G1 - G0>`` from two operators' Woodbury factors
+(:func:`secant_curvature`), in which ``residual0`` cancels.  Only a dense
+``L`` keeps a second NLL route, a Cholesky factorization of ``S + L``: it
+is the reference the eigenform route is checked against.
 """
 
 from __future__ import annotations
@@ -232,6 +234,29 @@ class GradientOperator:
     def __array__(self, dtype=None, copy=None):
         G = self.dense()
         return G if dtype is None else G.astype(dtype, copy=False)
+
+
+def secant_curvature(L0, G0, L1, G1):
+    """``<L1 - L0, G1 - G0>_F`` for eigenforms ``L0``, ``L1`` and their
+    :class:`GradientOperator` ``G0``, ``G1``, in ``O(p r^2)``.
+
+    ``residual0`` cancels in ``G1 - G0``, which leaves the Woodbury terms
+    ``W = M K M^T``; each of the four products
+    ``<V_a diag(d_a) V_a^T, W_b> = sum_i d_a,i (P K_b P^T)_ii`` takes
+    ``P = V_a^T M_b = V_a^T S^-1 V_b``, so ``V0^T M1`` is ``(V1^T M0)^T``
+    and three ``r x r`` products serve all four.
+    """
+    (V0, d0), (V1, d1) = L0, L1
+    (M0, K0), (M1, K1) = G0.woodbury, G1.woodbury
+    P10 = V1.T @ M0
+
+    def inner(d, P, K):
+        return np.dot(d, np.sum((P @ K) * P, axis=1))
+
+    return float(
+        inner(d1, V1.T @ M1, K1) - inner(d1, P10, K0)
+        - inner(d0, P10.T, K1) + inner(d0, V0.T @ M0, K0)
+    )
 
 
 def gradient(ctx, L, M=None):

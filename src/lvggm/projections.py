@@ -224,9 +224,13 @@ def head_project(A, k, cfg):
 def psd_truncate(V, d, r):
     """Rank-``r`` PSD cut of the eigenform ``(V, d)``: the ``r``
     algebraically largest eigenpairs, largest first (ties in order), less
-    the non-positive ones.  Returns ``(V', d')``."""
+    the ones not above ``1e-12`` of the largest magnitude.  Returns
+    ``(V', d')``."""
     order = np.argsort(-d, kind="stable")[:r]
-    keep = order[d[order] > 0.0]
+    # eigh returns an exact zero eigenvalue as about +-eps * max|d|, so a cut
+    # at 0 would keep it as a direction of roundoff energy; the cut is
+    # relative, as as_eigenform's zero rule is, and far above roundoff
+    keep = order[d[order] > 1e-12 * np.abs(d).max(initial=0.0)]
     return V[:, keep], d[keep]
 
 

@@ -3,11 +3,15 @@
 Both solvers run one loop, :func:`_descend`: from ``L = 0`` (no spectral
 initialization) it iterates ``L <- P(L - eta * grad F(L))`` with
 backtracking on the NLL.  The step starts at ``0.5 * lambda_min(S)^2``
-(:func:`auto_step_size`), doubles after each iteration accepted on its first
-trial with a strict decrease of the NLL, halves on each rejected trial and
-has no cap.  The step size and the iterate are locals of the loop, and each
-iteration is one row of the returned :class:`Trace`.  The solvers differ
-only in ``P``:
+(:func:`auto_step_size`) and halves on each rejected trial.  EP's first
+trial at each later iteration is a Barzilai-Borwein step from ``r x r``
+products, capped at twice the last accepted step, because each of its
+rejected trials costs an eigensolve.  AP's step doubles after each
+iteration accepted on its first trial with a strict decrease of the NLL and
+has no cap: its rejected trial costs ``O(p r^2)``, so probing the doubled
+step is nearly free.  The step size and the iterate are locals of the loop,
+and each iteration is one row of the returned :class:`Trace`.  The solvers
+differ only in ``P`` and that step rule:
 
 * ``ep_lvm`` projects exactly onto the rank-r PSD cone as
   :func:`psd_finalize` does, from the ``r`` leading eigenpairs of a step
@@ -52,7 +56,7 @@ from scipy.linalg.blas import dgemm
 
 from .linalg import NotPositiveDefiniteError, check_finite_symmetric, effective_rank
 from .linalg import sym_evd, symmetrize
-from .objective import as_eigenform, gradient, nll
+from .objective import as_eigenform, gradient, nll, secant_curvature
 from .projections import ProjectionConfig, compress_symmetric, derived_seed
 from .projections import extend_basis, head_project, psd_truncate
 
@@ -212,8 +216,9 @@ def auto_step_size(ctx):
 
     The smoothness constant over PSD iterates is at most
     ``1 / lambda_min(S*)^2``, so this is a lower bound on ``0.5 / M``.  The
-    descent starts here, doubles the step after each clean, strictly
-    improving iteration and halves it on each rejected trial, with no cap.
+    descent starts here and halves the step on each rejected trial.  AP
+    doubles it after each clean, strictly improving iteration, with no cap;
+    EP takes a capped secant step, which never falls below this one.
     ``lambda_min`` comes from the context's factor of ``S*``, once per
     factor, by its route: one banded eigenvalue or a dense ``eigvalsh``.
     """
@@ -327,20 +332,28 @@ def _stop_status(cfg, nlls, moved, scale):
     return None
 
 
-def _descend(ctx, cfg, truth, make_candidate):
+def _descend(ctx, cfg, truth, make_candidate, secant=False):
     """The descent loop ``L <- P(L - eta * grad F(L))`` from ``L = 0``.
 
-    ``make_candidate(t, V, d, products)`` sees iteration ``t``'s iterate and
-    the products ``(C V, S^-1 V)`` its candidate returned, and returns
-    ``(candidate, degraded)``: ``candidate(eta)`` gives the projected step
-    as an eigenform with its products (see :func:`_accept`), and
-    ``degraded`` flags an approximate projection that fell short.
-    Returns ``(LowRankEstimate, Trace)``.
+    Each iteration takes the gradient ``G`` of its iterate once, from the
+    carried ``S^-1 V``.  ``make_candidate(t, V, d, products, G)`` sees
+    iteration ``t``'s iterate, the products ``(C V, S^-1 V)`` its candidate
+    returned and ``G``, and returns ``(candidate, degraded)``:
+    ``candidate(eta)`` gives the projected step as an eigenform with its
+    products (see :func:`_accept`), and ``degraded`` flags an approximate
+    projection that fell short.
+
+    The step starts at :func:`auto_step_size` and halves on each rejected
+    trial.  With ``secant``, each later iteration's first trial is the
+    Barzilai-Borwein step of the last iterate and gradient change, clamped
+    to ``[auto_step_size, 2 eta]`` for the last accepted ``eta``; otherwise
+    the step doubles after each iteration accepted on its first trial with
+    a strict decrease.  Returns ``(LowRankEstimate, Trace)``.
     """
     p = ctx.p
     if cfg.rank > p:
         raise ValueError(f"rank {cfg.rank} exceeds dimension {p}")
-    eta = auto_step_size(ctx)
+    eta0 = eta = auto_step_size(ctx)
     if truth is not None:
         truth = as_eigenform(truth, p)
         truth_norm = float(np.sqrt(np.sum(truth[1] ** 2))) or 1.0
@@ -352,7 +365,19 @@ def _descend(ctx, cfg, truth, make_candidate):
     status = "max-iters"
     for t in range(cfg.max_iters):
         tic = time.perf_counter()
-        candidate, degraded = make_candidate(t, V, d, products)
+        G = gradient(ctx, (V, d), products[1])
+        if secant and t:
+            # the Barzilai-Borwein step <s,s>/<s,y> of the last iterate change
+            # s (||s|| = moved) and gradient change y, at most twice the last
+            # accepted step.  F is convex with curvature at most
+            # 1/lambda_min(S)^2 along PSD iterates, so in exact arithmetic
+            # <s,y> > 0 and the step is at least lambda_min(S)^2 = 2 eta0: the
+            # eta0 floor and keeping eta at <s,y> <= 0 only guard against
+            # roundoff in <s,y>, a difference of four terms
+            curvature = secant_curvature((V_old, d_old), G_old, (V, d), G)
+            if curvature > 0.0:
+                eta = min(2.0 * eta, max(eta0, moved**2 / curvature))
+        candidate, degraded = make_candidate(t, V, d, products, G)
         trace.degraded_projections += int(degraded)
         V_new, d_new, products, new_nll, eta, halvings, improved = _accept(
             ctx, candidate, current_nll, eta, trace
@@ -365,6 +390,7 @@ def _descend(ctx, cfg, truth, make_candidate):
             else _eig_distance(V_new, d_new, *truth) / truth_norm
         )
         trace.append(new_nll, seconds, eta, halvings, effective_rank(d_new), rel_error)
+        V_old, d_old, G_old = V, d, G
         V, d, current_nll = V_new, d_new, new_nll
         stop = _stop_status(cfg, trace.nll, moved, scale)
         if stop:
@@ -373,7 +399,7 @@ def _descend(ctx, cfg, truth, make_candidate):
         # double only after a step accepted on its first trial with a strict
         # decrease: an overshooting step oscillates near the optimum without
         # decreasing the NLL, so growing it there would only feed halvings
-        if halvings == 0 and improved:
+        if not secant and halvings == 0 and improved:
             eta *= 2.0
     return LowRankEstimate(V, d), trace.finish(status)
 
@@ -388,16 +414,14 @@ def ep_lvm(ctx, cfg, truth=None):
     """
     A, r = np.empty((ctx.p, ctx.p), order="F"), cfg.rank
 
-    def make_candidate(t, V, d, products):
-        G = gradient(ctx, (V, d), products[1])
-
+    def make_candidate(t, V, d, products, G):
         def candidate(eta):
             V_new, d_new = psd_finalize(sym_evd(_ep_step(ctx, V, d, G, eta, A), r), r)
             return V_new, d_new, (ctx.C @ V_new, ctx.S_chol.solve(V_new))
 
         return candidate, False
 
-    return _descend(ctx, cfg, truth, make_candidate)
+    return _descend(ctx, cfg, truth, make_candidate, secant=True)
 
 
 def _ep_step(ctx, V, d, G, eta, out):
@@ -412,10 +436,9 @@ def _ep_step(ctx, V, d, G, eta, out):
     return out
 
 
-def _ap_candidate(ctx, cfg, t, V, d, products):
+def _ap_candidate(ctx, cfg, t, V, d, products, G):
     """AP's ``make_candidate`` for :func:`_descend` (see :func:`ap_lvm`)."""
     CV, M = products
-    G = gradient(ctx, (V, d), M)
     pcfg = dataclasses.replace(
         cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
     )

@@ -16,7 +16,6 @@ import numpy as np
 
 from lvggm import solvers
 from lvggm.linalg import symmetrize
-from lvggm.objective import gradient
 
 
 def jacobi_evd(A, sweeps=100, tol=1e-14):
@@ -149,17 +148,18 @@ def bartlett_sample_covariance(model, n, seed=0):
 def dense_step_ep(ctx, cfg, truth=None):
     """EP whose step forms the ``p x p`` gradient ``G`` and the iterate
     ``L`` and projects ``symmetrize(L - eta G)`` with ``psd_finalize``,
-    through the solvers' own descent loop.  ``ep_lvm`` builds the same
-    matrix from the gradient's Woodbury factors in one buffer."""
+    through the solvers' own descent loop and EP's secant step rule.
+    ``ep_lvm`` builds the same matrix from the gradient's Woodbury factors
+    in one buffer."""
 
-    def make_candidate(t, V, d, products):
-        G = gradient(ctx, (V, d)).dense()
+    def make_candidate(t, V, d, products, G):
+        G = G.dense()
         base = (V * d) @ V.T
 
         def candidate(eta):
             V_new, d_new = solvers.psd_finalize(symmetrize(base - eta * G), cfg.rank)
-            return V_new, d_new, None
+            return V_new, d_new, (None, None)
 
         return candidate, False
 
-    return solvers._descend(ctx, cfg, truth, make_candidate)
+    return solvers._descend(ctx, cfg, truth, make_candidate, secant=True)

@@ -21,6 +21,7 @@ from lvggm.objective import (
     gradient,
     nll,
     pd_margin,
+    secant_curvature,
 )
 from lvggm.solvers import auto_step_size
 
@@ -218,6 +219,26 @@ class TestGradientOperator:
         v[0, 0] = 1.0
         with pytest.raises(NotPositiveDefiniteError):
             gradient(ctx, (v, np.array([-1.0])))
+
+
+class TestSecantCurvature:
+    @pytest.mark.parametrize("k0", [0, 3], ids=["from-zero", "from-rank-3"])
+    def test_matches_dense_inner_product(self, rng, k0):
+        p = 30
+        model, ctx = make_ctx(rng, p, 3, n=3000)
+        Q = np.linalg.qr(rng.standard_normal((p, 6)))[0]
+        L0 = (Q[:, :k0], rng.uniform(0.1, 1.0, k0))  # k0 = 0: L = 0
+        L1 = (Q[:, 3:], np.array([0.9, 0.4, -0.05]))
+        G0, G1 = gradient(ctx, L0), gradient(ctx, L1)
+        D0, D1 = ((V * d) @ V.T for V, d in (L0, L1))
+        # G1 - G0 = (S + L0)^-1 - (S + L1)^-1
+        y = np.linalg.inv(model.S_star + D0) - np.linalg.inv(model.S_star + D1)
+        want = float(np.sum((D1 - D0) * y))
+        assert want > 0
+        for got in (
+            secant_curvature(L0, G0, L1, G1), secant_curvature(L1, G1, L0, G0)
+        ):
+            assert abs(got - want) <= 1e-10 * want
 
 
 class TestDiagonalFastPath:

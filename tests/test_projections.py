@@ -413,3 +413,14 @@ class TestCompressSymmetric:
         assert np.allclose(d, [3.0, 0.5], rtol=0, atol=1e-12)
         assert V.shape == (p, 2)
         assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
+
+    def test_drops_an_exact_zero_eigenvalue(self, rng):
+        # eigh returns the zero as about +-1e-15, which a cut at 0 kept as a
+        # third direction for some rotations
+        p, m, r = 30, 6, 4
+        U = np.linalg.qr(rng.standard_normal((p, m)))[0]
+        for _ in range(20):
+            Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            core = (Q * [3.0, 0.5, 0.0, -1.0, -5.0, -9.0]) @ Q.T
+            V, d = compress_symmetric(U, core, r)
+            assert V.shape == (p, 2) and np.allclose(d, [3.0, 0.5], rtol=0, atol=1e-12)

@@ -386,7 +386,8 @@ class TestApStep:
         monkeypatch.setattr(solvers, "head_project", recording)
         cfg = SolverConfig(rank=r, projection=ProjectionConfig(seed=4))
         products = (ctx.C @ V, ctx.S_chol.solve(V))
-        candidate, degraded = solvers._ap_candidate(ctx, cfg, 0, V, d, products)
+        G = solvers.gradient(ctx, (V, d), products[1])
+        candidate, degraded = solvers._ap_candidate(ctx, cfg, 0, V, d, products, G)
         V_new, d_new, (CV_new, M_new) = candidate(eta)
 
         L = (V * d) @ V.T
@@ -469,10 +470,43 @@ class TestApStep:
 
 
 class TestStepRule:
-    """The step doubles after each iteration accepted on its first trial with
-    a strict decrease, halves on each rejected trial and has no cap."""
+    """Both steps start at ``auto_step_size`` and halve on each rejected
+    trial.  AP's step doubles after each iteration accepted on its first
+    trial with a strict decrease and has no cap; EP's first trial is the
+    secant step, at most twice the last accepted step."""
 
-    @pytest.mark.parametrize("algo", ["ep", "ap-bk"])
+    def test_ep_first_trial_is_the_capped_secant_step(self, monkeypatch):
+        # 12 iterations keep the iterate's change far above roundoff, where
+        # <s,y> from eigenforms and from dense matrices agree; near a
+        # stationary point both are differences of nearly equal numbers
+        _, ctx = sampled_ctx(100, 5, 400 * 100, seed=3)
+        iterates = []
+
+        def recording(ctx_, L, M=None):
+            V, d = L
+            iterates.append((V * d) @ V.T)
+            return gradient(ctx_, L, M)
+
+        gradient = solvers.gradient
+        monkeypatch.setattr(solvers, "gradient", recording)
+        _, trace = fit_pgd("ep", ctx, 5, seed=2, nll_tolerance=0.0, max_iters=12)
+        eta, halvings, eta0 = trace.eta, trace.halvings, auto_step_size(ctx)
+        assert len(trace) == len(iterates) == 12
+        assert eta[0] * 2.0 ** halvings[0] == eta0
+        grads = [ctx.C - np.linalg.inv(ctx.S_star + L) for L in iterates]
+        capped = []
+        for t in range(1, len(trace)):
+            s, y = iterates[t] - iterates[t - 1], grads[t] - grads[t - 1]
+            curvature = np.sum(s * y)
+            assert curvature > 0, t  # F is convex
+            want = min(2.0 * eta[t - 1], max(eta0, np.sum(s * s) / curvature))
+            first = eta[t] * 2.0 ** halvings[t]
+            assert abs(first - want) <= 1e-7 * want, t
+            capped.append(first == 2.0 * eta[t - 1])
+        # the cap and the secant step both ran, and so did backtracking
+        assert any(capped) and not all(capped) and sum(halvings) > 0
+
+    @pytest.mark.parametrize("algo", ["ap-bk"])
     def test_step_doubles_after_clean_iterations(self, algo):
         _, ctx = sampled_ctx(100, 5, 400 * 100, seed=3)
         _, trace = fit_pgd(algo, ctx, 5, seed=2, nll_tolerance=0.0, max_iters=30)
