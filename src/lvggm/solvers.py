@@ -18,13 +18,15 @@ differ only in ``P`` and that step rule:
   matrix built in one buffer from the gradient's Woodbury factors; the
   eigensolver computes only those, but its tridiagonal reduction keeps the
   per-iteration cost cubic.
-* ``ap_lvm`` replaces the exact projection with an approximate head
-  projection of the gradient at rank ``2r``, onto a basis ``Z``, and takes
-  the step on ``span[V, Z]`` of the iterate's eigenvectors ``V`` and ``Z``,
-  followed by a tail projection of the step onto the rank-``r`` PSD cone,
-  the set EP projects onto.  :func:`~lvggm.projections.extend_basis`
-  builds the step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds
-  the block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
+* ``ap_lvm`` takes the step on the tangent span ``span[V, G V]`` of the
+  iterate's eigenvectors ``V``, followed by a tail projection of the step
+  onto the rank-``r`` PSD cone, the set EP projects onto.  Only while the
+  iterate has fewer than ``r`` columns (at ``L = 0``, or after the tail
+  dropped a non-positive eigenvalue) does it add an approximate head
+  projection of the gradient at rank ``2r``, onto a basis ``Z``, and step on
+  ``span[V, Z, G V]``.  :func:`~lvggm.projections.extend_basis` builds the
+  step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds the
+  block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
@@ -32,10 +34,10 @@ identity and error tracking against a known truth cheap.  Every candidate
 returns its trial with the products ``(C V, S^-1 V)``, which the NLL takes
 as they are and the next gradient takes ``S^-1 V`` from.  EP forms them
 directly, one product and one solve per trial.  AP never forms the ``p x p``
-gradient and forms them from the products on ``[V, Z]``: its only ``p x p``
-products are the head's basis builder's, which apply the gradient operator
-(``G Z`` comes from them), and one ``S^-1 Z`` solve (a band solve for a
-banded or diagonal ``S``).
+gradient and forms them from the products on its span: at full rank its
+only ``p x p`` products are one gradient-operator application and one
+``S^-1`` solve (a band solve for a banded or diagonal ``S``), each on the
+``r`` columns of ``G V``; a head adds its basis builder's applications.
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -60,9 +62,10 @@ from .objective import as_eigenform, gradient, nll, secant_curvature
 from .projections import ProjectionConfig, compress_symmetric, derived_seed
 from .projections import extend_basis, head_project, psd_truncate
 
-# AP drops a head direction whose residual against the iterate's basis is
-# below this norm: it lies in that span up to the tolerance, and normalizing
-# it would amplify roundoff into the basis and its carried products.
+# AP drops a new step direction (a head column, or a column of G V scaled to
+# unit Frobenius norm) whose residual against the iterate's basis is below
+# this norm: it lies in that span up to the tolerance, and normalizing it
+# would amplify roundoff into the basis and its carried products.
 _DEFLATION_TOL = 1e-4
 
 # Each rejected trial halves the step, at most this many times per
@@ -437,24 +440,39 @@ def _ep_step(ctx, V, d, G, eta, out):
 
 
 def _ap_candidate(ctx, cfg, t, V, d, products, G):
-    """AP's ``make_candidate`` for :func:`_descend` (see :func:`ap_lvm`)."""
+    """AP's ``make_candidate`` for :func:`_descend` (see :func:`ap_lvm`).
+
+    The step's span is ``[V, G V]``, with the Krylov head ``Z`` between them
+    only while ``d`` has fewer than ``cfg.rank`` entries; ``degraded`` is
+    that head's flag, and ``False`` when no head ran.  ``G V`` comes from the
+    carried products and is scaled to unit Frobenius norm, so that
+    ``_DEFLATION_TOL`` is relative to it.
+    """
     CV, M = products
-    pcfg = dataclasses.replace(
-        cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
-    )
-    head = head_project(G, min(2 * cfg.rank, ctx.p), pcfg)
-    Z = head.basis
-    GZ = head.products
-    SZ = ctx.S_chol.solve(Z)
-    # products of W = [V, Z]; U = [V, Y] = W @ B with Y = (Z - V H) T
-    W = np.hstack([V, Z])
-    GW = np.hstack([CV - M + G.low_rank(V), GZ])
-    CW = np.hstack([CV, GZ + SZ - G.low_rank(Z)])
-    SW = np.hstack([M, SZ])
-    Y, H, T = extend_basis(V, Z, _DEFLATION_TOL)
+    GV = CV - M + G.low_rank(V)
+    scale = np.linalg.norm(GV)
+    X = GV / scale if scale else GV
+    GX = G @ X
+    degraded = False
+    if d.size < cfg.rank:
+        # the tangent span cannot fill a rank-deficient iterate (L = 0 has
+        # no GV at all): the Krylov head of the gradient adds the directions
+        pcfg = dataclasses.replace(
+            cfg.projection, seed=derived_seed(cfg.projection.seed, 3, t)
+        )
+        head = head_project(G, min(2 * cfg.rank, ctx.p), pcfg)
+        X, GX = np.hstack([head.basis, X]), np.hstack([head.products, GX])
+        degraded = head.degraded
+    SX = ctx.S_chol.solve(X)
+    # products of W = [V, X]; U = [V, Y] = W @ B with Y = (X - V H) T
+    W = np.hstack([V, X])
+    GW = np.hstack([GV, GX])
+    CW = np.hstack([CV, GX + SX - G.low_rank(X)])
+    SW = np.hstack([M, SX])
+    Y, H, T = extend_basis(V, X, _DEFLATION_TOL)
     U = np.hstack([V, Y])
     k = d.size
-    B = np.block([[np.eye(k), -H @ T], [np.zeros((Z.shape[1], k)), T]])
+    B = np.block([[np.eye(k), -H @ T], [np.zeros((X.shape[1], k)), T]])
     UGU = symmetrize(B.T @ (W.T @ GW) @ B)
 
     def candidate(eta):
@@ -464,37 +482,52 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
         F = B @ (U.T @ V_new)
         return V_new, d_new, (CW @ F, SW @ F)
 
-    return candidate, head.degraded
+    return candidate, degraded
 
 
 def ap_lvm(ctx, cfg, truth=None):
     """Approximate-projection solver.
 
-    Each iteration head-projects the gradient at rank ``2r`` (randomized
-    block-Krylov or Lanczos) onto a basis ``Z``, which a degraded head
-    returns with the fewer columns it found, and takes the step on
-    ``U = [V, Y]``, an orthonormal basis of ``span[V, Z]``:
-    :func:`~lvggm.projections.extend_basis` gives ``Y = (Z - V H) T`` and
-    drops the head directions within ``_DEFLATION_TOL`` of ``span V``, as the
-    block-Krylov head drops its own at ``1e-10`` of each block's scale.  The
-    candidate is the rank-``r`` PSD tail projection of
-    ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with ``U^T V = [I; 0]``,
-    that is ``T_r(L - eta P_U G P_U)``.  The two-sided projection onto a
-    subspace that contains ``Z`` captures at least ``Z``'s energy, so it is
-    a head projection in its own right.  The step matrix is explicitly rank
-    ``<= 3r``, so the tail projection is :func:`compress_symmetric` of its
-    factored form.
+    An iterate with ``r`` columns takes its step on ``U = [V, Y]``, an
+    orthonormal basis of the tangent span ``span[V, G V]``:
+    :func:`~lvggm.projections.extend_basis` gives ``Y = (X - V H) T`` for
+    ``X = G V / ||G V||_F`` and drops the directions within
+    ``_DEFLATION_TOL`` of ``span V``.  The candidate is the rank-``r`` PSD
+    tail projection of ``(U^T V) diag(d) (U^T V)^T - eta U^T G U`` with
+    ``U^T V = [I; 0]``, that is ``T_r(L - eta P_U G P_U)``.  ``P_U G P_U``
+    is the tangent-space gradient ``P_V G + G P_V - P_V G P_V`` plus ``G``'s
+    block ``Y Y^T G Y Y^T``, so up to that block the step is Riemannian
+    gradient descent on the rank-``r`` manifold with the
+    truncated-eigendecomposition retraction (Vandereycken, SIAM J. Optim.
+    2013; Wei, Cai, Chan & Leung, SIAM J. Matrix Anal. Appl. 2016).  The
+    step matrix is explicitly rank ``<= 2r``, so the tail projection is
+    :func:`compress_symmetric` of its factored form.
 
-    Outside the head projection the only ``p x p`` product is one
-    ``S^-1 Z`` solve (a band solve for a banded or diagonal ``S``).
-    ``G Z`` comes from the Krylov products; ``C V`` and
-    ``M = S^-1 V`` of the accepted iterate are carried over, so
-    ``G V = C V - M + M K M^T V``; ``C Z = G Z + S^-1 Z - M K M^T Z``; and
-    each trial ``V_new = U E`` gets ``C V_new`` and ``S^-1 V_new`` from the
-    products on ``[V, Z]``, which the NLL and the next gradient take as they
-    are.  The tail keeps only positive eigenvalues, as EP's projection
-    does, so an iterate may have fewer than ``r`` columns; the next head
-    fills them.
+    This departs from the paper, whose step is a head projection of the
+    gradient with ``c_H = 0.9``.  ``span[V, G V]`` is not one: on sampled
+    instances it keeps a median of 0.40-0.47 of the best rank-``2r``
+    gradient energy (desk size; at least 0.96 on a noiseless instance), as
+    measured in ROADMAP.md, "Measured at this re-anchor", section B.  The
+    energy it misses lies in the normal space, which the rank-``r`` tail
+    discards anyway, and the fits end at EP's NLL.
+
+    The head runs only while the iterate has fewer than ``r`` columns: at
+    ``L = 0``, or after the PSD tail dropped a non-positive eigenvalue.  It
+    head-projects the gradient at rank ``2r`` (randomized block-Krylov or
+    Lanczos) onto a basis ``Z``, which a degraded head returns with the
+    fewer columns it found, and the span is ``[V, Z, G V]``.  The two-sided
+    projection onto a subspace that contains ``Z`` captures at least ``Z``'s
+    energy, so that step is a head projection in its own right.  The
+    trace's degraded count counts only those heads.
+
+    The only ``p x p`` products are one gradient application ``G (G V)`` and
+    one ``S^-1 G V`` solve (a band solve for a banded or diagonal ``S``),
+    plus the head's.  ``C V`` and ``M = S^-1 V`` of the accepted iterate are
+    carried over, so ``G V = C V - M + M K M^T V``; ``C X = G X + S^-1 X -
+    M K M^T X`` for the span's new columns ``X``, whose ``G Z`` comes from
+    the head's Krylov products; and each trial ``V_new = U E`` gets
+    ``C V_new`` and ``S^-1 V_new`` from the products on ``[V, X]``, which the
+    NLL and the next gradient take as they are.
     """
     return _descend(ctx, cfg, truth, functools.partial(_ap_candidate, ctx, cfg))
 

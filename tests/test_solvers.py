@@ -280,6 +280,22 @@ class TestApLvm:
         print(f"\n  AP-BK at rank {2 * r}: {len(ap_trace)} it, NLL gap to EP {gap:+.2e}")
         assert abs(gap) <= np.sqrt(2 * df) / n
 
+    def test_free_fits_stop_near_ep(self):
+        # six desk instances (p=100, r=5, n=400p) with no floor: AP-BK stops
+        # on its own within 50 iterations, and ends within the statistical
+        # resolution sqrt(2 df) / n of EP's NLL, df = p r - r (r - 1) / 2
+        p, r, n = 100, 5, 40000
+        df = p * r - r * (r - 1) / 2
+        for seed in range(60, 66):
+            _, ctx = sampled_ctx(p, r, n, seed=seed)
+            _, ep_trace = fit_pgd("ep", ctx, r, seed=1)
+            _, ap_trace = fit_pgd("ap-bk", ctx, r, seed=1, max_iters=50)
+            gap = ap_trace.nll[-1] - ep_trace.nll[-1]
+            print(f"\n  seed {seed}: AP-BK {len(ap_trace)} it, {ap_trace.status},"
+                  f" NLL gap to EP {gap:+.2e}")
+            assert ap_trace.status != "max-iters", seed
+            assert abs(gap) <= np.sqrt(2 * df) / n, seed
+
     @pytest.mark.parametrize("backend", ["block-krylov", "lanczos"])
     def test_never_materializes_the_gradient(self, backend, monkeypatch):
         def no_dense(self):
@@ -300,7 +316,8 @@ class TestApLvm:
         # one free desk-size fit (p=100, r=5, n=400p): each head Z of the
         # rank-2r projection captures ||G Z||_F at least the best rank-r
         # energy ||G_r||_F; against the best rank-2r energy it falls short,
-        # and the smallest ratio is reported
+        # and the smallest ratio is reported.  The head runs only while the
+        # iterate's rank is below r, at L = 0 at least
         ratios = []
 
         def recorded(G, k, cfg):
@@ -317,7 +334,7 @@ class TestApLvm:
         monkeypatch.setattr(solvers, "head_project", recorded)
         _, ctx = sampled_ctx(100, 5, 40000, seed=1)
         _, trace = fit_pgd("ap-bk", ctx, 5, seed=1)
-        assert trace.status == "nll-window" and len(ratios) == len(trace) > 100
+        assert trace.status == "nll-window" and 1 <= len(ratios) < len(trace)
         rank_r, rank_2r = np.array(ratios).T
         assert rank_r.min() >= 1.0
         assert rank_2r.max() <= 1.0 + 1e-12  # Ky Fan: no 2r columns capture more
@@ -368,14 +385,18 @@ class TestBandedFactor:
 
 
 class TestApStep:
-    """AP's step on ``span[V, Z]`` and the products it carries."""
+    """AP's step on ``span[V, GV]``, or ``span[V, Z, GV]`` with the head
+    ``Z`` below rank ``r``, and the products it carries."""
 
-    @pytest.mark.parametrize("d", [(0.6, 0.3, 0.1), (0.6, -0.15, 0.25)])
+    @pytest.mark.parametrize(
+        "d", [(0.6, 0.3, 0.1), (0.6, -0.15, 0.25), (0.6, 0.3)],
+        ids=["d0", "d1", "rank-deficient"],
+    )
     def test_candidate_is_the_step_projected_on_the_span(self, d, monkeypatch):
         p, r, eta = 40, 3, 0.7
         _, ctx = sampled_ctx(p, r, 100 * p, seed=19)
-        V = np.linalg.qr(np.random.default_rng(3).standard_normal((p, r)))[0]
         d = np.asarray(d)
+        V = np.linalg.qr(np.random.default_rng(3).standard_normal((p, d.size)))[0]
         heads = []
 
         def recording(*args):
@@ -390,18 +411,22 @@ class TestApStep:
         candidate, degraded = solvers._ap_candidate(ctx, cfg, 0, V, d, products, G)
         V_new, d_new, (CV_new, M_new) = candidate(eta)
 
+        # a full-rank iterate makes no head call; a rank-deficient one, one
+        assert len(heads) == int(d.size < r)
         L = (V * d) @ V.T
         G = ctx.C - np.linalg.inv(ctx.S_star + L)
-        Z = heads[0].basis
-        U = scipy.linalg.orth(np.hstack([V, Z]))
-        assert not degraded and U.shape[1] == 3 * r
-        P_U, P_Z = U @ U.T, Z @ Z.T
+        Z = [head.basis for head in heads]
+        U = scipy.linalg.orth(np.hstack([V, *Z, G @ V]))
+        assert not degraded and U.shape[1] == 2 * d.size + 2 * r * len(heads)
+        P_U = U @ U.T
         oracle = psd_clamp_truncate(L - eta * P_U @ G @ P_U, r)
         assert np.abs((V_new * d_new) @ V_new.T - oracle).max() <= 1e-10
         assert np.abs(V_new.T @ V_new - np.eye(d_new.size)).max() <= 1e-10
         assert np.abs(CV_new - ctx.C @ V_new).max() <= 1e-10
         assert np.abs(M_new - np.linalg.solve(ctx.S_star, V_new)).max() <= 1e-10
-        assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
+        for basis in Z:
+            P_Z = basis @ basis.T
+            assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
 
     @pytest.mark.parametrize("case", ["head-near-iterate", "dependent-pair", "no-iterate"])
     def test_basis_deflates_head_directions_in_the_iterate_span(self, rng, case):
