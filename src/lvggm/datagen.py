@@ -8,8 +8,8 @@ positive definite.  Everything is a pure function of its seed (modulo
 ``2**64``, as :func:`~lvggm.projections.rng_for` takes every seed).
 
 Sampling draws the sample covariance's Wishart law exactly from Bartlett's
-factor, coloured by the Cholesky factor of ``sigma*``, which is formed from
-``theta*`` without inverting it; its cost does not depend on ``n``.
+factor, with one TRSM against the Cholesky factor of ``theta*``, which is
+never inverted, and one LAUUM; its cost does not depend on ``n``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dlauum, dpotrf
 
 from .linalg import NotPositiveDefiniteError, cholesky_logdet, symmetrize
 from .matio import MatrixParseError, read_matrix
@@ -82,22 +82,12 @@ def gen_model(p, r="auto", seed=0):
     return SyntheticModel(s_diag, G * (math.sqrt(SPECTRAL_NORM) / top_sv))
 
 
-def _sigma_factor(model):
-    """Lower Cholesky factor ``Lc`` of ``sigma* = theta*^-1``, from ``theta*``.
-
-    With ``J`` the reversal matrix and ``J theta* J = R R^T`` (``R`` lower),
-    ``sigma* = (J R^-T J)(J R^-T J)^T`` and ``J R^-T J`` is lower triangular
-    with a positive diagonal: one Cholesky and one triangular inverse replace
-    forming ``sigma*`` and factoring it.  Returned in Fortran order, the
-    layout BLAS reads without a copy.
-    """
+def _theta_factor(model):
+    """Lower Cholesky factor ``R`` of ``J theta* J``, ``J`` the reversal."""
     R, info = dpotrf(model.theta_star[::-1, ::-1], lower=1, clean=1, overwrite_a=1)
     if info > 0:
-        raise NotPositiveDefiniteError(
-            f"theta* is not positive definite (leading minor {info})"
-        )
-    R_inv, _ = dtrtri(R, lower=1, overwrite_c=1)
-    return np.asfortranarray(R_inv[::-1, ::-1].T)
+        raise NotPositiveDefiniteError(f"theta* is not PD (leading minor {info})")
+    return R
 
 
 def sample_covariance(model, n, seed=0):
@@ -106,14 +96,18 @@ def sample_covariance(model, n, seed=0):
     The sum of the draws' outer products is Wishart(``sigma*``, n), and it
     is drawn exactly without drawing the samples (Bartlett 1933; Odell &
     Feiveson, JASA 1966): ``C = (Lc A)(Lc A)^T / n`` with
-    ``sigma* = Lc Lc^T`` (:func:`_sigma_factor`) and ``A`` the ``p x m``
-    lower-trapezoidal Bartlett factor, ``m = min(n, p)``.  ``A`` holds
-    ``sqrt(chi2(n - i))`` at diagonal entry ``i`` and standard normals below
-    the diagonal.  For ``n < p`` it is the transposed R of a Gaussian QR, and
-    ``C`` has rank ``n``.  From the ``(seed, 0xC0F)`` stream the ``m``
-    chi-square variates come first, then ``p * m`` normals fill ``A`` column
-    by column, of which the strictly lower part is kept.  One TRMM and one
-    GEMM cost ``O(p^3)`` whatever ``n`` is, in about three ``p x p`` arrays.
+    ``sigma* = Lc Lc^T`` and ``A`` the ``p x m`` lower-trapezoidal Bartlett
+    factor, ``m = min(n, p)``.  ``A`` holds ``sqrt(chi2(n - i))`` at
+    diagonal entry ``i`` and standard normals below the diagonal.  For
+    ``n < p`` it is the transposed R of a Gaussian QR, and ``C`` has rank
+    ``n``.  From the ``(seed, 0xC0F)`` stream the ``m`` chi-square variates
+    come first, then ``p * m`` normals fill ``A`` column by column, of
+    which the strictly lower part is kept.  Reversed by ``J``, every factor
+    is upper triangular: ``Lc = J R^-T J`` (:func:`_theta_factor`), one TRSM
+    gives ``B = R^-T J A J / sqrt(n)`` (``J A J`` has ``p - m`` leading zero
+    columns) and one LAUUM the upper triangle of ``B B^T``, both in place,
+    from which ``C = J B B^T J`` is mirrored, exactly symmetric.  About
+    ``5 p^3 / 3`` flops whatever ``n`` is, in about three ``p x p`` arrays.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -121,10 +115,14 @@ def sample_covariance(model, n, seed=0):
     m = min(n, p)
     rng = rng_for(seed, 0xC0F)
     chi = np.sqrt(rng.chisquare(n - np.arange(m)))
-    A = np.triu(rng.standard_normal((m, p)), 1).T  # Fortran order, for BLAS
-    np.fill_diagonal(A, chi)
-    B = dtrmm(1.0, _sigma_factor(model), A, lower=1, overwrite_b=1)
-    return symmetrize((B / n) @ B.T)
+    B = np.zeros((p, p), order="F")  # J A J
+    B[:, p - m :] = np.tril(rng.standard_normal((m, p))[::-1, ::-1], p - m - 1).T
+    B[range(p - m, p), range(p - m, p)] = chi[::-1]
+    B = dtrsm(n**-0.5, _theta_factor(model), B, lower=1, trans_a=1, overwrite_b=1)
+    T = dlauum(B, overwrite_c=1)[0][::-1, ::-1]  # the lower triangle of C
+    C = np.add(T, T.T, order="C")
+    C.flat[:: p + 1] /= 2
+    return C
 
 
 def load_dataset(path, skip_header=0):

@@ -218,8 +218,8 @@ def _factor(A):  # the factor cholesky_logdet returns, of a checked A
 def woodbury_core_eig(S_chol, V, d, M=None):
     """Inner pieces of the eigenform Woodbury update.
 
-    Returns ``(K, M)`` with ``M = S^-1 V`` and
-    ``K = diag(d) (I + V.T M diag(d))^-1`` (symmetric), so that
+    Returns ``(K, M, G)`` with ``M = S^-1 V``, the Gram ``G = V.T M`` and
+    ``K = diag(d) (I + G diag(d))^-1`` (symmetric), so that
     ``(S + V diag(d) V.T)^-1 = S^-1 - M K M.T``.  A caller that already
     holds ``S^-1 V`` passes it as ``M`` and skips the solve.
     """
@@ -231,4 +231,4 @@ def woodbury_core_eig(S_chol, V, d, M=None):
         K = np.linalg.solve(inner.T, np.diag(d)).T  # diag(d) @ inv(inner)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("inner Woodbury system singular") from exc
-    return (K + K.T) / 2.0, M
+    return (K + K.T) / 2.0, M, G

@@ -201,13 +201,14 @@ class GradientOperator:
     ``G X = residual0 X + M (K (M^T X))`` at ``O(p^2 k)`` cost, so Krylov
     head projections never form the ``p x p`` matrix.  :meth:`dense` (also
     reached by ``np.asarray``) materializes it for callers that need every
-    entry.
+    entry.  :attr:`gram` is ``V^T M`` of the estimate ``V diag(d) V^T``.
     """
 
-    def __init__(self, residual0, M, K):
+    def __init__(self, residual0, M, K, gram):
         self._residual0 = residual0
         self._M = M
         self._K = K
+        self.gram = gram
 
     @property
     def shape(self):
@@ -243,19 +244,19 @@ def secant_curvature(L0, G0, L1, G1):
     ``residual0`` cancels in ``G1 - G0``, which leaves the Woodbury terms
     ``W = M K M^T``; each of the four products
     ``<V_a diag(d_a) V_a^T, W_b> = sum_i d_a,i (P K_b P^T)_ii`` takes
-    ``P = V_a^T M_b = V_a^T S^-1 V_b``, so ``V0^T M1`` is ``(V1^T M0)^T``
-    and three ``r x r`` products serve all four.
+    ``P = V_a^T M_b = V_a^T S^-1 V_b``; ``V_a^T M_a`` is ``G_a.gram`` and
+    ``V0^T M1 = (V1^T M0)^T``, so one ``r x r`` product serves all four.
     """
     (V0, d0), (V1, d1) = L0, L1
-    (M0, K0), (M1, K1) = G0.woodbury, G1.woodbury
+    (M0, K0), (_, K1) = G0.woodbury, G1.woodbury
     P10 = V1.T @ M0
 
     def inner(d, P, K):
         return np.dot(d, np.sum((P @ K) * P, axis=1))
 
     return float(
-        inner(d1, V1.T @ M1, K1) - inner(d1, P10, K0)
-        - inner(d0, P10.T, K1) + inner(d0, V0.T @ M0, K0)
+        inner(d1, G1.gram, K1) - inner(d1, P10, K0)
+        - inner(d0, P10.T, K1) + inner(d0, G0.gram, K0)
     )
 
 
@@ -268,7 +269,7 @@ def gradient(ctx, L, M=None):
     precomputed ``M = S^-1 V``; any other input gives its dense symmetric
     matrix (a dense ``L`` is eigendecomposed first, at ``O(p^3)``).
     """
-    K, M = woodbury_core_eig(ctx.S_chol, *as_eigenform(L, ctx.p), M)
-    G = GradientOperator(ctx.residual0, M, K)
+    K, M, gram = woodbury_core_eig(ctx.S_chol, *as_eigenform(L, ctx.p), M)
+    G = GradientOperator(ctx.residual0, M, K, gram)
     return G if isinstance(L, tuple) else G.dense()
 

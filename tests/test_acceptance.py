@@ -136,7 +136,7 @@ def test_criterion_02_woodbury_matches_dense_inverse():
             S = random_spd(rng, p)
             U = rng.standard_normal((p, r)) / np.sqrt(p)
             fac, _ = cholesky_logdet(S)
-            K, M = woodbury_core_eig(fac, *as_eigenform(U))
+            K, M, _ = woodbury_core_eig(fac, *as_eigenform(U))
             out = fac.inverse - M @ K @ M.T
             oracle = np.linalg.inv(S + U @ U.T)
             dev = np.abs(out - oracle).max()

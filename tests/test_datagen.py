@@ -105,15 +105,28 @@ class TestSampleCovariance:
             )
 
     @pytest.mark.parametrize("p", [12, 100, 300])
-    def test_factor_is_the_cholesky_factor_of_sigma(self, p):
+    def test_factor_is_the_cholesky_factor_of_reversed_theta(self, p):
+        # the draw solves against R with R R^T = J theta* J, J the reversal
         model = gen_model(p, "auto", seed=p)
-        Lc = datagen._sigma_factor(model)
-        ref = np.linalg.cholesky(model.sigma_star)
-        assert np.abs(Lc - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(Lc, np.tril(Lc))
-        assert np.diag(Lc).min() > 0
+        R = datagen._theta_factor(model)
+        ref = model.theta_star[::-1, ::-1]
+        assert np.abs(R @ R.T - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(R, np.tril(R))
+        assert np.diag(R).min() > 0
 
-    @pytest.mark.parametrize("p, n", [(12, 50), (12, 5), (100, 40000), (300, 20000)])
+    @pytest.mark.parametrize(
+        "p, n",
+        [
+            (12, 50),
+            (12, 12),
+            (12, 11),
+            (12, 5),
+            (12, 1),
+            (100, 40000),
+            (300, 20000),
+            (1000, 50000),
+        ],
+    )
     def test_matches_the_bartlett_rebuild(self, p, n):
         model = gen_model(p, "auto", seed=p + 1)
         C = sample_covariance(model, n, seed=n)

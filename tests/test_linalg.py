@@ -232,7 +232,7 @@ class TestWoodburyInverseEig:
 
     @staticmethod
     def _inverse(fac, V, d):
-        K, M = woodbury_core_eig(fac, V, d)
+        K, M, _ = woodbury_core_eig(fac, V, d)
         return fac.inverse - M @ K @ M.T
 
     def test_zero_perturbation(self, rng):

@@ -188,6 +188,8 @@ class TestGradientOperator:
         assert np.array_equal(np.asarray(G), G.dense())
         X = rng.standard_normal((12, 4))
         assert np.abs(G @ X - dense @ X).max() < 1e-10
+        # the Gram secant_curvature reads, bit for bit the product it replaces
+        assert np.array_equal(G.gram, V.T @ G.woodbury[0])
 
     def test_mixed_sign_eigenform_matches_inverse_oracle(self, rng):
         p = 30
@@ -271,8 +273,8 @@ class TestDiagonalFastPath:
         for L in (U, U @ U.T):
             assert np.abs(gradient(fast, L) - gradient(slow, L)).max() <= 1e-12
         VU, dU = as_eigenform(U)
-        K_fast, M_fast = woodbury_core_eig(fast.S_chol, VU, dU)
-        K_slow, M_slow = woodbury_core_eig(slow.S_chol, VU, dU)
+        K_fast, M_fast, _ = woodbury_core_eig(fast.S_chol, VU, dU)
+        K_slow, M_slow, _ = woodbury_core_eig(slow.S_chol, VU, dU)
         assert np.abs(K_fast - K_slow).max() <= 1e-12
         assert np.abs(M_fast - M_slow).max() <= 1e-12
 
