@@ -47,6 +47,7 @@ def cmd_gen(args):
     # noiseless-recovery setting
     write_matrix(os.path.join(args.out, "Sigmatrue.mat"), model.sigma_star)
     ctx = ModelContext.create(model.S_star, C)
+    G = model.L_factor  # ||G G^T||_F = ||G^T G||_F, ||G G^T||_2 = sigma_1(G)^2
     _write_json(
         os.path.join(args.out, "model.json"),
         {
@@ -56,10 +57,8 @@ def cmd_gen(args):
             "seed": args.seed,
             "diag_range": list(DIAG_RANGE),
             "spectral_norm": SPECTRAL_NORM,
-            "L_frobenius_norm": float(np.linalg.norm(model.L_star, "fro")),
-            "L_spectral_norm": float(
-                np.abs(np.linalg.eigvalsh(model.L_star)).max()
-            ),
+            "L_frobenius_norm": float(np.linalg.norm(G.T @ G)),
+            "L_spectral_norm": float(np.linalg.norm(G, 2) ** 2),
             "true_nll": nll(ctx, model.L_factor),
         },
     )

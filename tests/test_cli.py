@@ -67,6 +67,17 @@ class TestGen:
         a, b = (tmp_path / seed / "C.mat" for seed in ("-1", str(2**64 - 1)))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_low_rank_norms_match_the_dense_matrix(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        run_cli(capsys, "gen", "--p", "60", "--r", "4", "--n", "600",
+                "--seed", "2", "--out", str(out))
+        meta = json.loads((out / "model.json").read_text())
+        L = read_matrix(out / "Ltrue.mat")
+        fro = np.linalg.norm(L, "fro")
+        spectral = np.abs(np.linalg.eigvalsh(L)).max()
+        assert abs(meta["L_frobenius_norm"] - fro) <= 1e-12 * fro
+        assert abs(meta["L_spectral_norm"] - spectral) <= 1e-12 * spectral
+
     def test_true_nll_consistent_with_eval(self, tmp_path, capsys):
         out = tmp_path / "inst"
         run_cli(capsys, "gen", "--p", "18", "--r", "2", "--n", "360",

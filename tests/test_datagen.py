@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import wishart
 
 from lvggm import datagen
-from lvggm.datagen import gen_model, load_dataset, sample_covariance
+from lvggm.datagen import SyntheticModel, gen_model, load_dataset, sample_covariance
+from lvggm.linalg import NotPositiveDefiniteError
 from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 
 from .oracles import bartlett_sample_covariance, loglog_slope
@@ -125,14 +126,29 @@ class TestSampleCovariance:
             (100, 40000),
             (300, 20000),
             (1000, 50000),
+            (301, 7),
+            (301, 150),
+            (301, 301),
+            (301, 302),
         ],
     )
     def test_matches_the_bartlett_rebuild(self, p, n):
+        # p = 301 is no multiple of the solve's column blocks, and n < p
+        # leaves p - n leading zero columns that are not solved
         model = gen_model(p, "auto", seed=p + 1)
         C = sample_covariance(model, n, seed=n)
         ref = bartlett_sample_covariance(model, n, seed=n)
         assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(C, C.T)
+
+    def test_indefinite_theta_names_its_leading_minor(self):
+        # theta*'s diagonal entry 2 is negative; reversed, it leads minor 3
+        model = SyntheticModel(
+            np.array([1.0, 1.5, -1.0, 1.2, 1.8]), np.full((5, 1), 0.1)
+        )
+        for draw in (datagen._theta_factor, lambda m: sample_covariance(m, 50)):
+            with pytest.raises(NotPositiveDefiniteError, match=r"leading minor 3\)"):
+                draw(model)
 
     def test_moments_are_those_of_the_wishart_law(self):
         # 20000 draws at p = 6, n = 20: every entry's mean within 4 standard

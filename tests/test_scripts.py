@@ -66,3 +66,26 @@ def test_real_data_workflow_fits_every_pgd_algorithm(monkeypatch, capsys, tmp_pa
         assert summary[algo]["output_rank"] <= summary["rank"]
         assert (out_dir / f"trace_{algo}.csv").exists()
         assert (out_dir / f"Lhat_{algo}.mat").exists()
+
+
+
+def test_bench_pairs_summary_arithmetic():
+    # canned results, no benchmark run: pair 1 ties, and pair 3 lost the
+    # change's value, so it counts in the parent's quartiles but not as a pair
+    script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    values = {"parent": [1.0, 2.0, 4.0, 3.0], "change": [0.5, 2.0, 5.0, None]}
+    runs = [
+        {"pair": i, "seed": 701 + i, "side": side, "result": {"metrics": {
+            "w.setup_s": {"value": value, "unit": "s"},
+            "w.rel_error": {"value": float("nan"), "unit": "ratio"},
+        }}}
+        for side, side_values in values.items()
+        for i, value in enumerate(side_values)
+    ]
+    assert script["summarize"](runs) == {
+        "w.setup_s": {
+            "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
+            "change_median": 2.0, "change_q1": 1.25, "change_q3": 3.5,
+            "pairs_change_lower": 1, "pairs": 3,
+        },
+    }
