@@ -3,39 +3,40 @@
 
 For ``--pairs`` consecutive seeds from ``--first-seed``, runs
 
-    python3 perfbench/run.py --workload all --trace 0 --seconds S --seed <seed>
+    python3 perfbench/run.py --workload all --trace 0 --seconds 30 --seed <seed>
 
-once in a checkout of the parent commit (extracted with ``git archive`` into
-a temporary directory) and once in this working tree, the parent first when
-the seed is odd and the working tree first when it is even.  The JSON file
-it writes holds ``command``, ``parent`` (the parent's commit hash),
-``change``, ``host``, ``order``, ``summary`` and ``runs`` (one entry per
-run: ``pair``, ``seed``, ``side``, ``finished`` and the run's result line).
+once in a checkout of the parent commit (``git archive`` unpacked by
+``tar`` into a temporary directory) and once in this working tree, the
+parent first when the seed is odd and the working tree first when it is
+even.  The JSON file it writes holds ``command``, ``parent`` (the parent's
+commit hash), ``change``, ``host`` (as given), ``order``, ``summary`` and
+``runs`` (one entry per run: ``pair``, ``seed``, ``side``, ``finished`` and
+the run's result line).
 ``summary`` gives, for every metric, each side's median and quartiles
 (numpy's linear percentiles) over its finite values, and in how many of the
 ``pairs`` where both sides have one the change read lower, ties counting
 for neither side.  The file is rewritten after every pair.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_pairs.py --parent HEAD \\
-        --first-seed 701 --pairs 10 --change "what the change does" --out BENCH_x.json
+        --first-seed 701 --pairs 10 --change "what the change does" \\
+        --host "CPU, cores, BLAS threads" --out BENCH_x.json
 """
 
 import argparse
 import json
 import math
 import os
-import platform
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = "30"
 COMMAND = (
-    "python3 perfbench/run.py --workload all --trace 0 --seconds {seconds} --seed <seed>"
+    f"python3 perfbench/run.py --workload all --trace 0 --seconds {SECONDS} --seed <seed>"
 )
 ORDER = (
     "pair i runs the parent first when its seed is odd "
@@ -73,11 +74,11 @@ def summarize(runs):
     return summary
 
 
-def run_once(checkout, seed, seconds):
+def run_once(checkout, seed):
     """One benchmark run in ``checkout``; returns its result line."""
     cmd = [
         sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-        "--workload", "all", "--trace", "0", "--seconds", str(seconds),
+        "--workload", "all", "--trace", "0", "--seconds", SECONDS,
         "--seed", str(seed),
     ]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
@@ -94,41 +95,34 @@ def main():
     ap.add_argument("--parent", default="HEAD", help="git revision (default HEAD)")
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--change", required=True, help="one line on what the change does")
-    ap.add_argument("--host", help="host description (default from platform)")
+    ap.add_argument("--host", required=True, help="the machine the runs share")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    host = args.host or (
-        f"{platform.machine()}, {os.cpu_count()} cores, {platform.platform()}; "
-        "one BLAS thread per workload process; times are calibrated (perfbench/README.md)"
-    )
     parent = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", args.parent],
         check=True, stdout=subprocess.PIPE, text=True,
     ).stdout.strip()
-    seconds = f"{args.seconds:g}"
     doc = {
-        "command": COMMAND.format(seconds=seconds),
+        "command": COMMAND,
         "parent": parent,
         "change": args.change,
-        "host": host,
+        "host": args.host,
         "order": ORDER,
         "summary": {},
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent_dir:
-        with tempfile.TemporaryFile() as archive:
-            subprocess.run(["git", "-C", ROOT, "archive", parent], check=True, stdout=archive)
-            archive.seek(0)
-            with tarfile.open(fileobj=archive) as tar:
-                tar.extractall(parent_dir, filter="data")
+        tarball = os.path.join(parent_dir, "parent.tar")
+        subprocess.run(["git", "-C", ROOT, "archive", "-o", tarball, parent], check=True)
+        subprocess.run(["tar", "-xf", tarball, "-C", parent_dir], check=True)
+        os.remove(tarball)
         checkouts = {"parent": parent_dir, "change": ROOT}
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             sides = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in sides:
-                result = run_once(checkouts[side], seed, seconds)
+                result = run_once(checkouts[side], seed)
                 finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
                 doc["runs"].append({
                     "pair": pair, "seed": seed, "side": side,

@@ -140,6 +140,7 @@ def sample_covariance(model, n, seed=0):
             B[:j1, j0:j1] = dtrsm(
                 n**-0.5, R[:j1, :j1], B[:j1, j0:j1], lower=1, trans_a=1, overwrite_b=1
             )
+    del R
     T = dlauum(B, overwrite_c=1)[0][::-1, ::-1]  # the lower triangle of C
     C = np.add(T, T.T, order="C")
     C.flat[:: p + 1] /= 2
