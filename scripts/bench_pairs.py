@@ -15,7 +15,9 @@ the run's result line).
 ``summary`` gives, for every metric, each side's median and quartiles
 (numpy's linear percentiles) over its finite values, and in how many of the
 ``pairs`` where both sides have one the change read lower, ties counting
-for neither side.  The file is rewritten after every pair.
+for neither side; under ``fits``, each side's attempted and failed fits
+summed over its runs and its failed share.  The file is rewritten after
+every pair.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_pairs.py --parent HEAD \\
         --first-seed 701 --pairs 10 --change "what the change does" \\
@@ -46,9 +48,15 @@ ORDER = (
 
 def summarize(runs):
     """Per metric: each side's median and quartiles over its finite values,
-    and the count of pairs with both values in which the change is lower."""
+    and the count of pairs with both values in which the change is lower;
+    under ``fits``, each side's attempted and failed fits and failed share."""
     values = {"parent": {}, "change": {}}
+    fits = dict.fromkeys(
+        ("parent_attempted", "parent_failed", "change_attempted", "change_failed"), 0
+    )
     for run in runs:
+        for total in ("attempted", "failed"):
+            fits[f"{run['side']}_{total}"] += run["result"][total]
         for name, metric in run["result"]["metrics"].items():
             value = metric["value"]
             if value is not None and math.isfinite(value):
@@ -71,6 +79,11 @@ def summarize(runs):
         row["pairs_change_lower"] = sum(change[i] < parent[i] for i in pairs)
         row["pairs"] = len(pairs)
         summary[name] = row
+    for side in ("parent", "change"):
+        fits[f"{side}_failed_share"] = (
+            fits[f"{side}_failed"] / max(fits[f"{side}_attempted"], 1)
+        )
+    summary["fits"] = fits
     return summary
 
 

@@ -8,9 +8,9 @@ positive definite.  Everything is a pure function of its seed (modulo
 ``2**64``, as :func:`~lvggm.projections.rng_for` takes every seed).
 
 Sampling draws the sample covariance's Wishart law exactly from Bartlett's
-factor, with a column-blocked triangular solve against the Cholesky factor
-of ``theta*`` (built from one SYRK and never inverted) and one LAUUM; its
-cost does not depend on ``n``.
+factor, coloured by the diagonal-plus-low-rank square root of ``sigma*``
+(:func:`_sigma_root`) with one LAUUM and ``O(p^2 r)`` more; its cost does
+not depend on ``n``, and ``theta*`` is never factored.
 """
 
 from __future__ import annotations
@@ -19,22 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrsm
-from scipy.linalg.lapack import dlauum, dpotrf
+from scipy.linalg.blas import dsymm, dsyr2k
+from scipy.linalg.lapack import dlauum
 
-from .linalg import NotPositiveDefiniteError, cholesky_logdet, symmetrize
+from .linalg import NotPositiveDefiniteError, symmetrize
 from .matio import MatrixParseError, read_matrix
 from .projections import rng_for
 
 # The one synthetic ensemble (module docstring).
 DIAG_RANGE = (1.0, 2.0)
 SPECTRAL_NORM = 1.0
-
-# Column blocks of the draw's triangular solve.  At p = 1000 (one BLAS
-# thread, AMD EPYC) the solve took 14.5 ms as one block, 8.6 ms in 4, 8.1 ms
-# in 8 and 8.5 ms in 16 equal blocks; blocks narrowing towards the last
-# column took 8.4-9.1 ms.  At p = 500 and 2000, 8 was also the fastest.
-_SOLVE_BLOCKS = 8
 
 
 @dataclass
@@ -67,8 +61,11 @@ class SyntheticModel:
 
     @property
     def sigma_star(self):
-        chol, _ = cholesky_logdet(self.theta_star)
-        return chol.inverse
+        w, U, gamma = _sigma_root(self)  # sigma* = F F^T
+        wU = w[:, None] * U
+        K = (wU * (gamma * (gamma - 2.0))) @ wU.T  # from (I - U diag(gamma) U^T)^2
+        K.flat[:: self.p + 1] += w * w
+        return symmetrize(K)
 
 
 def gen_model(p, r="auto", seed=0):
@@ -89,59 +86,62 @@ def gen_model(p, r="auto", seed=0):
     return SyntheticModel(s_diag, G * (math.sqrt(SPECTRAL_NORM) / top_sv))
 
 
-def _theta_factor(model):
-    """Lower Cholesky factor ``R`` of ``J theta* J``, ``J`` the reversal,
-    built by one SYRK and a diagonal add and factored in place."""
-    p = model.p
-    T = dsyrk(1.0, model.L_factor[::-1], lower=1)
-    T[range(p), range(p)] += model.s_diag[::-1]
-    R, info = dpotrf(T, lower=1, clean=1, overwrite_a=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"theta* is not PD (leading minor {info})")
-    return R
+def _sigma_root(model):
+    """Root ``F = diag(w) (I - U diag(gamma) U^T)`` of ``sigma*``, as ``(w, U, gamma)``.
+
+    With ``w = s^-1/2`` and the thin SVD ``U diag(sigma) V^T`` of
+    ``H = diag(w) L_factor``, ``theta* = diag(w)^-1 (I + H H^T) diag(w)^-1``,
+    and ``gamma = 1 - (1 + sigma^2)^-1/2`` makes ``I - U diag(gamma) U^T`` the
+    principal root ``(I + H H^T)^-1/2``, whatever the SVD's signs.  ``O(p r^2)``
+    flops.  Every entry of ``s`` must be positive, as in the ensemble.
+    """
+    i = np.argmin(model.s_diag > 0)  # the first entry that is not positive, or NaN
+    if not model.s_diag[i] > 0:
+        raise NotPositiveDefiniteError(f"S* is not PD: s_diag[{i}] = {model.s_diag[i]}")
+    w = model.s_diag**-0.5
+    U, sigma, _ = np.linalg.svd(w[:, None] * model.L_factor, full_matrices=False)
+    return w, U, 1.0 - (1.0 + sigma**2) ** -0.5
 
 
 def sample_covariance(model, n, seed=0):
     """Empirical second-moment matrix of ``n`` draws from ``N(0, sigma*)``.
 
-    The sum of the draws' outer products is Wishart(``sigma*``, n), and it
-    is drawn exactly without drawing the samples (Bartlett 1933; Odell &
-    Feiveson, JASA 1966): ``C = (Lc A)(Lc A)^T / n`` with
-    ``sigma* = Lc Lc^T`` and ``A`` the ``p x m`` lower-trapezoidal Bartlett
-    factor, ``m = min(n, p)``.  ``A`` holds ``sqrt(chi2(n - i))`` at
-    diagonal entry ``i`` and standard normals below the diagonal.  For
-    ``n < p`` it is the transposed R of a Gaussian QR, and ``C`` has rank
-    ``n``.  From the ``(seed, 0xC0F)`` stream the ``m`` chi-square variates
-    come first, then ``p * m`` normals fill ``A`` column by column, of
-    which the strictly lower part is kept.  Reversed by ``J``, every factor
-    is upper triangular: ``Lc = J R^-T J`` (:func:`_theta_factor`), and
-    ``B = R^-T J A J / sqrt(n)`` is solved in ``_SOLVE_BLOCKS`` column
-    blocks ``[j0, j1)`` against ``R[:j1, :j1]`` alone, skipping the
-    ``p - m`` leading zero columns of ``J A J``.  One LAUUM forms the upper
-    triangle of ``B B^T`` in place, from which ``C = J B B^T J`` is
-    mirrored, exactly symmetric.  About ``1.07 p^3`` flops whatever ``n``
-    is, in about three ``p x p`` arrays.
+    The sum of the draws' outer products is Wishart(``sigma*``, n), drawn
+    exactly without the samples (Bartlett 1933; Odell & Feiveson, JASA 1966):
+    ``C = (F A)(F A)^T / n`` for any root ``F`` of ``sigma*``, here
+    :func:`_sigma_root`'s, and ``A`` the ``p x m`` lower-trapezoidal Bartlett
+    factor, ``m = min(n, p)``: ``sqrt(chi2(n - i))`` at diagonal entry ``i``,
+    standard normals below it; for ``n < p``, ``C`` has rank ``n``.  The
+    ``(seed, 0xC0F)`` stream gives the ``m`` chi-square variates, then the
+    normals of ``A``'s strictly lower part, column by column, top to bottom.
+    ``J A J`` (``J`` the reversal) is upper triangular, so one LAUUM forms the
+    upper triangle of ``W = J A A^T J`` in place.  One SYMM, ``Y = W U``, and
+    one in-place SYR2K apply ``I - U G U^T``, ``G = diag(gamma)``, reversed,
+    on both sides: ``W - Z U^T - U Z^T``, ``Z = Y G - U G (U^T Y) G / 2``.
+    Scaled by ``w`` and mirrored, that gives an exactly symmetric ``C``, in
+    about ``p^3 / 3 + 4 p^2 r`` flops whatever ``n`` is and two ``p x p`` arrays.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = model.p
     m = min(n, p)
+    w, U, gamma = _sigma_root(model)
+    w, U = w[::-1], np.asfortranarray(U[::-1])
     rng = rng_for(seed, 0xC0F)
-    chi = np.sqrt(rng.chisquare(n - np.arange(m)))
-    B = np.zeros((p, p), order="F")  # J A J
-    B[:, p - m :] = rng.standard_normal((m, p))[::-1, ::-1].T
-    B[np.tri(p, k=-1, dtype=bool)] = 0.0
-    B[range(p - m, p), range(p - m, p)] = chi[::-1]
-    R = _theta_factor(model)
-    for i in range(_SOLVE_BLOCKS):
-        j0 = max(p * i // _SOLVE_BLOCKS, p - m)
-        j1 = p * (i + 1) // _SOLVE_BLOCKS
-        if j0 < j1:
-            B[:j1, j0:j1] = dtrsm(
-                n**-0.5, R[:j1, :j1], B[:j1, j0:j1], lower=1, trans_a=1, overwrite_b=1
-            )
-    del R
-    T = dlauum(B, overwrite_c=1)[0][::-1, ::-1]  # the lower triangle of C
+    W = np.zeros((p, p), order="F")  # J A J, then the upper triangle of W
+    W[range(p - m, p), range(p - m, p)] = np.sqrt(rng.chisquare(n - np.arange(m)))[::-1]
+    # column by column, J A J's strictly upper part holds A's normals reversed
+    upper = np.tri(m, p, k=p - m - 1, dtype=bool)
+    W.T[p - m :][upper] = rng.standard_normal(np.count_nonzero(upper))[::-1]
+    W = dlauum(W, overwrite_c=1)[0]
+    Z = dsymm(1.0, W, U)  # Y = W U
+    Z -= U @ (0.5 * gamma[:, None] * (U.T @ Z))
+    Z *= gamma
+    W = dsyr2k(-1.0 / n, Z, U, beta=1.0 / n, c=W, overwrite_c=1)
+    del upper, Z, U  # the draw's peak is W and C alone
+    W *= w
+    W *= w[:, None]
+    T = W[::-1, ::-1]  # the lower triangle of C
     C = np.add(T, T.T, order="C")
     C.flat[:: p + 1] /= 2
     return C

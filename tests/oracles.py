@@ -3,9 +3,9 @@
 These deliberately avoid the code paths they check: the eigensolver is a
 cyclic Jacobi iteration (no LAPACK), the gradient oracle is plain central
 finite differences, the Hessian oracle forms the Kronecker product
-explicitly, the sampling oracle rebuilds Bartlett's factor with
-``np.tril`` and colours it by ``np.linalg.cholesky`` of ``sigma*`` (not the
-library's factor of the reversed ``theta*``), and the reference BK-SVD is
+explicitly, the sampling oracle rebuilds Bartlett's factor by index and
+colours it by a dense root of ``sigma*`` from ``eigh`` (not the library's
+thin SVD, LAUUM and rank-2r update), and the reference BK-SVD is
 plain numpy (block Gram-Schmidt and SVDs), sharing nothing with the
 library's block-Krylov head.
 The exception is ``dense_step_ep``, which runs the solvers' own descent loop
@@ -133,15 +133,22 @@ def bartlett_sample_covariance(model, n, seed=0):
 
     Reads the stream of ``datagen.sample_covariance`` in its documented
     order: ``m = min(n, p)`` chi-square variates with ``n - i`` degrees of
-    freedom, then ``p * m`` normals filling a ``p x m`` array column by
-    column, whose strictly lower part is kept below the chi roots."""
+    freedom, then the normals of the strictly lower part of a ``p x m``
+    array, column by column, below the chi roots.  Colours it by the
+    principal root ``diag(s^-1/2) (I + H H^T)^-1/2`` of ``sigma*``,
+    ``H = diag(s^-1/2) L_factor``, built densely from one ``eigh``."""
     p = model.p
     m = min(n, p)
     rng = np.random.default_rng([seed, 0xC0F])
     chi = np.sqrt(rng.chisquare(n - np.arange(m)))
-    A = np.tril(rng.standard_normal(p * m).reshape((p, m), order="F"), -1)
+    cols, rows = np.triu_indices(m, 1, p)  # (j, i), i > j, by column j
+    A = np.zeros((p, m))
+    A[rows, cols] = rng.standard_normal(rows.size)
     A[np.arange(m), np.arange(m)] = chi
-    X = np.linalg.cholesky((model.sigma_star + model.sigma_star.T) / 2.0) @ A
+    w = model.s_diag**-0.5
+    H = w[:, None] * model.L_factor
+    lam, V = np.linalg.eigh(H @ H.T)
+    X = w[:, None] * ((V * (1.0 + lam) ** -0.5) @ V.T) @ A
     return X @ X.T / n
 
 

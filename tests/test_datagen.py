@@ -12,6 +12,13 @@ from lvggm.matio import MatrixParseError, write_matrix_binary, write_matrix_csv
 from .oracles import bartlett_sample_covariance, loglog_slope
 
 
+def assert_matches_the_bartlett_rebuild(model, n):
+    C = sample_covariance(model, n, seed=n)
+    ref = bartlett_sample_covariance(model, n, seed=n)
+    assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(C, C.T)
+
+
 class TestGenModel:
     def test_auto_rank_is_five_percent(self):
         assert gen_model(100, "auto", seed=1).r == 5
@@ -53,6 +60,14 @@ class TestGenModel:
         )
         with pytest.raises(TypeError):  # a fraction is not rounded down
             gen_model(20, seed=1.5)
+
+    @pytest.mark.parametrize("p, r", [(35, 3), (300, 15), (300, 299)])
+    def test_sigma_star_is_the_dense_inverse(self, p, r):
+        model = gen_model(p, r, seed=p + r)
+        sigma = model.sigma_star
+        ref = np.linalg.inv(model.theta_star)
+        assert np.abs(sigma - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(sigma, sigma.T)
 
     def test_sigma_theta_product_is_identity(self):
         model = gen_model(35, 3, seed=4)
@@ -106,14 +121,14 @@ class TestSampleCovariance:
             )
 
     @pytest.mark.parametrize("p", [12, 100, 300])
-    def test_factor_is_the_cholesky_factor_of_reversed_theta(self, p):
-        # the draw solves against R with R R^T = J theta* J, J the reversal
+    def test_root_squares_to_reversed_sigma(self, p):
+        # the draw colours by F = diag(w) (I - U diag(gamma) U^T), reversed
         model = gen_model(p, "auto", seed=p)
-        R = datagen._theta_factor(model)
-        ref = model.theta_star[::-1, ::-1]
-        assert np.abs(R @ R.T - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(R, np.tril(R))
-        assert np.diag(R).min() > 0
+        w, U, gamma = datagen._sigma_root(model)
+        w, U = w[::-1], U[::-1]
+        F = w[:, None] * (np.eye(p) - (U * gamma) @ U.T)
+        ref = np.linalg.inv(model.theta_star)[::-1, ::-1]
+        assert np.abs(F @ F.T - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "p, n",
@@ -133,22 +148,30 @@ class TestSampleCovariance:
         ],
     )
     def test_matches_the_bartlett_rebuild(self, p, n):
-        # p = 301 is no multiple of the solve's column blocks, and n < p
-        # leaves p - n leading zero columns that are not solved
-        model = gen_model(p, "auto", seed=p + 1)
-        C = sample_covariance(model, n, seed=n)
-        ref = bartlett_sample_covariance(model, n, seed=n)
-        assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(C, C.T)
+        # n < p leaves p - n leading zero columns in J A J
+        assert_matches_the_bartlett_rebuild(gen_model(p, "auto", seed=p + 1), n)
 
-    def test_indefinite_theta_names_its_leading_minor(self):
-        # theta*'s diagonal entry 2 is negative; reversed, it leads minor 3
-        model = SyntheticModel(
-            np.array([1.0, 1.5, -1.0, 1.2, 1.8]), np.full((5, 1), 0.1)
-        )
-        for draw in (datagen._theta_factor, lambda m: sample_covariance(m, 50)):
-            with pytest.raises(NotPositiveDefiniteError, match=r"leading minor 3\)"):
-                draw(model)
+    @pytest.mark.parametrize(
+        "p, r, n, zero_column",
+        [(12, 11, 5, False), (12, 3, 5, True), (2, 1, 3, False), (40, 39, 1, False)],
+        ids=["full-width-svd", "zero-singular-value", "p2", "n1"],
+    )
+    def test_matches_the_bartlett_rebuild_at_the_edges(self, p, r, n, zero_column):
+        # r = p - 1; sigma = gamma = 0 for a zero column of L_factor
+        model = gen_model(p, r, seed=p + r)
+        if zero_column:
+            model.L_factor[:, 1] = 0.0
+        assert_matches_the_bartlett_rebuild(model, n)
+
+    def test_non_positive_s_diag_entry_is_named(self):
+        # the root needs S* PD, even where theta* itself would be PD
+        for s in (-1.0, 0.0, np.nan):
+            model = SyntheticModel(
+                np.array([1.0, 1.5, s, 1.2, 1.8]), np.full((5, 1), 0.1)
+            )
+            for draw in (lambda m: m.sigma_star, lambda m: sample_covariance(m, 50)):
+                with pytest.raises(NotPositiveDefiniteError, match=r"s_diag\[2\]"):
+                    draw(model)
 
     def test_moments_are_those_of_the_wishart_law(self):
         # 20000 draws at p = 6, n = 20: every entry's mean within 4 standard
@@ -174,7 +197,8 @@ class TestSampleCovariance:
 
     @pytest.mark.parametrize("n", [20000, 10**6])
     def test_memory_does_not_grow_with_n(self, n):
-        # the factor, its coloured copy and C: about three p x p arrays
+        # J A J, overwritten by its LAUUM and the update, and C: two p x p
+        # arrays, and the normals of A, half of one, while J A J is filled
         p = 300
         model = gen_model(p, "auto", seed=4)
         tracemalloc.start()

@@ -503,8 +503,9 @@ class TestStepRule:
     def test_ep_first_trial_is_the_capped_secant_step(self, monkeypatch):
         # 12 iterations keep the iterate's change far above roundoff, where
         # <s,y> from eigenforms and from dense matrices agree; near a
-        # stationary point both are differences of nearly equal numbers
-        _, ctx = sampled_ctx(100, 5, 400 * 100, seed=3)
+        # stationary point both are differences of nearly equal numbers.
+        # The instance's fit backtracks within them, as about 85% of draws do
+        _, ctx = sampled_ctx(100, 5, 400 * 100, seed=4)
         iterates = []
 
         def recording(ctx_, L, M=None):
