@@ -13,10 +13,11 @@ commit hash), ``change``, ``host`` (as given), ``order``, ``summary`` and
 ``runs`` (one entry per run: ``pair``, ``seed``, ``side``, ``finished`` and
 the run's result line).
 ``summary`` gives, for every metric, each side's median and quartiles
-(numpy's linear percentiles) over its finite values, and in how many of the
-``pairs`` where both sides have one the change read lower, ties counting
-for neither side; under ``fits``, each side's attempted and failed fits
-summed over its runs and its failed share.  The file is rewritten after
+(numpy's linear percentiles) over its finite values, ``change_over_parent``
+(the change's median over the parent's, NaN when the parent's is 0), and
+in how many of the ``pairs`` where both sides have one the change read
+lower, ties counting for neither side; under ``fits``, each side's
+attempted and failed fits summed over its runs and its failed share.  The file is rewritten after
 every pair.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_pairs.py --parent HEAD \\
@@ -48,7 +49,8 @@ ORDER = (
 
 def summarize(runs):
     """Per metric: each side's median and quartiles over its finite values,
-    and the count of pairs with both values in which the change is lower;
+    the change's median over the parent's and the count of pairs with both
+    values in which the change is lower;
     under ``fits``, each side's attempted and failed fits and failed share."""
     values = {"parent": {}, "change": {}}
     fits = dict.fromkeys(
@@ -75,6 +77,10 @@ def summarize(runs):
                 f"{side}_q1": float(q1),
                 f"{side}_q3": float(q3),
             })
+        row["change_over_parent"] = (
+            row["change_median"] / row["parent_median"]
+            if row["parent_median"] else math.nan
+        )
         pairs = parent.keys() & change.keys()
         row["pairs_change_lower"] = sum(change[i] < parent[i] for i in pairs)
         row["pairs"] = len(pairs)

@@ -47,6 +47,8 @@ from .linalg import (
     NotPositiveDefiniteError,
     _factor,
     check_finite_symmetric,
+    small_cholesky,
+    small_eigh,
     symmetrize,
     woodbury_core_eig,
 )
@@ -131,10 +133,10 @@ def _lemma_eigenvalues(ctx, V, d, M=None):
         M = ctx.S_chol.solve(V)
     G = symmetrize(V.T @ M)
     try:
-        Lc = np.linalg.cholesky(G)
+        Lc = small_cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("degenerate eigenform basis") from exc
-    return np.linalg.eigvalsh(symmetrize((Lc.T * d[np.newaxis, :]) @ Lc))
+    return small_eigh(symmetrize((Lc.T * d[np.newaxis, :]) @ Lc), vectors=False)
 
 
 def pd_margin(ctx, L):
@@ -216,7 +218,8 @@ class GradientOperator:
 
     def __matmul__(self, X):
         out = self._residual0 @ X
-        out += self.low_rank(X)
+        if self._M.shape[1]:  # at L = 0 the Woodbury term is empty
+            out += self.low_rank(X)
         return out
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import check_finite_symmetric, symmetrize
+from .linalg import check_finite_symmetric, small_cholesky, small_eigh, symmetrize
 
 _BACKENDS = ("block-krylov", "lanczos")
 _SEED_MASK = 2**64 - 1
@@ -81,18 +81,20 @@ def extend_basis(Q, X, floor):
     the orthonormal ``Q`` (which may have no columns), and ``[Q, Y]``
     spanning ``[Q, X]`` up to ``floor``.
 
-    Two block Gram-Schmidt passes give ``X - Q H``; its columns of norm at
-    most ``floor`` are dropped (``T`` has zero rows for them), not
+    Two block Gram-Schmidt passes give ``X - Q H``; an empty ``Q`` takes no
+    pass, and ``H`` is its ``0 x m`` zero matrix.  Columns of ``X - Q H`` of
+    norm at most ``floor`` are dropped (``T`` has zero rows for them), not
     normalized into junk directions.  CholeskyQR2 orthonormalizes the rest
-    at GEMM speed.  It squares the conditioning, so roundoff directions give
-    first-pass pivots near ``sqrt(eps)``: a first-pass pivot below ``1e-7``,
-    or an absolute one (pivot times column norm) at most ``floor``, a Gram
-    matrix that is not numerically PD or a result that fails an
-    orthonormality check falls back to pivoted QR, which keeps the leading
-    pivots above ``max(floor, 1e-10 * first)``.
+    at GEMM speed, its ``m x m`` Cholesky factors by LAPACK directly.  It
+    squares the conditioning, so roundoff directions give first-pass pivots
+    near ``sqrt(eps)``: a first-pass pivot below ``1e-7``, or an absolute one
+    (pivot times column norm) at most ``floor``, a Gram matrix that is not
+    numerically PD or a result that fails an orthonormality check falls
+    back to pivoted QR, which keeps the leading pivots above
+    ``max(floor, 1e-10 * first)``.
     """
-    H = 0.0
-    for _ in range(2):
+    H = np.zeros((Q.shape[1], X.shape[1]))
+    for _ in range(2 if Q.shape[1] else 0):
         C = Q.T @ X
         X, H = X - Q @ C, H + C
     norms = np.linalg.norm(X, axis=0)
@@ -107,7 +109,7 @@ def extend_basis(Q, X, floor):
             # CholeskyQR via explicit triangular inverse: GEMM-bound, which
             # is much faster than TRSM on small-core BLAS builds; the pivot
             # tests and the orthonormality check guard the conditioning loss.
-            R = np.linalg.cholesky(Y.T @ Y)
+            R = small_cholesky(Y.T @ Y)
             # the columns have unit norm, so the largest pivot is R[0, 0] = 1
             pivots = R.diagonal()
             if sweep == 0 and (pivots.min() < 1e-7 or (pivots * norms).min() <= floor):
@@ -129,7 +131,7 @@ def extend_basis(Q, X, floor):
 def _largest_eigs(M, k):
     """Eigenpairs ``(w, E)`` of the small symmetric ``M`` with the ``k``
     largest ``|w|`` (all of them if fewer), largest first, ties in order."""
-    w, E = np.linalg.eigh(M)
+    w, E = small_eigh(M)
     order = np.argsort(-np.abs(w), kind="stable")[:k]
     return w[order], E[:, order]
 
@@ -246,10 +248,10 @@ def compress_symmetric(U, core, r):
     :func:`lvggm.solvers.psd_finalize` does, so AP's tail projects onto the
     set EP's exact projection does.
 
-    Returns ``(V, d)`` with ``V = U E`` ``p x k`` orthonormal, ``k <= r``,
-    and ``d`` the kept positive eigenvalues, largest first, for
-    ``V diag(d) V^T``.
+    Returns ``(V, d, E)``: ``E`` the ``m x k`` kept eigenvectors of ``core``,
+    ``k <= r``, ``V = U E`` ``p x k`` orthonormal and ``d`` the kept positive
+    eigenvalues, largest first, for ``V diag(d) V^T``.
     """
-    w, E = np.linalg.eigh(core)
+    w, E = small_eigh(core)
     E, w = psd_truncate(E, w, r)
-    return U @ E, w
+    return U @ E, w, E

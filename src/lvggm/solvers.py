@@ -26,7 +26,8 @@ differ only in ``P`` and that step rule:
   projection of the gradient at rank ``2r``, onto a basis ``Z``, and step on
   ``span[V, Z, G V]``.  :func:`~lvggm.projections.extend_basis` builds the
   step's basis (floor ``_DEFLATION_TOL``, absolute) as it builds the
-  block-Krylov head's (floor ``1e-10`` of each Krylov block's scale).
+  block-Krylov head's (floor ``1e-10`` of each Krylov block's scale); at
+  ``L = 0`` the span is ``Z`` alone, whose Ritz vectors are the basis.
 
 Iterates are carried in eigenform ``(V, d)`` with ``V`` column-orthonormal,
 which keeps gradient evaluations at ``O(p^2 r)`` through the Woodbury
@@ -37,7 +38,8 @@ directly, one product and one solve per trial.  AP never forms the ``p x p``
 gradient and forms them from the products on its span: at full rank its
 only ``p x p`` products are one gradient-operator application and one
 ``S^-1`` solve (a band solve for a banded or diagonal ``S``), each on the
-``r`` columns of ``G V``; a head adds its basis builder's applications.
+``r`` columns of ``G V``; a head adds its basis builder's applications,
+which with one ``S^-1 Z`` solve are all of ``L = 0``'s.
 
 :data:`PGD_ALGORITHMS` names the solver and projection backend pairs, and
 :func:`fit_pgd` runs one by name for the CLI, the bench harness and the
@@ -446,7 +448,9 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
     only while ``d`` has fewer than ``cfg.rank`` entries; ``degraded`` is
     that head's flag, and ``False`` when no head ran.  ``G V`` comes from the
     carried products and is scaled to unit Frobenius norm, so that
-    ``_DEFLATION_TOL`` is relative to it.
+    ``_DEFLATION_TOL`` is relative to it.  The basis is ``U = [V, X] B``
+    from :func:`~lvggm.projections.extend_basis`, or ``Z`` itself (``B = I``)
+    at ``L = 0``; a trial ``V_new = U E`` takes its products from ``B E``.
     """
     CV, M = products
     GV = CV - M + G.low_rank(V)
@@ -469,17 +473,23 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
     GW = np.hstack([GV, GX])
     CW = np.hstack([CV, GX + SX - G.low_rank(X)])
     SW = np.hstack([M, SX])
-    Y, H, T = extend_basis(V, X, _DEFLATION_TOL)
-    U = np.hstack([V, Y])
     k = d.size
-    B = np.block([[np.eye(k), -H @ T], [np.zeros((X.shape[1], k)), T]])
+    if k:
+        Y, H, T = extend_basis(V, X, _DEFLATION_TOL)
+        U = np.hstack([V, Y])
+        B = np.zeros((W.shape[1], U.shape[1]))
+        B[:k, :k] = np.eye(k)
+        B[:k, k:] = -H @ T
+        B[k:, k:] = T
+    else:  # L = 0: X is the head's Z = Q E, orthonormal Ritz vectors
+        U, B = X, np.eye(X.shape[1])
     UGU = symmetrize(B.T @ (W.T @ GW) @ B)
 
     def candidate(eta):
         core = -eta * UGU
         core[:k, :k] += np.diag(d)
-        V_new, d_new = compress_symmetric(U, core, cfg.rank)
-        F = B @ (U.T @ V_new)
+        V_new, d_new, E = compress_symmetric(U, core, cfg.rank)
+        F = B @ E  # V_new = U E = W B E
         return V_new, d_new, (CW @ F, SW @ F)
 
     return candidate, degraded
@@ -517,12 +527,14 @@ def ap_lvm(ctx, cfg, truth=None):
     Lanczos) onto a basis ``Z``, which a degraded head returns with the
     fewer columns it found, and the span is ``[V, Z, G V]``.  The two-sided
     projection onto a subspace that contains ``Z`` captures at least ``Z``'s
-    energy, so that step is a head projection in its own right.  The
-    trace's degraded count counts only those heads.
+    energy, so that step is a head projection in its own right.  At
+    ``L = 0`` the span is ``Z`` alone, whose Ritz vectors are orthonormal
+    and are the basis.  The trace's degraded count counts only those heads.
 
     The only ``p x p`` products are one gradient application ``G (G V)`` and
     one ``S^-1 G V`` solve (a band solve for a banded or diagonal ``S``),
-    plus the head's.  ``C V`` and ``M = S^-1 V`` of the accepted iterate are
+    plus the head's (with one ``S^-1 Z`` solve, all of ``L = 0``'s).
+    ``C V`` and ``M = S^-1 V`` of the accepted iterate are
     carried over, so ``G V = C V - M + M K M^T V``; ``C X = G X + S^-1 X -
     M K M^T X`` for the span's new columns ``X``, whose ``G Z`` comes from
     the head's Krylov products; and each trial ``V_new = U E`` gets

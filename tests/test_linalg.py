@@ -7,6 +7,8 @@ import lvggm.linalg
 from lvggm.linalg import (
     NotPositiveDefiniteError,
     cholesky_logdet,
+    small_cholesky,
+    small_eigh,
     sym_evd,
     symmetrize,
     woodbury_core_eig,
@@ -292,3 +294,55 @@ class TestWoodburyInverseEig:
         fac, _ = cholesky_logdet(S)
         out = self._inverse(fac, np.zeros((6, 0)), np.zeros(0))
         assert np.abs(out - np.linalg.inv(S)).max() < 1e-10
+
+    def test_empty_factor_gives_an_empty_core(self, rng):
+        # dgesv rejects an empty system, so L = 0 returns its 0 x 0 K itself
+        S = random_spd(rng, 6)
+        fac, _ = cholesky_logdet(S)
+        K, M, G = woodbury_core_eig(fac, np.zeros((6, 0)), np.zeros(0))
+        assert (K.shape, M.shape, G.shape) == ((0, 0), (6, 0), (0, 0))
+
+
+class TestSmallKernels:
+    """The ``r x r`` kernels call LAPACK directly; they give numpy's results,
+    read the lower triangle only and raise numpy's error type."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 12])
+    def test_eigh_matches_numpy(self, rng, m):
+        A = random_symmetric(rng, m)
+        w, E = small_eigh(A)
+        w_np = np.linalg.eigvalsh(A)
+        scale = max(1.0, np.abs(w_np).max(initial=0.0))
+        assert np.abs(w - w_np).max(initial=0.0) <= 1e-13 * scale
+        assert np.abs(small_eigh(A, vectors=False) - w_np).max(initial=0.0) <= 1e-13 * scale
+        assert np.abs(A @ E - E * w).max(initial=0.0) <= 1e-13 * scale
+        assert np.abs(E.T @ E - np.eye(m)).max(initial=0.0) <= 1e-14
+
+    def test_eigh_reads_the_lower_triangle(self, rng):
+        A = random_symmetric(rng, 5)
+        garbage = A + np.triu(rng.standard_normal((5, 5)), 1)
+        assert np.array_equal(small_eigh(garbage)[0], small_eigh(A)[0])
+
+    def test_eigh_that_does_not_converge_raises_linalgerror(self):
+        A = np.eye(4)
+        A[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            small_eigh(A, vectors=False)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 12])
+    def test_cholesky_matches_numpy(self, rng, m):
+        A = random_spd(rng, m) if m else np.zeros((0, 0))
+        R = small_cholesky(A + np.triu(rng.standard_normal((m, m)), 1))
+        assert np.array_equal(R, np.tril(R))
+        assert np.abs(R - np.linalg.cholesky(A)).max(initial=0.0) <= 1e-13 * max(
+            1.0, np.abs(A).max(initial=0.0)
+        )
+
+    def test_cholesky_of_an_indefinite_matrix_raises_linalgerror(self, rng):
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        A = (Q * [2.0, 1.0, 0.5, -1e-3, 1.0]) @ Q.T
+        for fn in (np.linalg.cholesky, small_cholesky):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(A)

@@ -146,6 +146,16 @@ class TestNll:
         with pytest.raises(NotPositiveDefiniteError):
             nll(ctx, (v, np.array([-1.5])))
 
+    def test_degenerate_eigenform_basis_raises(self, rng):
+        # a repeated column makes V^T S^-1 V singular, and the lemma's
+        # Cholesky factor of it fails
+        ctx = ModelContext.create(random_spd(rng, 6), np.eye(6))
+        v = np.linalg.qr(rng.standard_normal((6, 1)))[0]
+        with pytest.raises(NotPositiveDefiniteError, match="degenerate eigenform basis"):
+            nll(ctx, (np.hstack([v, v]), np.array([0.5, 0.2])))
+        with pytest.raises(NotPositiveDefiniteError, match="degenerate eigenform basis"):
+            pd_margin(ctx, (np.hstack([v, v]), np.array([0.5, 0.2])))
+
 
 class TestGradient:
     def test_zero_at_stationary_point(self, rng):

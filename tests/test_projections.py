@@ -396,11 +396,23 @@ class TestCompressSymmetric:
         p, m, r = 40, 9, 4
         U = np.linalg.qr(rng.standard_normal((p, m)))[0]
         core = random_symmetric(rng, m)
-        V, d = compress_symmetric(U, core, r)
+        V, d, _ = compress_symmetric(U, core, r)
         # the projection onto the rank-r PSD cone, as EP's psd_finalize
         oracle = psd_clamp_truncate(U @ core @ U.T, r)
         assert np.abs((V * d) @ V.T - oracle).max() < 1e-10
         assert np.abs(V.T @ V - np.eye(d.size)).max() < 1e-8
+
+    def test_returns_the_core_eigenvectors_of_v(self, rng):
+        # the step takes the products on V from E: V = U E exactly, E is
+        # orthonormal and holds eigenvectors of the core for d
+        p, m, r = 40, 9, 4
+        U = np.linalg.qr(rng.standard_normal((p, m)))[0]
+        core = random_symmetric(rng, m)
+        V, d, E = compress_symmetric(U, core, r)
+        assert E.shape == (m, d.size) and d.size
+        assert np.array_equal(U @ E, V)
+        assert np.abs(E.T @ E - np.eye(d.size)).max() <= 1e-14
+        assert np.abs(core @ E - E * d).max() <= 1e-12 * np.abs(d).max()
 
     def test_drops_non_positive_eigenvalues(self, rng):
         # two positive eigenvalues and larger negative ones: the tail
@@ -409,7 +421,7 @@ class TestCompressSymmetric:
         U = np.linalg.qr(rng.standard_normal((p, m)))[0]
         Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
         core = (Q * [3.0, 0.5, -0.2, -1.0, -5.0, -9.0]) @ Q.T
-        V, d = compress_symmetric(U, core, r)
+        V, d, _ = compress_symmetric(U, core, r)
         assert np.allclose(d, [3.0, 0.5], rtol=0, atol=1e-12)
         assert V.shape == (p, 2)
         assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
@@ -422,5 +434,5 @@ class TestCompressSymmetric:
         for _ in range(20):
             Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
             core = (Q * [3.0, 0.5, 0.0, -1.0, -5.0, -9.0]) @ Q.T
-            V, d = compress_symmetric(U, core, r)
+            V, d, _ = compress_symmetric(U, core, r)
             assert V.shape == (p, 2) and np.allclose(d, [3.0, 0.5], rtol=0, atol=1e-12)

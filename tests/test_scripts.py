@@ -72,7 +72,8 @@ def test_real_data_workflow_fits_every_pgd_algorithm(monkeypatch, capsys, tmp_pa
 def test_bench_pairs_summary_arithmetic():
     # canned results, no benchmark run: pair 1 ties, and pair 3 lost the
     # change's value, so it counts in the parent's quartiles but not as a
-    # pair; every run attempted 10 fits, and the change's pair 3 failed 2
+    # pair; every run attempted 10 fits, and the change's pair 3 failed 2.
+    # A parent median of 0 gives no ratio
     script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
     values = {"parent": [1.0, 2.0, 4.0, 3.0], "change": [0.5, 2.0, 5.0, None]}
     runs = [
@@ -80,16 +81,25 @@ def test_bench_pairs_summary_arithmetic():
             "attempted": 10, "failed": 2 if value is None else 0, "metrics": {
                 "w.setup_s": {"value": value, "unit": "s"},
                 "w.rel_error": {"value": float("nan"), "unit": "ratio"},
+                "w.degraded": {"value": 0.0 if side == "parent" else 1.0, "unit": "count"},
             },
         }}
         for side, side_values in values.items()
         for i, value in enumerate(side_values)
     ]
-    assert script["summarize"](runs) == {
+    summary = script["summarize"](runs)
+    ratio = summary["w.degraded"].pop("change_over_parent")
+    assert np.isnan(ratio)
+    assert summary == {
         "w.setup_s": {
             "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
             "change_median": 2.0, "change_q1": 1.25, "change_q3": 3.5,
-            "pairs_change_lower": 1, "pairs": 3,
+            "change_over_parent": 0.8, "pairs_change_lower": 1, "pairs": 3,
+        },
+        "w.degraded": {
+            "parent_median": 0.0, "parent_q1": 0.0, "parent_q3": 0.0,
+            "change_median": 1.0, "change_q1": 1.0, "change_q3": 1.0,
+            "pairs_change_lower": 0, "pairs": 4,
         },
         "fits": {
             "parent_attempted": 40, "parent_failed": 0, "parent_failed_share": 0.0,

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from lvggm import objective, solvers
 from lvggm.datagen import gen_model, sample_covariance
-from lvggm.linalg import CholeskyFactor, symmetrize
+from lvggm.linalg import CholeskyFactor, NotPositiveDefiniteError, symmetrize
 from lvggm.objective import GradientOperator, ModelContext, nll
 from lvggm.projections import ProjectionConfig, extend_basis
 from lvggm.solvers import (
@@ -428,8 +428,75 @@ class TestApStep:
             P_Z = basis @ basis.T
             assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
 
+    def test_empty_iterate_steps_on_the_head_basis(self, monkeypatch):
+        # at L = 0 the head's Ritz vectors Z are the step's basis: no
+        # extend_basis call, and the candidate that extend_basis(0, Z)'s
+        # CholeskyQR2 basis Z T would give, up to roundoff
+        p, r, eta = 40, 3, 0.7
+        _, ctx = sampled_ctx(p, r, 100 * p, seed=19)
+        heads, extensions = [], []
+
+        def recording(*args):
+            heads.append(head_project(*args))
+            return heads[-1]
+
+        def counting(*args):
+            extensions.append(args)
+            return extend_basis(*args)
+
+        head_project = solvers.head_project
+        monkeypatch.setattr(solvers, "head_project", recording)
+        monkeypatch.setattr(solvers, "extend_basis", counting)
+        cfg = SolverConfig(rank=r, projection=ProjectionConfig(seed=4))
+        V, d = np.zeros((p, 0)), np.zeros(0)
+        G = solvers.gradient(ctx, (V, d), V)
+        candidate, _ = solvers._ap_candidate(ctx, cfg, 0, V, d, (V, V), G)
+        V_new, d_new, (CV_new, M_new) = candidate(eta)
+        assert len(heads) == 1 and not extensions
+
+        Z, GZ = heads[0].basis, heads[0].products
+        Y, H, T = extend_basis(V, Z, solvers._DEFLATION_TOL)
+        assert H.shape == (0, Z.shape[1]) and T.shape == (Z.shape[1],) * 2
+        core = -eta * symmetrize(T.T @ (Z.T @ GZ) @ T)
+        w, E = np.linalg.eigh(core)
+        E, w = solvers.psd_truncate(E, w, r)
+        V_ref, F = Y @ E, T @ E
+        CV_ref = (GZ + ctx.S_chol.solve(Z)) @ F  # C Z = G Z + S^-1 Z at L = 0
+        M_ref = ctx.S_chol.solve(Z) @ F
+        assert d_new.size == w.size > 0
+        # sign-free comparisons: L, C L and S^-1 L
+        for got, want in (
+            ((V_new * d_new) @ V_new.T, (V_ref * w) @ V_ref.T),
+            ((CV_new * d_new) @ V_new.T, (CV_ref * w) @ V_ref.T),
+            ((M_new * d_new) @ V_new.T, (M_ref * w) @ V_ref.T),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["full", "zero-column"])
+    def test_empty_q_takes_no_pass(self, rng, dropped):
+        # with no Q, Y and T are the CholeskyQR2 factors of X itself: the
+        # unique Y = X T orthonormal with T upper triangular and positive
+        # on the diagonal, so Householder QR with its signs fixed is the
+        # oracle; a column at the floor is dropped with a zero row of T
+        p, m = 40, 6
+        X = rng.standard_normal((p, m))
+        if dropped:
+            X[:, 2] = 0.0
+        kept = np.flatnonzero(np.linalg.norm(X, axis=0))
+        Y, H, T = extend_basis(X[:, :0], X, solvers._DEFLATION_TOL)
+        assert H.shape == (0, m) and Y.shape == (p, kept.size)
+        assert T.shape == (m, kept.size) and not T[np.setdiff1d(np.arange(m), kept)].any()
+        Q, R = np.linalg.qr(X[:, kept])
+        signs = np.sign(R.diagonal())
+        Q, R = Q * signs, R * signs[:, None]
+        assert np.abs(Y - Q).max() <= 1e-14
+        T_ref = np.linalg.inv(R)
+        assert np.abs(T[kept] - T_ref).max() <= 1e-14 * np.abs(T_ref).max()
+
     @pytest.mark.parametrize("case", ["head-near-iterate", "dependent-pair", "no-iterate"])
-    def test_basis_deflates_head_directions_in_the_iterate_span(self, rng, case):
+    def test_basis_deflates_head_directions_in_the_iterate_span(
+        self, rng, case, monkeypatch
+    ):
         p = 30
         V = np.linalg.qr(rng.standard_normal((p, 3)))[0]
         E = np.linalg.qr(rng.standard_normal((p, 6)))[0]
@@ -450,7 +517,18 @@ class TestApStep:
             V = V[:, :0]
             Z = E
             cols = 6
+        qr_calls = []
+
+        def counting_qr(*args, **kwargs):
+            qr_calls.append(kwargs)
+            return qr(*args, **kwargs)
+
+        qr = scipy.linalg.qr
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
         Y, H, T = extend_basis(V, Z, solvers._DEFLATION_TOL)
+        # only the dependent pair fails CholeskyQR2's pivot test and
+        # reaches the pivoted QR fallback
+        assert len(qr_calls) == (case == "dependent-pair")
         U = np.hstack([V, Y])
         assert U.shape == (p, cols)
         assert np.abs(U.T @ U - np.eye(cols)).max() <= 1e-10
@@ -504,20 +582,31 @@ class TestStepRule:
         # 12 iterations keep the iterate's change far above roundoff, where
         # <s,y> from eigenforms and from dense matrices agree; near a
         # stationary point both are differences of nearly equal numbers.
-        # The instance's fit backtracks within them, as about 85% of draws do
+        # Iteration 6's first trial is rejected as if S + L left the PD cone,
+        # so the fit backtracks whatever the sampled draw
         _, ctx = sampled_ctx(100, 5, 400 * 100, seed=4)
-        iterates = []
+        iterates, rejected = [], 6
+        first_trial = [False]
 
         def recording(ctx_, L, M=None):
             V, d = L
             iterates.append((V * d) @ V.T)
+            first_trial[0] = len(iterates) == rejected + 1
             return gradient(ctx_, L, M)
+
+        def rejecting(*args):
+            if first_trial[0]:
+                first_trial[0] = False
+                raise NotPositiveDefiniteError("forced rejection")
+            return nll(*args)
 
         gradient = solvers.gradient
         monkeypatch.setattr(solvers, "gradient", recording)
+        monkeypatch.setattr(solvers, "nll", rejecting)
         _, trace = fit_pgd("ep", ctx, 5, seed=2, nll_tolerance=0.0, max_iters=12)
         eta, halvings, eta0 = trace.eta, trace.halvings, auto_step_size(ctx)
         assert len(trace) == len(iterates) == 12
+        assert halvings[rejected] >= 1
         assert eta[0] * 2.0 ** halvings[0] == eta0
         grads = [ctx.C - np.linalg.inv(ctx.S_star + L) for L in iterates]
         capped = []
