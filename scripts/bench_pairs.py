@@ -16,7 +16,10 @@ the run's result line).
 (numpy's linear percentiles) over its finite values, ``change_over_parent``
 (the change's median over the parent's, NaN when the parent's is 0), and
 in how many of the ``pairs`` where both sides have one the change read
-lower, ties counting for neither side; under ``fits``, each side's
+lower, ties counting for neither side, and ``gain_resolved``: true when
+the change read lower in at least 9 of 10 of those pairs and its median
+lies further from the parent's than the parent's interquartile range;
+under ``fits``, each side's
 attempted and failed fits summed over its runs and its failed share.  The file is rewritten after
 every pair.
 
@@ -49,8 +52,8 @@ ORDER = (
 
 def summarize(runs):
     """Per metric: each side's median and quartiles over its finite values,
-    the change's median over the parent's and the count of pairs with both
-    values in which the change is lower;
+    the change's median over the parent's, the count of pairs with both
+    values in which the change is lower and whether that gain is resolved;
     under ``fits``, each side's attempted and failed fits and failed share."""
     values = {"parent": {}, "change": {}}
     fits = dict.fromkeys(
@@ -84,6 +87,12 @@ def summarize(runs):
         pairs = parent.keys() & change.keys()
         row["pairs_change_lower"] = sum(change[i] < parent[i] for i in pairs)
         row["pairs"] = len(pairs)
+        # the claim rule: lower in 9 of 10 pairs, by more than the parent's IQR
+        row["gain_resolved"] = bool(
+            pairs and 10 * row["pairs_change_lower"] >= 9 * len(pairs)
+            and abs(row["change_median"] - row["parent_median"])
+            > row["parent_q3"] - row["parent_q1"]
+        )
         summary[name] = row
     for side in ("parent", "change"):
         fits[f"{side}_failed_share"] = (

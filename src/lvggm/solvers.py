@@ -453,12 +453,15 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
     at ``L = 0``; a trial ``V_new = U E`` takes its products from ``B E``.
     """
     CV, M = products
-    GV = CV - M + G.low_rank(V)
+    k = d.size
+    GV = CV - M
+    if k:  # at L = 0 the Woodbury term is empty, as in G @ X
+        GV += G.low_rank(V)
     scale = np.linalg.norm(GV)
     X = GV / scale if scale else GV
     GX = G @ X
     degraded = False
-    if d.size < cfg.rank:
+    if k < cfg.rank:
         # the tangent span cannot fill a rank-deficient iterate (L = 0 has
         # no GV at all): the Krylov head of the gradient adds the directions
         pcfg = dataclasses.replace(
@@ -468,13 +471,13 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
         X, GX = np.hstack([head.basis, X]), np.hstack([head.products, GX])
         degraded = head.degraded
     SX = ctx.S_chol.solve(X)
+    CX = GX + SX  # C X = G X + S^-1 X - M K M^T X
     # products of W = [V, X]; U = [V, Y] = W @ B with Y = (X - V H) T
     W = np.hstack([V, X])
     GW = np.hstack([GV, GX])
-    CW = np.hstack([CV, GX + SX - G.low_rank(X)])
     SW = np.hstack([M, SX])
-    k = d.size
     if k:
+        CX -= G.low_rank(X)
         Y, H, T = extend_basis(V, X, _DEFLATION_TOL)
         U = np.hstack([V, Y])
         B = np.zeros((W.shape[1], U.shape[1]))
@@ -483,6 +486,7 @@ def _ap_candidate(ctx, cfg, t, V, d, products, G):
         B[k:, k:] = T
     else:  # L = 0: X is the head's Z = Q E, orthonormal Ritz vectors
         U, B = X, np.eye(X.shape[1])
+    CW = np.hstack([CV, CX])
     UGU = symmetrize(B.T @ (W.T @ GW) @ B)
 
     def candidate(eta):

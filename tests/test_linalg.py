@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from lvggm.linalg import (
     symmetrize,
     woodbury_core_eig,
 )
-from lvggm.objective import as_eigenform
+from lvggm.objective import ModelContext, as_eigenform
 
 from .conftest import random_spd, random_symmetric
 from .oracles import jacobi_evd
@@ -170,24 +171,29 @@ def banded_spd(rng, p, b):
 
 class TestFactorRoutes:
     """The factor route follows the bandwidth ``b`` of ``S``: banded when
-    ``32 b <= p`` (a diagonal ``S`` is ``b = 0``), dense otherwise; both
-    routes match a dense oracle."""
+    ``32 b <= p`` (a diagonal ``S`` is ``b = 0``; a tridiagonal one is
+    factored as ``L D L^T``), dense otherwise; both routes match a dense
+    oracle."""
 
     @staticmethod
     def _close(got, want, rel=1e-12):
         return np.abs(got - want).max() <= rel * np.abs(want).max()
 
-    @pytest.mark.parametrize("p", [64, 500])
+    @pytest.mark.parametrize("p", [32, 64, 500])
     @pytest.mark.parametrize("b", [0, 1, 2, 5])
     def test_route_and_dense_oracle(self, rng, p, b):
         S = banded_spd(rng, p, b)
         fac, logdet = cholesky_logdet(S)
-        banded = 32 * b <= p  # only p=64, b=5 is too wide
+        banded = 32 * b <= p  # p=32 is the smallest banded p at b=1
         assert fac.route == ("banded" if banded else "dense")
         assert fac.bandwidth == (b if banded else p - 1)
         assert fac.dim == p
         inv = np.linalg.inv(S)
-        for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
+        rhs_blocks = (
+            rng.standard_normal(p), rng.standard_normal((p, 7)),
+            rng.standard_normal((p, p)),
+        )
+        for rhs in rhs_blocks:
             assert self._close(fac.solve(rhs), np.linalg.solve(S, rhs))
         assert abs(logdet - np.linalg.slogdet(S)[1]) <= 1e-12 * abs(logdet)
         A = random_symmetric(rng, p)
@@ -212,8 +218,51 @@ class TestFactorRoutes:
         # eigenvalues 1 + 1.2 cos(k pi / 65): the smallest is near -0.2
         p = 64
         S = np.eye(p) + 0.6 * (np.eye(p, k=1) + np.eye(p, k=-1))
-        with pytest.raises(NotPositiveDefiniteError):
+        # the first leading minor that is not positive definite (order 5)
+        order = next(
+            k for k in range(1, p + 1) if np.linalg.eigvalsh(S[:k, :k])[0] <= 0
+        )
+        with pytest.raises(
+            NotPositiveDefiniteError, match=rf"leading minor of order {order} not"
+        ):
             cholesky_logdet(S)
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_only_tridiagonal_bypasses_the_band_cholesky(self, rng, monkeypatch, b):
+        # b = 1 factors and solves by dpttrf / dpttrs; b = 0 and b = 2 still
+        # reach the band Cholesky and its triangular solves
+        def raising(*args, **kwargs):
+            raise AssertionError("band Cholesky reached")
+
+        p = 64
+        S, A = banded_spd(rng, p, b), random_symmetric(rng, p)
+        fac, _ = cholesky_logdet(S)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", raising)
+        monkeypatch.setattr(lvggm.linalg, "dpbtrs", raising)
+        calls = (
+            lambda: cholesky_logdet(S),
+            lambda: fac.solve(rng.standard_normal(p)),
+            lambda: fac.solve(rng.standard_normal((p, 5))),
+            lambda: fac.subtract_inverse(A),
+            lambda: fac.inverse,
+        )
+        assert fac.route == "banded"
+        for call in calls:
+            if b == 1:
+                call()
+            else:
+                with pytest.raises(AssertionError, match="band Cholesky reached"):
+                    call()
+
+    @pytest.mark.parametrize("b", [0, 1, 2, None], ids=["b0", "b1", "b2", "dense"])
+    def test_residual0_is_exactly_symmetric(self, rng, b):
+        # EP writes -eta residual0 through out.T, so C - S^-1 must be
+        # symmetric to the bit on every route
+        p = 64
+        S = random_spd(rng, p) if b is None else banded_spd(rng, p, b)
+        ctx = ModelContext.create(S, random_spd(rng, p))
+        assert ctx.S_chol.route == ("dense" if b is None else "banded")
+        assert np.array_equal(ctx.residual0, ctx.residual0.T)
 
     @pytest.mark.parametrize("row, value", [(5, -0.5), (1, 0.0)])
     def test_non_pd_diagonal_raises_on_band_route(self, monkeypatch, row, value):

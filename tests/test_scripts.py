@@ -73,13 +73,19 @@ def test_bench_pairs_summary_arithmetic():
     # canned results, no benchmark run: pair 1 ties, and pair 3 lost the
     # change's value, so it counts in the parent's quartiles but not as a
     # pair; every run attempted 10 fits, and the change's pair 3 failed 2.
-    # A parent median of 0 gives no ratio
+    # A parent median of 0 gives no ratio.  w.solve_s is lower in every
+    # pair by more than the parent's IQR, a resolved gain; w.iter_s is
+    # lower in every pair by less than it, which is not
     script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
     values = {"parent": [1.0, 2.0, 4.0, 3.0], "change": [0.5, 2.0, 5.0, None]}
+    solve_s = {"parent": [1.0, 1.5, 2.0, 2.5], "change": [0.5, 0.75, 1.0, 1.25]}
+    iter_s = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 1.5, 2.5, 3.5]}
     runs = [
         {"pair": i, "seed": 701 + i, "side": side, "result": {
             "attempted": 10, "failed": 2 if value is None else 0, "metrics": {
                 "w.setup_s": {"value": value, "unit": "s"},
+                "w.solve_s": {"value": solve_s[side][i], "unit": "s"},
+                "w.iter_s": {"value": iter_s[side][i], "unit": "s"},
                 "w.rel_error": {"value": float("nan"), "unit": "ratio"},
                 "w.degraded": {"value": 0.0 if side == "parent" else 1.0, "unit": "count"},
             },
@@ -95,11 +101,24 @@ def test_bench_pairs_summary_arithmetic():
             "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
             "change_median": 2.0, "change_q1": 1.25, "change_q3": 3.5,
             "change_over_parent": 0.8, "pairs_change_lower": 1, "pairs": 3,
+            "gain_resolved": False,
+        },
+        "w.solve_s": {
+            "parent_median": 1.75, "parent_q1": 1.375, "parent_q3": 2.125,
+            "change_median": 0.875, "change_q1": 0.6875, "change_q3": 1.0625,
+            "change_over_parent": 0.5, "pairs_change_lower": 4, "pairs": 4,
+            "gain_resolved": True,
+        },
+        "w.iter_s": {
+            "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
+            "change_median": 2.0, "change_q1": 1.25, "change_q3": 2.75,
+            "change_over_parent": 0.8, "pairs_change_lower": 4, "pairs": 4,
+            "gain_resolved": False,
         },
         "w.degraded": {
             "parent_median": 0.0, "parent_q1": 0.0, "parent_q3": 0.0,
             "change_median": 1.0, "change_q1": 1.0, "change_q3": 1.0,
-            "pairs_change_lower": 0, "pairs": 4,
+            "pairs_change_lower": 0, "pairs": 4, "gain_resolved": False,
         },
         "fits": {
             "parent_attempted": 40, "parent_failed": 0, "parent_failed_share": 0.0,

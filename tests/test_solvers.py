@@ -428,6 +428,54 @@ class TestApStep:
             P_Z = basis @ basis.T
             assert np.linalg.norm(P_U @ G @ P_U) >= np.linalg.norm(P_Z @ G @ P_Z)
 
+    def test_empty_iterate_forms_no_woodbury_term(self, monkeypatch):
+        # at L = 0 the term M K M^T X is a p x 2r zero block: the step forms
+        # none, and its products keep the bits of subtracting it
+        p, r, eta = 40, 3, 0.7
+        _, ctx = sampled_ctx(p, r, 100 * p, seed=19)
+        heads, compressions, low_ranks = [], [], []
+
+        def recording(*args):
+            heads.append(head_project(*args))
+            return heads[-1]
+
+        def compressing(*args):
+            compressions.append(compress_symmetric(*args))
+            return compressions[-1]
+
+        def counting(G, X):
+            low_ranks.append(X.shape[1])
+            return low_rank(G, X)
+
+        head_project, compress_symmetric = solvers.head_project, solvers.compress_symmetric
+        low_rank = GradientOperator.low_rank
+        monkeypatch.setattr(solvers, "head_project", recording)
+        monkeypatch.setattr(solvers, "compress_symmetric", compressing)
+        monkeypatch.setattr(GradientOperator, "low_rank", counting)
+        cfg = SolverConfig(rank=r, projection=ProjectionConfig(seed=4))
+        V, d = np.zeros((p, 0)), np.zeros(0)
+        G = solvers.gradient(ctx, (V, d), V)
+        candidate, _ = solvers._ap_candidate(ctx, cfg, 0, V, d, (V, V), G)
+        _, _, (CV_new, M_new) = candidate(eta)
+        assert low_ranks == []
+
+        # the products as formed with the zero term: C Z = G Z + S^-1 Z - M K M^T Z
+        Z, GZ = heads[0].basis, heads[0].products
+        SZ = ctx.S_chol.solve(Z)
+        F = np.eye(Z.shape[1]) @ compressions[0][2]
+        assert not np.any(low_rank(G, Z))
+        assert np.array_equal(CV_new, (GZ + SZ - low_rank(G, Z)) @ F)
+        assert np.array_equal(M_new, SZ @ F)
+
+        # an iterate with columns forms the term for G V, inside G @ X and
+        # for C X
+        V = np.linalg.qr(np.random.default_rng(3).standard_normal((p, r)))[0]
+        d = np.array([0.6, 0.3, 0.1])
+        products = (ctx.C @ V, ctx.S_chol.solve(V))
+        G = solvers.gradient(ctx, (V, d), products[1])
+        solvers._ap_candidate(ctx, cfg, 1, V, d, products, G)
+        assert low_ranks == [r] * 3
+
     def test_empty_iterate_steps_on_the_head_basis(self, monkeypatch):
         # at L = 0 the head's Ritz vectors Z are the step's basis: no
         # extend_basis call, and the candidate that extend_basis(0, Z)'s
