@@ -18,8 +18,12 @@ the run's result line).
 in how many of the ``pairs`` where both sides have one the change read
 lower, ties counting for neither side, and ``gain_resolved``: true when
 the change read lower in at least 9 of 10 of those pairs and its median
-lies further from the parent's than the parent's interquartile range;
-under ``fits``, each side's
+lies further from the parent's than the parent's interquartile range, and
+``worse_beyond_bound``: true when the change's median is worse than the
+parent's by more than the ``bound`` (a fraction of the parent's median)
+that ``BENCHMARK.json`` declares for the metric's name after its workload
+prefix, in the direction its ``better`` gives, and null for a metric it
+does not declare or a median that is missing; under ``fits``, each side's
 attempted and failed fits summed over its runs and its failed share.  The file is rewritten after
 every pair.
 
@@ -50,11 +54,32 @@ ORDER = (
 )
 
 
+def declared_metrics():
+    """``BENCHMARK.json``'s end-to-end metrics by name."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def worse_beyond_bound(row, metric):
+    """Whether the change's median is worse than the parent's by more than
+    ``metric``'s bound; None for an undeclared metric or a missing median."""
+    if metric is None:
+        return None
+    worse = row["change_median"] - row["parent_median"]
+    if metric["better"] == "higher":
+        worse = -worse
+    if math.isnan(worse):
+        return None
+    return bool(worse > metric["bound"] * abs(row["parent_median"]))
+
+
 def summarize(runs):
     """Per metric: each side's median and quartiles over its finite values,
     the change's median over the parent's, the count of pairs with both
-    values in which the change is lower and whether that gain is resolved;
-    under ``fits``, each side's attempted and failed fits and failed share."""
+    values in which the change is lower, whether that gain is resolved and
+    whether the change is worse beyond the metric's declared bound; under
+    ``fits``, each side's attempted and failed fits and failed share."""
+    declared = declared_metrics()
     values = {"parent": {}, "change": {}}
     fits = dict.fromkeys(
         ("parent_attempted", "parent_failed", "change_attempted", "change_failed"), 0
@@ -92,6 +117,10 @@ def summarize(runs):
             pairs and 10 * row["pairs_change_lower"] >= 9 * len(pairs)
             and abs(row["change_median"] - row["parent_median"])
             > row["parent_q3"] - row["parent_q1"]
+        )
+        # the no-regression rule, by the name after the workload prefix
+        row["worse_beyond_bound"] = worse_beyond_bound(
+            row, declared.get(name.split(".", 1)[-1])
         )
         summary[name] = row
     for side in ("parent", "change"):

@@ -169,11 +169,18 @@ def _lanczos_basis(A, k, rng):
     norm at most ``1e-10`` of the first one's ends it.  ``Q^T A Q`` comes
     from the reorthogonalization coefficients and the new directions' norms
     (on the subdiagonal), which is cheaper than the product.
+
+    A step costs one product ``A q``, for a :class:`GradientOperator
+    <lvggm.objective.GradientOperator>` one symmetric matvec over one
+    triangle of ``C - S^-1``, plus the two reorthogonalization passes.
+    ``Q`` and ``A @ Q`` are column-major, so each step normalizes into the
+    contiguous column ``Q[:, m]`` and reorthogonalizes against the
+    contiguous block ``Q[:, :m+1]``.
     """
     p = A.shape[0]
     steps = min(p, max(2 * k, k + 30))
-    Q = np.zeros((p, steps))
-    AQ = np.zeros((p, steps))
+    Q = np.zeros((p, steps), order="F")
+    AQ = np.zeros((p, steps), order="F")
     H = np.zeros((steps, steps))
     w = A @ rng.standard_normal(p)
     beta = float(np.linalg.norm(w))
@@ -182,8 +189,7 @@ def _lanczos_basis(A, k, rng):
     while m < steps and beta > tol:
         if m:
             H[m, m - 1] = beta
-        Q[:, m] = w / beta
-        w = A @ Q[:, m]
+        w = A @ np.divide(w, beta, out=Q[:, m])
         AQ[:, m] = w
         for _ in range(2):
             c = Q[:, : m + 1].T @ w

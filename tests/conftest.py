@@ -26,6 +26,15 @@ def random_spd(rng, p, shift=None):
     return S + shift * np.eye(p)
 
 
+def banded_spd(rng, p, b):
+    """SPD matrix of bandwidth exactly ``b``, diagonally dominant."""
+    S = np.diag(rng.uniform(1.0, 2.0, p) * (2 * b + 1))
+    for k in range(1, b + 1):
+        off = rng.uniform(0.2, 1.0, p - k)
+        S += np.diag(off, k) + np.diag(off, -k)
+    return S
+
+
 def fixed_admm_seconds(monkeypatch, module):
     """Make every ADMM fit reached through ``module`` report 9 s for its
     first iteration and 0.5 s for each later one."""

@@ -9,7 +9,9 @@ thin SVD, LAUUM and rank-2r update), and the reference BK-SVD is
 plain numpy (block Gram-Schmidt and SVDs), sharing nothing with the
 library's block-Krylov head.
 The exception is ``dense_step_ep``, which runs the solvers' own descent loop
-with the dense EP step, so that only the step differs.
+with the dense EP step, so that only the step differs.  ``lanczos_rowmajor``
+is the Lanczos loop on row-major storage with a general matrix-vector
+product per step, which the library's column-major loop replaced.
 """
 
 import numpy as np
@@ -170,3 +172,33 @@ def dense_step_ep(ctx, cfg, truth=None):
         return candidate, False
 
     return solvers._descend(ctx, cfg, truth, make_candidate, secant=True)
+
+
+def lanczos_rowmajor(A, k, rng):
+    """``(Q, A Q, Q^T A Q)`` of ``projections._lanczos_basis`` from a
+    row-major ``Q`` and ``A Q`` and a dense ``A @ q`` (numpy's GEMV on an
+    operator's :meth:`dense` matrix), the same Krylov space, step count,
+    breakdown rule and two reorthogonalization passes."""
+    A = np.asarray(A)
+    p = A.shape[0]
+    steps = min(p, max(2 * k, k + 30))
+    Q = np.zeros((p, steps))
+    AQ = np.zeros((p, steps))
+    H = np.zeros((steps, steps))
+    w = A @ rng.standard_normal(p)
+    beta = float(np.linalg.norm(w))
+    tol = 1e-10 * beta
+    m = 0
+    while m < steps and beta > tol:
+        if m:
+            H[m, m - 1] = beta
+        Q[:, m] = w / beta
+        w = A @ Q[:, m]
+        AQ[:, m] = w
+        for _ in range(2):
+            c = Q[:, : m + 1].T @ w
+            H[: m + 1, m] += c
+            w -= Q[:, : m + 1] @ c
+        m += 1
+        beta = float(np.linalg.norm(w))
+    return Q[:, :m], AQ[:, :m], H[:m, :m]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import lvggm.linalg
 from lvggm.linalg import (
     NotPositiveDefiniteError,
+    check_finite_symmetric,
     cholesky_logdet,
     small_cholesky,
     small_eigh,
@@ -16,7 +17,7 @@ from lvggm.linalg import (
 )
 from lvggm.objective import ModelContext, as_eigenform
 
-from .conftest import random_spd, random_symmetric
+from .conftest import banded_spd, random_spd, random_symmetric
 from .oracles import jacobi_evd
 
 
@@ -35,6 +36,33 @@ class TestSymmetrize:
         A = np.random.default_rng(seed).standard_normal((p, p))
         S = symmetrize(A)
         assert np.array_equal(symmetrize(S), S)
+
+
+class TestCheckFiniteSymmetric:
+    """:func:`check_finite_symmetric` reads square tiles and their mirrors;
+    p = 300 leaves a partial last tile row and column of 44."""
+
+    P = 300
+
+    @pytest.mark.parametrize("i, j", [(299, 290), (5, 297)], ids=["corner", "edge"])
+    def test_asymmetry_in_the_last_partial_tile(self, rng, i, j):
+        assert self.P % lvggm.linalg._SYM_TILE
+        A = random_symmetric(rng, self.P)
+        near = A.copy()
+        near[i, j] += 1e-14
+        got = check_finite_symmetric(near, "A")
+        assert np.array_equal(got, symmetrize(near)) and got[i, j] != near[i, j]
+        far = A.copy()
+        far[i, j] += 1e-6
+        with pytest.raises(ValueError, match="A is not symmetric"):
+            check_finite_symmetric(far, "A")
+        nan = A.copy()
+        nan[i, j] = np.nan
+        skew = nan.copy()
+        skew[1, 0] += 1e-6  # in the first tile, read before the NaN
+        for B in (nan, skew):  # the non-finite error comes first
+            with pytest.raises(ValueError, match="A contains non-finite entries"):
+                check_finite_symmetric(B, "A")
 
 
 class TestSymEvd:
@@ -158,15 +186,6 @@ class TestCholeskyLogdet:
         assert fac.logdet == ld
         x = fac.solve(np.ones(6))
         assert np.abs(A @ x - 1.0).max() < 1e-10
-
-
-def banded_spd(rng, p, b):
-    """SPD matrix of bandwidth exactly ``b``, diagonally dominant."""
-    S = np.diag(rng.uniform(1.0, 2.0, p) * (2 * b + 1))
-    for k in range(1, b + 1):
-        off = rng.uniform(0.2, 1.0, p - k)
-        S += np.diag(off, k) + np.diag(off, -k)
-    return S
 
 
 class TestFactorRoutes:

@@ -25,7 +25,7 @@ from lvggm.objective import (
 )
 from lvggm.solvers import auto_step_size
 
-from .conftest import random_spd
+from .conftest import banded_spd, random_spd
 from .oracles import fd_factor_gradient, kron_hessian_extremes, loglog_slope
 
 
@@ -224,6 +224,22 @@ class TestGradientOperator:
             assert np.array_equal(G.low_rank(X), np.zeros((8, 3)))
             expected = -ctx.S_chol.logdet + ctx.trace_SC
             assert nll(ctx, (V, d)) == nll(ctx, (V, d), (V, V)) == expected
+
+    @pytest.mark.parametrize("b", [0, 1, 2, None], ids=["diagonal", "tridiagonal", "b2", "dense"])
+    @pytest.mark.parametrize("rank", [0, 3], ids=["at-zero", "woodbury"])
+    def test_single_vector_matches_the_dense_gradient(self, rng, b, rank):
+        # a 1-D v takes dsymv over one triangle of residual0
+        p = 64
+        S = random_spd(rng, p) if b is None else banded_spd(rng, p, b)
+        ctx = ModelContext.create(S, random_spd(rng, p))
+        assert ctx.S_chol.route == ("dense" if b is None else "banded")
+        V = np.linalg.qr(rng.standard_normal((p, rank)))[0]
+        G = gradient(ctx, (V, np.array([0.8, 0.3, -0.1])[:rank]))
+        v = rng.standard_normal(p)
+        want = G.dense() @ v
+        got = G @ v
+        assert got.shape == (p,)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_singular_update_raises(self):
         ctx = ModelContext.create(np.eye(5), np.eye(5))

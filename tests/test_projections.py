@@ -13,14 +13,16 @@ from lvggm.objective import ModelContext, gradient
 from lvggm.projections import (
     ProjectionConfig,
     _krylov_basis,
+    _lanczos_basis,
     compress_symmetric,
     derived_seed,
     head_project,
+    rng_for,
 )
 from lvggm.solvers import psd_finalize
 
 from .conftest import random_spd, random_symmetric
-from .oracles import bk_svd, psd_clamp_truncate
+from .oracles import bk_svd, lanczos_rowmajor, psd_clamp_truncate
 
 _BACKENDS = ("block-krylov", "lanczos")
 
@@ -389,6 +391,36 @@ class TestLanczosSubspace:
         s1 = self._lanczos(A, 3, 8)
         s2 = self._lanczos(A, 3, 8)
         assert np.array_equal(s1.basis, s2.basis)
+
+    @staticmethod
+    def _operator(rng, p=200, r=3):
+        model = gen_model(p, r, seed=int(rng.integers(2**31)))
+        ctx = ModelContext.create(model.S_star, sample_covariance(model, 20 * p, seed=5))
+        V = np.linalg.qr(rng.standard_normal((p, r)))[0]
+        return gradient(ctx, (V, np.array([0.9, 0.5, -0.05])))
+
+    def test_basis_on_a_gradient_operator(self, rng):
+        # the column-major loop with one symmetric matvec per step: an
+        # orthonormal basis, its products and Q^T G Q, and the basis of the
+        # row-major loop with a dense GEMV it replaced
+        G, k = self._operator(rng), 20
+        Q, AQ, H = _lanczos_basis(G, k, rng_for(7, 101, 0))
+        assert Q.shape == (200, 50) and Q.flags.f_contiguous
+        dense = G.dense()
+        scale = np.linalg.norm(dense, 2)
+        assert np.abs(Q.T @ Q - np.eye(50)).max() <= 1e-12
+        assert np.abs(AQ - dense @ Q).max() <= 1e-12 * scale
+        assert np.abs(H - Q.T @ dense @ Q).max() <= 1e-12 * scale
+        Q0, AQ0, H0 = lanczos_rowmajor(dense, k, rng_for(7, 101, 0))
+        assert np.abs(Q - Q0).max() <= 1e-12
+        assert np.abs(AQ - AQ0).max() <= 1e-12 * scale
+        assert np.abs(H - H0).max() <= 1e-12 * scale
+
+    def test_basis_replays_to_the_bit(self, rng):
+        G = self._operator(rng)
+        first, second = (_lanczos_basis(G, 20, rng_for(7, 101, 0)) for _ in range(2))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 class TestCompressSymmetric:

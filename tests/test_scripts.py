@@ -75,11 +75,16 @@ def test_bench_pairs_summary_arithmetic():
     # pair; every run attempted 10 fits, and the change's pair 3 failed 2.
     # A parent median of 0 gives no ratio.  w.solve_s is lower in every
     # pair by more than the parent's IQR, a resolved gain; w.iter_s is
-    # lower in every pair by less than it, which is not
+    # lower in every pair by less than it, which is not.  BENCHMARK.json
+    # declares setup_s, ap_bk.rel_error (bound 0.25) and peak_rss_mb (bound
+    # 0.1), lower better: w.ap_bk.rel_error is 20% worse, inside its bound,
+    # and w.peak_rss_mb 12% worse, beyond it; the rest are undeclared
     script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
     values = {"parent": [1.0, 2.0, 4.0, 3.0], "change": [0.5, 2.0, 5.0, None]}
     solve_s = {"parent": [1.0, 1.5, 2.0, 2.5], "change": [0.5, 0.75, 1.0, 1.25]}
     iter_s = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 1.5, 2.5, 3.5]}
+    rel_error = {"parent": 0.5, "change": 0.6}
+    rss = {"parent": 100.0, "change": 112.0}
     runs = [
         {"pair": i, "seed": 701 + i, "side": side, "result": {
             "attempted": 10, "failed": 2 if value is None else 0, "metrics": {
@@ -88,6 +93,8 @@ def test_bench_pairs_summary_arithmetic():
                 "w.iter_s": {"value": iter_s[side][i], "unit": "s"},
                 "w.rel_error": {"value": float("nan"), "unit": "ratio"},
                 "w.degraded": {"value": 0.0 if side == "parent" else 1.0, "unit": "count"},
+                "w.ap_bk.rel_error": {"value": rel_error[side], "unit": "ratio"},
+                "w.peak_rss_mb": {"value": rss[side], "unit": "MB"},
             },
         }}
         for side, side_values in values.items()
@@ -101,24 +108,37 @@ def test_bench_pairs_summary_arithmetic():
             "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
             "change_median": 2.0, "change_q1": 1.25, "change_q3": 3.5,
             "change_over_parent": 0.8, "pairs_change_lower": 1, "pairs": 3,
-            "gain_resolved": False,
+            "gain_resolved": False, "worse_beyond_bound": False,
         },
         "w.solve_s": {
             "parent_median": 1.75, "parent_q1": 1.375, "parent_q3": 2.125,
             "change_median": 0.875, "change_q1": 0.6875, "change_q3": 1.0625,
             "change_over_parent": 0.5, "pairs_change_lower": 4, "pairs": 4,
-            "gain_resolved": True,
+            "gain_resolved": True, "worse_beyond_bound": None,
         },
         "w.iter_s": {
             "parent_median": 2.5, "parent_q1": 1.75, "parent_q3": 3.25,
             "change_median": 2.0, "change_q1": 1.25, "change_q3": 2.75,
             "change_over_parent": 0.8, "pairs_change_lower": 4, "pairs": 4,
-            "gain_resolved": False,
+            "gain_resolved": False, "worse_beyond_bound": None,
         },
         "w.degraded": {
             "parent_median": 0.0, "parent_q1": 0.0, "parent_q3": 0.0,
             "change_median": 1.0, "change_q1": 1.0, "change_q3": 1.0,
             "pairs_change_lower": 0, "pairs": 4, "gain_resolved": False,
+            "worse_beyond_bound": None,
+        },
+        "w.ap_bk.rel_error": {
+            "parent_median": 0.5, "parent_q1": 0.5, "parent_q3": 0.5,
+            "change_median": 0.6, "change_q1": 0.6, "change_q3": 0.6,
+            "change_over_parent": 1.2, "pairs_change_lower": 0,
+            "pairs": 4, "gain_resolved": False, "worse_beyond_bound": False,
+        },
+        "w.peak_rss_mb": {
+            "parent_median": 100.0, "parent_q1": 100.0, "parent_q3": 100.0,
+            "change_median": 112.0, "change_q1": 112.0, "change_q3": 112.0,
+            "change_over_parent": 1.12, "pairs_change_lower": 0, "pairs": 4,
+            "gain_resolved": False, "worse_beyond_bound": True,
         },
         "fits": {
             "parent_attempted": 40, "parent_failed": 0, "parent_failed_share": 0.0,
