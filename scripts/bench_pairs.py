@@ -22,8 +22,10 @@ lies further from the parent's than the parent's interquartile range, and
 ``worse_beyond_bound``: true when the change's median is worse than the
 parent's by more than the ``bound`` (a fraction of the parent's median)
 that ``BENCHMARK.json`` declares for the metric's name after its workload
-prefix, in the direction its ``better`` gives, and null for a metric it
-does not declare or a median that is missing; under ``fits``, each side's
+prefix, in the direction its ``better`` gives, false when it is not, and
+null (unresolved) for a metric it does not declare, a median that is
+missing, or a parent whose interquartile range is wider than that bound;
+under ``fits``, each side's
 attempted and failed fits summed over its runs and its failed share.  The file is rewritten after
 every pair.
 
@@ -62,15 +64,17 @@ def declared_metrics():
 
 def worse_beyond_bound(row, metric):
     """Whether the change's median is worse than the parent's by more than
-    ``metric``'s bound; None for an undeclared metric or a missing median."""
+    ``metric``'s bound; None (unresolved) for an undeclared metric, a
+    missing median or a parent spread wider than the bound."""
     if metric is None:
         return None
+    bound = metric["bound"] * abs(row["parent_median"])
     worse = row["change_median"] - row["parent_median"]
     if metric["better"] == "higher":
         worse = -worse
-    if math.isnan(worse):
+    if math.isnan(worse) or row["parent_q3"] - row["parent_q1"] > bound:
         return None
-    return bool(worse > metric["bound"] * abs(row["parent_median"]))
+    return bool(worse > bound)
 
 
 def summarize(runs):

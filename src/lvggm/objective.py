@@ -224,9 +224,10 @@ class GradientOperator:
 
     def __matmul__(self, X):
         if np.ndim(X) == 1:
-            # residual0 is C-ordered and exactly symmetric, so its transpose
-            # is the same matrix in the Fortran order BLAS reads in place
-            out = dsymv(1.0, self._residual0.T, X, lower=1)
+            # residual0 is exactly symmetric, so it and its transpose are the
+            # same matrix: hand BLAS whichever is Fortran-ordered, read in place
+            R = self._residual0
+            out = dsymv(1.0, R if R.flags.f_contiguous else R.T, X, lower=1)
         else:
             out = self._residual0 @ X
         if self._M.shape[1]:  # at L = 0 the Woodbury term is empty

@@ -39,15 +39,13 @@ class TestSymmetrize:
 
 
 class TestCheckFiniteSymmetric:
-    """:func:`check_finite_symmetric` reads square tiles and their mirrors;
-    p = 300 leaves a partial last tile row and column of 44."""
-
-    P = 300
+    """:func:`check_finite_symmetric` symmetrizes an ``A`` within 1e-12 of
+    its scale of symmetric, rejects a less symmetric one, and reports a
+    non-finite entry before any asymmetry."""
 
     @pytest.mark.parametrize("i, j", [(299, 290), (5, 297)], ids=["corner", "edge"])
-    def test_asymmetry_in_the_last_partial_tile(self, rng, i, j):
-        assert self.P % lvggm.linalg._SYM_TILE
-        A = random_symmetric(rng, self.P)
+    def test_tolerance_and_the_order_of_its_errors(self, rng, i, j):
+        A = random_symmetric(rng, 300)
         near = A.copy()
         near[i, j] += 1e-14
         got = check_finite_symmetric(near, "A")
@@ -59,7 +57,7 @@ class TestCheckFiniteSymmetric:
         nan = A.copy()
         nan[i, j] = np.nan
         skew = nan.copy()
-        skew[1, 0] += 1e-6  # in the first tile, read before the NaN
+        skew[1, 0] += 1e-6
         for B in (nan, skew):  # the non-finite error comes first
             with pytest.raises(ValueError, match="A contains non-finite entries"):
                 check_finite_symmetric(B, "A")

@@ -240,6 +240,9 @@ class TestGradientOperator:
         got = G @ v
         assert got.shape == (p,)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a Fortran-ordered residual0 is read in place, to the same bits
+        F = GradientOperator(np.asfortranarray(ctx.residual0), *G.woodbury, G.gram)
+        assert np.array_equal(F @ v, got)
 
     def test_singular_update_raises(self):
         ctx = ModelContext.create(np.eye(5), np.eye(5))
